@@ -1,4 +1,4 @@
-"""Data loading, normalization, checkpoints, and canonical report output.
+"""Data loading, normalization, and canonical report output.
 
 Reports and sweep tables are written with sorted keys and repr-float
 formatting so identical runs produce byte-identical files; wall-clock facts
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -102,10 +103,14 @@ def load_csv(path: str, *, dtype=np.float32, normalization: str = "none",
                                          f"bad label {cell!r}") from None
                 else:
                     try:
-                        feats.append(float(cell))
+                        value = float(cell)
                     except ValueError:
                         raise ValueError(f"{path}:{lineno}: column {header[col]!r}: "
                                          f"bad float {cell!r}") from None
+                    if not math.isfinite(value):
+                        raise ValueError(f"{path}:{lineno}: column {header[col]!r}: "
+                                         f"non-finite value {cell!r}")
+                    feats.append(value)
             rows.append(feats)
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -133,75 +138,6 @@ def load_token_sequences(n_seq: int, seq_len: int, *, vocab: int, embed_dim: int
     labels = stream.derive(2).integers(n_seq, low=0, high=label_classes)
     return Batch(x=np.ascontiguousarray(x), labels=labels,
                  meta={"ids": ids, "table": table, "seq_len": seq_len, "embed_dim": embed_dim})
-
-
-# -- raw tensors and checkpoints ----------------------------------------------
-
-def save_raw_tensor(x: np.ndarray, path: str) -> None:
-    """Write a float tensor as <path>.json (shape/dtype header) + <path>.bin
-    (C-order little-endian payload)."""
-    x = np.ascontiguousarray(x)
-    header = {"shape": list(x.shape), "dtype": x.dtype.name, "order": "C", "endian": "little"}
-    with open(path + ".json", "w") as fh:
-        fh.write(canonical_json(header))
-    x.astype(x.dtype.newbyteorder("<")).tofile(path + ".bin")
-
-
-def load_raw_tensor(path: str) -> np.ndarray:
-    with open(path + ".json") as fh:
-        header = json.load(fh)
-    for key in ("shape", "dtype"):
-        if key not in header:
-            raise ValueError(f"{path}.json: missing {key!r}")
-    dtype = np.dtype(header["dtype"]).newbyteorder("<")
-    data = np.fromfile(path + ".bin", dtype=dtype)
-    expected = int(np.prod(header["shape"]))
-    if data.size != expected:
-        raise ValueError(f"{path}.bin: holds {data.size} values, header says {expected}")
-    return data.reshape(header["shape"]).astype(np.dtype(header["dtype"]))
-
-
-def load_raw_tensor_batch(path: str, *, normalization: str = "none") -> Batch:
-    x = load_raw_tensor(path)
-    if x.ndim != 2:
-        raise ValueError(f"{path}: expected a 2-d batch, got shape {x.shape}")
-    x, norm = normalize(x, normalization)
-    return Batch(x=x, labels=None, normalization=norm)
-
-
-def save_checkpoint(params: dict, path: str) -> None:
-    """Flat parameter dict -> sidecar JSON header + single .bin payload."""
-    names = sorted(params)
-    header = {"format": "checkpoint-v1", "endian": "little", "tensors": []}
-    offset = 0  # byte offset into the .bin payload
-    for name in names:
-        arr = np.ascontiguousarray(params[name])
-        header["tensors"].append({"name": name, "shape": list(arr.shape),
-                                  "dtype": arr.dtype.name, "offset": offset})
-        offset += arr.size * arr.dtype.itemsize
-    with open(path + ".json", "w") as fh:
-        fh.write(canonical_json(header))
-    with open(path + ".bin", "wb") as fh:
-        for name in names:
-            arr = np.ascontiguousarray(params[name])
-            fh.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
-
-
-def load_checkpoint(path: str) -> dict:
-    with open(path + ".json") as fh:
-        header = json.load(fh)
-    if header.get("format") != "checkpoint-v1":
-        raise ValueError(f"{path}.json: not a checkpoint header")
-    out = {}
-    with open(path + ".bin", "rb") as fh:
-        payload = fh.read()
-    for entry in header["tensors"]:
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"]))
-        seg = np.frombuffer(payload, dtype=dtype.newbyteorder("<"),
-                            count=count, offset=entry["offset"])
-        out[entry["name"]] = seg.astype(dtype).reshape(entry["shape"])
-    return out
 
 
 # -- canonical serialization ---------------------------------------------------

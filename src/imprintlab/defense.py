@@ -11,7 +11,7 @@ took away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,8 +65,7 @@ def apply_defense(payload: UpdatePayload, config: DefenseConfig,
                 noise = child.laplace(t.shape, scale=config.sigma)
             v = v + noise.astype(t.dtype)
         out[key] = v
-    return UpdatePayload(kind=payload.kind, tensors=out, batch_size=payload.batch_size,
-                         steps=payload.steps, lr=payload.lr)
+    return replace(payload, tensors=out)
 
 
 def dp_recovery_analysis(k_tilde: int, m: int, sigma: float, *, stream: RngStream,

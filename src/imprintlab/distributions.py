@@ -1,10 +1,9 @@
 """Scalar distributions used to place imprint bin boundaries.
 
 Each distribution exposes cdf/quantile/sample; quantile is the workhorse
-(boundaries are quantiles of equal-mass grids). The normal quantile is a
-rational approximation polished with one Newton step on the erf-based CDF,
-giving ~1e-9 round-trip accuracy without reaching for special-function
-libraries.
+(boundaries are quantiles of equal-mass grids). cdf and quantile take a
+scalar or an array and answer in kind; the normal ones are scipy's ndtr and
+ndtri.
 """
 
 from __future__ import annotations
@@ -13,53 +12,24 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .numerics import RngStream
 
 _SQRT2 = math.sqrt(2.0)
 
-# Acklam's rational approximation to the standard normal quantile.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
 
-
-def _std_normal_quantile(p: float) -> float:
-    # rational approximation, then one Newton step against the exact CDF
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    # Newton: err / pdf. Use erfc in the tails to dodge cancellation.
-    if x > 0:
-        err = 0.5 * math.erfc(x / _SQRT2) - (1.0 - p)
-        x += err / (math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
-    else:
-        err = 0.5 * math.erfc(-x / _SQRT2) - p
-        x -= err / (math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
-    return x
-
-
-def _check_prob(p: float) -> float:
-    p = float(p)
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
-        raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
+def _check_prob(p) -> np.ndarray:
+    p = np.asarray(p, dtype=np.float64)
+    bad = ~((p > 0.0) & (p < 1.0))  # also catches nan
+    if bad.any():
+        raise ValueError(f"quantile probability must lie in (0, 1), got {p[bad].flat[0]}")
     return p
+
+
+def _like(x, out):
+    """A float for scalar input, else the array."""
+    return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -72,12 +42,10 @@ class Normal:
             raise ValueError(f"sd must be positive and finite, got {self.sd}")
 
     def cdf(self, x):
-        z = (np.asarray(x, dtype=np.float64) - self.mean) / (self.sd * _SQRT2)
-        out = 0.5 * np.vectorize(math.erfc)(-z)
-        return float(out) if np.isscalar(x) or out.ndim == 0 else out
+        return _like(x, ndtr((np.asarray(x, dtype=np.float64) - self.mean) / self.sd))
 
-    def quantile(self, p: float) -> float:
-        return self.mean + self.sd * _std_normal_quantile(_check_prob(p))
+    def quantile(self, p):
+        return _like(p, self.mean + self.sd * ndtri(_check_prob(p)))
 
     def sample(self, shape, stream: RngStream, dtype=np.float64) -> np.ndarray:
         return stream.normal(shape, mean=self.mean, sd=self.sd, dtype=dtype)
@@ -94,14 +62,13 @@ class Laplace:
 
     def cdf(self, x):
         z = (np.asarray(x, dtype=np.float64) - self.mean) / self.scale
-        out = np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
-        return float(out) if np.isscalar(x) or out.ndim == 0 else out
+        return _like(x, np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z)))
 
-    def quantile(self, p: float) -> float:
-        p = _check_prob(p)
-        if p < 0.5:
-            return self.mean + self.scale * math.log(2.0 * p)
-        return self.mean - self.scale * math.log(2.0 * (1.0 - p))
+    def quantile(self, p):
+        q = _check_prob(p)
+        out = np.where(q < 0.5, self.mean + self.scale * np.log(2.0 * q),
+                       self.mean - self.scale * np.log(2.0 * (1.0 - q)))
+        return _like(p, out)
 
     def sample(self, shape, stream: RngStream, dtype=np.float64) -> np.ndarray:
         out = stream.laplace(shape, scale=self.scale) + self.mean
@@ -125,12 +92,11 @@ class Empirical:
         object.__setattr__(self, "_probs", np.linspace(0.0, 1.0, vals.size))
 
     def cdf(self, x):
-        out = np.interp(np.asarray(x, dtype=np.float64), self.values, self._probs,
-                        left=0.0, right=1.0)
-        return float(out) if np.isscalar(x) or out.ndim == 0 else out
+        return _like(x, np.interp(np.asarray(x, dtype=np.float64), self.values, self._probs,
+                                  left=0.0, right=1.0))
 
-    def quantile(self, p: float) -> float:
-        return float(np.interp(_check_prob(p), self._probs, self.values))
+    def quantile(self, p):
+        return _like(p, np.interp(_check_prob(p), self._probs, self.values))
 
     def sample(self, shape, stream: RngStream, dtype=np.float64) -> np.ndarray:
         # inverse-transform off the interpolated quantile curve
@@ -148,10 +114,3 @@ def fit_empirical(samples) -> Empirical:
         raise ValueError("samples must be finite")
     return Empirical(vals)
 
-
-def make_distribution(name: str, **kwargs):
-    """Construct a distribution from a config-style name."""
-    table = {"normal": Normal, "laplace": Laplace}
-    if name not in table:
-        raise ValueError(f"unknown distribution {name!r}; expected one of {sorted(table)} or 'empirical'")
-    return table[name](**kwargs)

@@ -3,7 +3,7 @@ training (parameter deltas), and unweighted secure aggregation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -12,7 +12,8 @@ from .model import ModelGraph
 
 @dataclass(eq=False)
 class UpdatePayload:
-    """What one user ships to the server.
+    """What one user ships to the server, or the secure sum of `users` such
+    updates (tensors summed, batch_size counting every example behind them).
 
     kind "gradient": tensors are mean gradients over the local batch.
     kind "param_delta": tensors are final minus initial parameters after
@@ -24,11 +25,18 @@ class UpdatePayload:
     batch_size: int
     steps: int = 1
     lr: float | None = None
+    users: int = 1
 
     def scaled(self, factor: float) -> "UpdatePayload":
-        return UpdatePayload(kind=self.kind,
-                             tensors={k: v * v.dtype.type(factor) for k, v in self.tensors.items()},
-                             batch_size=self.batch_size, steps=self.steps, lr=self.lr)
+        return replace(self, tensors={k: v * v.dtype.type(factor)
+                                      for k, v in self.tensors.items()})
+
+    def mean_payload(self) -> "UpdatePayload":
+        """Per-user average of a summed payload; a single user's is itself."""
+        if self.users == 1:
+            return self
+        return replace(self.scaled(1.0 / self.users),
+                       batch_size=self.batch_size // self.users, users=1)
 
 
 def fed_sgd(model: ModelGraph, x: np.ndarray, labels: np.ndarray) -> tuple[float, UpdatePayload]:
@@ -87,31 +95,10 @@ def to_gradient_form(payload: UpdatePayload) -> UpdatePayload:
         return payload
     if payload.lr is None:
         raise ValueError("param_delta payload without lr cannot be converted")
-    factor = -1.0 / (payload.lr * payload.steps)
-    out = payload.scaled(factor)
-    out.kind = "gradient"
-    return out
+    return replace(payload.scaled(-1.0 / (payload.lr * payload.steps)), kind="gradient")
 
 
-@dataclass(eq=False)
-class AggregateResult:
-    tensors: dict
-    users: int
-    total_examples: int
-    kind: str
-    steps: int
-    lr: float | None
-
-    def mean_payload(self) -> UpdatePayload:
-        """Per-user average of the aggregate, as a payload."""
-        inv = 1.0 / self.users
-        return UpdatePayload(kind=self.kind,
-                             tensors={k: v * v.dtype.type(inv) for k, v in self.tensors.items()},
-                             batch_size=self.total_examples // self.users,
-                             steps=self.steps, lr=self.lr)
-
-
-def secure_aggregate(payloads) -> AggregateResult:
+def secure_aggregate(payloads) -> UpdatePayload:
     """Unweighted sum across users, plus the count metadata the server keeps."""
     payloads = list(payloads)
     if not payloads:
@@ -129,6 +116,6 @@ def secure_aggregate(payloads) -> AggregateResult:
             if p.tensors[k].shape != first.tensors[k].shape:
                 raise ValueError(f"shape mismatch on {k!r}")
     summed = {k: np.sum([p.tensors[k] for p in payloads], axis=0) for k in keys}
-    return AggregateResult(tensors=summed, users=len(payloads),
-                           total_examples=sum(p.batch_size for p in payloads),
-                           kind=first.kind, steps=first.steps, lr=first.lr)
+    return UpdatePayload(kind=first.kind, tensors=summed,
+                         batch_size=sum(p.batch_size for p in payloads),
+                         steps=first.steps, lr=first.lr, users=sum(p.users for p in payloads))

@@ -50,7 +50,7 @@ def make_layout(distribution, k: int, *, p_min: float = DEFAULT_P_MIN) -> BinLay
     if not (0.0 < p_min < 1.0 / k):
         raise ValueError(f"p_min must lie in (0, 1/k), got {p_min}")
     probs = np.maximum(np.arange(k, dtype=np.float64) / k, p_min)
-    boundaries = np.array([distribution.quantile(float(p)) for p in probs])
+    boundaries = distribution.quantile(probs)
     if not np.all(np.diff(boundaries) > 0):
         raise ValueError("bin boundaries are not strictly increasing; distribution too degenerate")
     return BinLayout(boundaries=boundaries, probs=probs, distribution=distribution, p_min=p_min)
@@ -112,17 +112,12 @@ def build_relu(layout: BinLayout, measurement: Measurement, *, decoys: int = 0,
     perm = _permute(k, decoys, perm_stream)
     weight = np.empty((k + decoys, m), dtype=dtype)
     bias = np.empty(k + decoys, dtype=dtype)
-    row = measurement.row()
-    for i in range(k):
-        weight[perm[i]] = row
-        bias[perm[i]] = -layout.boundaries[i]
+    weight[perm[:k]] = measurement.row()
+    bias[perm[:k]] = -layout.boundaries
     if decoys:
         lo, hi = layout.boundaries[0], layout.boundaries[-1]
-        weight_rows = decoy_stream.derive(0).normal((decoys, m), sd=m ** -0.25)
-        bias_vals = decoy_stream.derive(1).uniform(decoys, low=lo, high=hi)
-        for j in range(decoys):
-            weight[perm[k + j]] = weight_rows[j]
-            bias[perm[k + j]] = -bias_vals[j]
+        weight[perm[k:]] = decoy_stream.derive(0).normal((decoys, m), sd=m ** -0.25)
+        bias[perm[k:]] = -decoy_stream.derive(1).uniform(decoys, low=lo, high=hi)
     return ImprintModule(
         variant="relu", weight=weight, bias=bias, layout=layout, measurement=measurement,
         row_of_bin=np.asarray(perm[:k], dtype=np.int64),
@@ -149,10 +144,8 @@ def build_hard_threshold(layout: BinLayout, measurement: Measurement, *,
     perm = _permute(k, 0, perm_stream)
     weight = np.empty((k, m), dtype=dtype)
     bias = np.empty(k, dtype=dtype)
-    row = measurement.row()
-    for i in range(k):
-        weight[perm[i]] = row / deltas[i]
-        bias[perm[i]] = -bounds[i] / deltas[i]
+    weight[perm] = measurement.row() / deltas[:, None]
+    bias[perm] = -bounds / deltas
     return ImprintModule(
         variant="hard_threshold", weight=weight, bias=bias, layout=layout,
         measurement=measurement, row_of_bin=np.asarray(perm, dtype=np.int64),

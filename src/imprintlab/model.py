@@ -45,7 +45,8 @@ class FrontStage:
         if self.kind == "identity":
             return in_dim
         if in_dim % self.factor != 0:
-            raise ValueError(f"avg_pool factor {self.factor} does not divide width {in_dim}")
+            raise ValueError(f"avg_pool factor {self.factor} does not divide "
+                             f"the feature width {in_dim}")
         return in_dim // self.factor
 
     def apply(self, x: np.ndarray) -> np.ndarray:

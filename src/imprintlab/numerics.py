@@ -20,10 +20,6 @@ DEFAULT_DTYPE = np.float32
 _DERIVE_SPAN = 1 << 20
 
 
-def resolve_dtype(use_float64: bool) -> np.dtype:
-    return np.dtype(np.float64 if use_float64 else DEFAULT_DTYPE)
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream, fully determined by (master_seed, stream_id).
@@ -74,11 +70,6 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self.generator().permutation(n)
-
-
-def rand_gaussian(stream: RngStream, shape, dtype=np.float64) -> np.ndarray:
-    """iid standard normal tensor, deterministic per stream."""
-    return stream.normal(shape, dtype=dtype)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

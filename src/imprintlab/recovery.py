@@ -34,14 +34,8 @@ class Candidate:
     confidence: float    # mean |weight-gradient| of the differenced row
 
 
-def _grads(payload) -> dict:
-    if hasattr(payload, "mean_payload"):  # sum-form aggregate: count metadata divides out
-        payload = payload.mean_payload()
-    return to_gradient_form(payload).tensors
-
-
 def _imprint_grads(payload: UpdatePayload, imprint: ImprintModule):
-    g = _grads(payload)
+    g = to_gradient_form(payload.mean_payload()).tensors
     try:
         gw, gb = g["imprint.weight"], g["imprint.bias"]
     except KeyError as exc:

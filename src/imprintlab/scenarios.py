@@ -20,7 +20,7 @@ import numpy as np
 from . import dataio, theory
 from .defense import DefenseConfig, apply_defense
 from .errors import ConfigError
-from .federation import fed_avg, fed_sgd, secure_aggregate, to_gradient_form
+from .federation import fed_avg, fed_sgd, secure_aggregate
 from .imprint import (DEFAULT_P_MIN, build_hard_threshold, build_relu,
                       fuse_one_shot, make_layout)
 from .measurement import assumed_distribution, build_measurement
@@ -260,20 +260,13 @@ def _validate_metrics(raw):
                                          lo=0.0, lo_open=True)}
 
 
-def _front_dim(data, front):
-    """Feature width after the front chain, when the raw width is known."""
-    if data["kind"] == "synthetic_gaussian":
-        m = data["m"]
-    elif data["kind"] == "token_sequences":
-        m = data["seq_len"] * data["embed_dim"]
-    else:
-        return None
+def _front_dim(m, front):
+    """Feature width after the front chain, from the raw input width m."""
     for i, st in enumerate(front):
-        if st["kind"] == "avg_pool":
-            if m % st["factor"] != 0:
-                _fail(f"model.front[{i}].factor",
-                      f"{st['factor']} does not divide the feature width {m}")
-            m //= st["factor"]
+        try:
+            m = FrontStage(st["kind"], st["factor"]).out_dim(m)
+        except ValueError as exc:
+            _fail(f"model.front[{i}].factor", str(exc))
     return m
 
 
@@ -300,7 +293,12 @@ def validate_config(raw: dict) -> dict:
 
     # cross-field consistency
     data, model, fed = cfg["data"], cfg["model"], cfg["federation"]
-    m_feat = _front_dim(data, model["front"])
+    if data["kind"] == "synthetic_gaussian":
+        m_feat = _front_dim(data["m"], model["front"])
+    elif data["kind"] == "token_sequences":
+        m_feat = _front_dim(data["seq_len"] * data["embed_dim"], model["front"])
+    else:
+        m_feat = None  # a CSV's width is known only once it is loaded
     if m_feat is not None and model["measurement"]["kind"] == "dct" \
             and model["measurement"]["freq"] >= m_feat:
         _fail("model.measurement.freq", f"must be < feature width {m_feat}")
@@ -343,7 +341,11 @@ def _load_batch(cfg, dtype, data_stream):
                                            vocab=data["vocab"], embed_dim=data["embed_dim"],
                                            label_classes=data["label_classes"],
                                            stream=data_stream, dtype=dtype)
-    batch = dataio.load_csv(data["path"], dtype=dtype, normalization=data["normalization"])
+    try:
+        batch = dataio.load_csv(data["path"], dtype=dtype,
+                                normalization=data["normalization"])
+    except ValueError as exc:  # the file's contents; a missing file stays a runtime error
+        raise ConfigError(f"data.path: {exc}") from None
     if batch.labels is None:
         labels = data_stream.derive(3).integers(batch.n, low=0, high=data["label_classes"])
         return dataio.Batch(x=batch.x, labels=labels, normalization=batch.normalization,
@@ -460,16 +462,7 @@ def _run_standard(cfg, t0):
     seed = cfg["seed"]
     dtype = np.dtype(cfg["dtype"])
     batch = _load_batch(cfg, dtype, RngStream(seed, STREAM_DATA))
-    stages_dim = _front_dim(cfg["data"], cfg["model"]["front"])
-    if stages_dim is None:  # csv width known only now
-        m = batch.m
-        for i, st in enumerate(cfg["model"]["front"]):
-            if st["kind"] == "avg_pool":
-                if m % st["factor"] != 0:
-                    raise ConfigError(f"model.front[{i}].factor: {st['factor']} does not "
-                                      f"divide the feature width {m}")
-                m //= st["factor"]
-        stages_dim = m
+    stages_dim = _front_dim(batch.m, cfg["model"]["front"])
     h, dist, imp, model = _build_attack(cfg, stages_dim, batch.n, dtype)
 
     feats = model.forward_features(batch.x)
@@ -540,7 +533,6 @@ def _run_standard(cfg, t0):
     }
     artifacts = {"batch": batch, "feats": feats, "measurement": h, "distribution": dist,
                  "imprint": imp, "model": model, "aggregate": agg,
-                 "gradient_payload": to_gradient_form(agg.mean_payload()),
                  "candidates": candidates, "selected": selected, "score": rep,
                  "occupancy_counts": counts, "bin_of_example": bins, "pool": pool,
                  "fed_logs": logs}
@@ -607,8 +599,7 @@ def _run_trials(cfg, t0):
     dtype = np.dtype(cfg["dtype"])
     data = cfg["data"]
     n, m = data["n"], data["m"]
-    h, dist, imp, model = _build_attack(cfg, _front_dim(data, cfg["model"]["front"]),
-                                        n, dtype)
+    h, dist, imp, model = _build_attack(cfg, _front_dim(m, cfg["model"]["front"]), n, dtype)
     rel_tol = cfg["metrics"]["rel_tol"]
     trial_base = RngStream(seed, STREAM_TRIALS)
     defense_base = RngStream(seed, STREAM_DEFENSE)

@@ -3,7 +3,8 @@
 Two models for how n batch elements occupy k bins:
 
 * composition model -- every weak composition of n into k parts equally
-  likely; exact closed form and a brute-force enumeration for cross-checking.
+  likely; an exact closed form (a ratio of binomials that reduces to a
+  rational in n and k) and a brute-force enumeration for cross-checking.
 * iid model -- each element lands in a uniform bin independently.
 
 The closed form carries a -n/k correction: in the layout it describes, mass
@@ -28,17 +29,15 @@ ENUMERATION_LIMIT = 10_000_000
 
 def prop1_exact(n: int, k: int) -> Fraction:
     """Exact expected number of recoverable singletons (composition model,
-    minus the n/k bottom-bin correction). Requires k > n > 2."""
+    minus the n/k bottom-bin correction). Requires k > n > 2.
+
+    Over the C(n+k-1, k-1) equally likely weak compositions, a given bin holds
+    exactly one element in C(n+k-3, k-2) of them, so the expected singleton
+    count is k * C(n+k-3, k-2) / C(n+k-1, k-1) = k(k-1)n / ((n+k-1)(n+k-2)).
+    """
     if not (k > n > 2):
         raise ValueError(f"need k > n > 2, got n={n} k={k}")
-    total = math.comb(k + n - 1, k - 1)
-    acc = n * math.comb(k, n)  # all n in distinct bins
-    for i in range(1, n - 1):
-        inner = 0
-        for j in range(1, (n - i) // 2 + 1):
-            inner += math.comb(k - i, j) * math.comb(n - i - j - 1, j - 1)
-        acc += i * math.comb(k, i) * inner
-    return Fraction(acc, total) - Fraction(n, k)
+    return Fraction(k * (k - 1) * n, (n + k - 1) * (n + k - 2)) - Fraction(n, k)
 
 
 def prop1_closed_form(n: int, k: int) -> float:

@@ -6,6 +6,7 @@ bisection, quadrature. Slow but obviously correct.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -85,3 +86,17 @@ def normal_cdf_quadrature(x, mean=0.0, sd=1.0):
     val, err = quad(pdf, mean, x, limit=200)
     assert err < 1e-10
     return 0.5 + val
+
+
+def prop1_double_sum(n, k):
+    """Prop. 1 as the original double sum over how many bins hold one element:
+    i singletons in C(k, i) ways, the other n - i elements in j bins of size
+    >= 2. Exact Fraction, minus the n/k bottom-bin correction; k > n > 2."""
+    total = math.comb(k + n - 1, k - 1)
+    acc = n * math.comb(k, n)  # all n in distinct bins
+    for i in range(1, n - 1):
+        inner = 0
+        for j in range(1, (n - i) // 2 + 1):
+            inner += math.comb(k - i, j) * math.comb(n - i - j - 1, j - 1)
+        acc += i * math.comb(k, i) * inner
+    return Fraction(acc, total) - Fraction(n, k)

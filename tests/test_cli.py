@@ -78,6 +78,16 @@ def test_runtime_errors_exit_3(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_non_finite_csv_cell_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("a,b\n0.1,0.2\n0.3,nan\n0.5,0.6\n0.7,0.8\n")
+    cfg = _small_cfg_file(tmp_path, data={"kind": "csv", "path": str(path),
+                                          "label_classes": 4})
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "data.path:" in err and "nan.csv:3: column 'b': non-finite value 'nan'" in err
+
+
 def test_plan_one_shot(capsys):
     assert main(["plan", "--n", "4096", "--p", "0.000244140625", "--m", "32"]) == 0
     out = capsys.readouterr().out

@@ -3,11 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from imprintlab.dataio import (Batch, canonical_json, load_checkpoint, load_csv,
-                               load_raw_tensor, load_raw_tensor_batch,
-                               load_synthetic_gaussian, load_token_sequences,
-                               normalize, save_checkpoint, save_raw_tensor,
-                               to_jsonable, write_csv, write_report)
+from imprintlab.dataio import (Batch, canonical_json, load_csv, load_synthetic_gaussian,
+                               load_token_sequences, normalize, to_jsonable, write_csv,
+                               write_report)
 from imprintlab.numerics import RngStream
 
 
@@ -52,6 +50,12 @@ def test_csv_errors_name_row_and_column(tmp_path):
         fh.write("a,b\n1.0,2.0\n1.0,oops\n")
     with pytest.raises(ValueError, match=r"bad\.csv:3: column 'b': bad float 'oops'"):
         load_csv(path)
+    for cell in ("nan", "inf", "-inf"):
+        with open(path, "w") as fh:
+            fh.write(f"a,b\n1.0,2.0\n{cell},1.0\n")
+        with pytest.raises(ValueError,
+                           match=rf"bad\.csv:3: column 'a': non-finite value '{cell}'"):
+            load_csv(path)
     with open(path, "w") as fh:
         fh.write("a,label\n1.0,x\n")
     with pytest.raises(ValueError, match="bad label 'x'"):
@@ -68,73 +72,6 @@ def test_csv_errors_name_row_and_column(tmp_path):
         fh.write("a,b\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_csv(path)
-
-
-def test_raw_tensor_roundtrip_is_bitwise(tmp_path):
-    x = RngStream(91, 0).normal((6, 5), dtype=np.float32)
-    base = str(tmp_path / "tensor")
-    save_raw_tensor(x, base)
-    back = load_raw_tensor(base)
-    assert back.dtype == np.float32
-    assert np.array_equal(back, x)
-    batch = load_raw_tensor_batch(base)
-    assert isinstance(batch, Batch) and batch.labels is None
-    # header/payload disagreement is caught
-    with open(base + ".json") as fh:
-        header = json.load(fh)
-    header["shape"] = [6, 6]
-    with open(base + ".json", "w") as fh:
-        json.dump(header, fh)
-    with pytest.raises(ValueError, match="holds 30 values, header says 36"):
-        load_raw_tensor(base)
-    save_raw_tensor(x.ravel(), str(tmp_path / "flat"))
-    with pytest.raises(ValueError, match="2-d"):
-        load_raw_tensor_batch(str(tmp_path / "flat"))
-
-
-def test_checkpoint_roundtrip_mixed_dtypes(tmp_path):
-    params = {
-        "w": RngStream(92, 0).normal((4, 3), dtype=np.float32),
-        "b": RngStream(92, 1).normal((4,), dtype=np.float64),
-        "ids": np.arange(7, dtype=np.int64),
-    }
-    base = str(tmp_path / "ckpt")
-    save_checkpoint(params, base)
-    back = load_checkpoint(base)
-    assert set(back) == set(params)
-    for key, val in params.items():
-        assert back[key].dtype == val.dtype
-        assert np.array_equal(back[key], val)
-    with open(base + ".json") as fh:
-        header = json.load(fh)
-    header["format"] = "other"
-    with open(base + ".json", "w") as fh:
-        json.dump(header, fh)
-    with pytest.raises(ValueError, match="not a checkpoint"):
-        load_checkpoint(base)
-
-
-def test_checkpoint_feeds_identical_gradients(tmp_path):
-    from imprintlab.distributions import Normal
-    from imprintlab.imprint import build_relu, make_layout
-    from imprintlab.measurement import build_measurement
-    from imprintlab.model import make_imprint_model
-
-    lay = make_layout(Normal(), 4)
-    h = build_measurement("mean", 8, c0="auto")
-    model = make_imprint_model(build_relu(lay, h, dtype=np.float64),
-                               label_classes=3, dtype=np.float64)
-    base = str(tmp_path / "model")
-    save_checkpoint(model.params, base)
-    clone = model.copy()
-    clone.params.update(load_checkpoint(base))
-    x = RngStream(93, 0).normal((3, 8))
-    labels = np.array([0, 1, 2])
-    la, ga = model.loss_and_grads(x, labels)
-    lb, gb = clone.loss_and_grads(x, labels)
-    assert la == lb
-    for key in ga:
-        assert np.array_equal(ga[key], gb[key])
 
 
 def test_normalize_standardize_and_inverse():

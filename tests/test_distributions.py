@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from imprintlab.distributions import Empirical, Laplace, Normal, fit_empirical, make_distribution
+from imprintlab.distributions import Empirical, Laplace, Normal, fit_empirical
 from imprintlab.numerics import RngStream
 from oracles import bisect_quantile, normal_cdf_quadrature
 
@@ -124,8 +124,13 @@ def test_empirical_sampling_matches_quantiles():
     assert abs(float(np.median(draws)) - d.quantile(0.5)) < 0.05
 
 
-def test_make_distribution():
-    d = make_distribution("laplace", scale=2.0)
-    assert isinstance(d, Laplace) and d.scale == 2.0
-    with pytest.raises(ValueError):
-        make_distribution("cauchy")
+
+def test_array_quantile_matches_scalar():
+    ps = np.linspace(1e-6, 1 - 1e-6, 97)
+    for d in (Normal(mean=0.5, sd=2.0), Laplace(mean=-1.0, scale=0.3),
+              fit_empirical(RngStream(7, 0).normal(500))):
+        qs = d.quantile(ps)
+        assert isinstance(qs, np.ndarray) and qs.shape == ps.shape
+        assert qs.tolist() == [d.quantile(float(p)) for p in ps]
+        with pytest.raises(ValueError):
+            d.quantile(np.array([0.5, 1.0]))

@@ -53,7 +53,7 @@ def test_sharding_is_invisible_after_aggregation():
               for u in range(10)]
     agg = secure_aggregate(shards)
     assert agg.users == 10
-    assert agg.total_examples == 1000
+    assert agg.batch_size == 1000
     mean = agg.mean_payload()
     for key in full.tensors:
         scale = max(float(np.abs(full.tensors[key]).max()), 1e-12)
@@ -180,7 +180,7 @@ def test_secure_aggregate_sum_and_cancellation():
     for key in ("a", "b"):
         oracle = payloads[0].tensors[key] + payloads[1].tensors[key] + payloads[2].tensors[key]
         assert np.allclose(agg.tensors[key], oracle, rtol=1e-15, atol=1e-15)
-    assert agg.total_examples == 15
+    assert agg.batch_size == 15
     solo = secure_aggregate([payloads[0]])
     for key in ("a", "b"):
         assert np.array_equal(solo.tensors[key], payloads[0].tensors[key])

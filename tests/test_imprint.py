@@ -16,6 +16,13 @@ def test_layout_k2():
     assert abs(lay.boundaries[1]) < 1e-12
 
 
+def test_layout_k2048_matches_bisection():
+    d = Normal()
+    lay = make_layout(d, 2048)
+    expect = [bisect_quantile(d.cdf, p) for p in lay.probs]
+    assert np.max(np.abs(lay.boundaries - expect)) <= 1e-12
+
+
 def test_layout_k4_boundaries():
     lay = make_layout(Normal(), 4)
     d = Normal()

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from imprintlab.numerics import (RngStream, assignment, dct_row, l2_norm, matmul,
-                                 rand_gaussian, resolve_dtype)
+from imprintlab.numerics import RngStream, assignment, dct_row, l2_norm, matmul
 from oracles import brute_assignment, naive_matmul
 
 # First ten float64 draws per (master_seed, stream_id), frozen once from the
@@ -70,7 +69,7 @@ def test_rng_validation():
 
 
 def test_rand_gaussian_dtype():
-    x = rand_gaussian(RngStream(1, 1), (3, 2), dtype=np.float32)
+    x = RngStream(1, 1).normal((3, 2), dtype=np.float32)
     assert x.dtype == np.float32 and x.shape == (3, 2)
 
 
@@ -181,7 +180,3 @@ def test_l2_norm():
     arrays = [np.array([3.0]), np.array([[4.0]])]
     assert l2_norm(arrays) == 5.0
 
-
-def test_resolve_dtype():
-    assert resolve_dtype(False) == np.float32
-    assert resolve_dtype(True) == np.float64

@@ -9,6 +9,7 @@ from imprintlab.theory import (composition_oracle, iid_expected,
                                iid_monte_carlo, one_shot_optimum,
                                one_shot_success, overhead, prop1_closed_form,
                                prop1_exact)
+from oracles import prop1_double_sum
 
 
 def test_composition_oracle_tiny_cases_by_hand():
@@ -24,6 +25,13 @@ def test_closed_form_matches_enumeration_exactly():
     # the closed form prices the bottom bin away; add it back to compare
     for n, k in [(4, 6), (5, 9), (6, 8), (4, 20), (7, 11)]:
         assert prop1_exact(n, k) + Fraction(n, k) == composition_oracle(n, k)
+
+
+def test_closed_form_matches_double_sum_at_mid_sizes():
+    # enumeration stops near n=9; the double sum reaches the sizes between
+    for n in range(3, 60):
+        for k in range(n + 1, n + 70):
+            assert prop1_exact(n, k) == prop1_double_sum(n, k), (n, k)
 
 
 def test_closed_form_reference_point():
