@@ -50,8 +50,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="output directory (default: stdout)")
     p.add_argument("--f64", action="store_true", help="run in 64-bit precision")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for sweep points (a single run is sequential)")
 
 
 def _cmd_run(args) -> int:
@@ -208,6 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values, e.g. 8,16,32")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="worker threads for sweep points (rows do not change)")
 
     p_plan = sub.add_parser("plan", help="expected recovery and overhead, no simulation")
     p_plan.add_argument("--n", type=int, required=True, help="batch size")
@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=None)
     p_check.add_argument("--out", default=None)
     p_check.add_argument("--f64", action="store_true")
-    p_check.add_argument("--jobs", type=int, default=1)
     return parser
 
 

@@ -115,7 +115,8 @@ def secure_aggregate(payloads) -> UpdatePayload:
         for k in keys:
             if p.tensors[k].shape != first.tensors[k].shape:
                 raise ValueError(f"shape mismatch on {k!r}")
-    summed = {k: np.sum([p.tensors[k] for p in payloads], axis=0) for k in keys}
+    # a running sum in user order; stacking first would hold every payload twice
+    summed = {k: sum(p.tensors[k] for p in payloads) for k in keys}
     return UpdatePayload(kind=first.kind, tensors=summed,
                          batch_size=sum(p.batch_size for p in payloads),
                          steps=first.steps, lr=first.lr, users=sum(p.users for p in payloads))

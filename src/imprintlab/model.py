@@ -197,6 +197,29 @@ class ModelGraph:
         return loss, grads
 
 
+def _head(kind: str, label_classes: int, width: int, *, gain: float,
+          head_stream: RngStream | None, head_scale: float, dtype):
+    """Head weight, bias, class count and pinned flag over `width` inputs.
+
+    A pinned head adds one class with weight `gain` and bias PIN_OFFSET; a
+    random head draws small normal weights from head_stream.
+    """
+    if kind == "pinned":
+        n_classes = label_classes + 1
+        u = np.zeros((n_classes, width), dtype=dtype)
+        u[-1, :] = gain
+        v = np.zeros(n_classes, dtype=dtype)
+        v[-1] = PIN_OFFSET
+        return u, v, n_classes, True
+    if kind == "random":
+        if head_stream is None:
+            raise ValueError("random head requires head_stream")
+        u = head_stream.derive(0).normal((label_classes, width), sd=head_scale, dtype=dtype)
+        v = head_stream.derive(1).normal(label_classes, sd=head_scale, dtype=dtype)
+        return u, v, label_classes, False
+    raise ValueError(f"unknown head {kind!r}")
+
+
 def make_imprint_model(imprint: ImprintModule, *, label_classes: int,
                        bridge: str = "sum", bridge_dim: int = 1, head: str = "pinned",
                        gain: float = 1.0, head_stream: RngStream | None = None,
@@ -218,25 +241,9 @@ def make_imprint_model(imprint: ImprintModule, *, label_classes: int,
         params["bridge.weight"] = np.full((p, imprint.n_rows), 1.0 / imprint.n_rows, dtype=dtype)
     else:
         raise ValueError(f"unknown bridge {bridge!r}")
-
-    if head == "pinned":
-        n_classes = label_classes + 1
-        u = np.zeros((n_classes, p), dtype=dtype)
-        u[-1, :] = gain
-        v = np.zeros(n_classes, dtype=dtype)
-        v[-1] = PIN_OFFSET
-        pinned = True
-    elif head == "random":
-        if head_stream is None:
-            raise ValueError("random head requires head_stream")
-        n_classes = label_classes
-        u = head_stream.derive(0).normal((n_classes, p), sd=head_scale, dtype=dtype)
-        v = head_stream.derive(1).normal(n_classes, sd=head_scale, dtype=dtype)
-        pinned = False
-    else:
-        raise ValueError(f"unknown head {head!r}")
-    params["head.weight"] = u
-    params["head.bias"] = v
+    params["head.weight"], params["head.bias"], n_classes, pinned = _head(
+        head, label_classes, p, gain=gain, head_stream=head_stream,
+        head_scale=head_scale, dtype=dtype)
     return ModelGraph(stages=stages, imprint=imprint, bridge=bridge, n_classes=n_classes,
                       label_classes=label_classes, params=params, pinned=pinned,
                       gain=gain, dtype=dtype)
@@ -245,26 +252,14 @@ def make_imprint_model(imprint: ImprintModule, *, label_classes: int,
 def make_logistic_model(m: int, label_classes: int, *, head: str = "random",
                         head_stream: RngStream | None = None, head_scale: float = 1e-2,
                         dtype=DEFAULT_DTYPE) -> ModelGraph:
-    """Single linear layer + softmax CE straight on the features."""
+    """Single linear layer + softmax CE straight on the features (a pinned head
+    here has gain 0: its extra class ignores the input)."""
     if label_classes < 2:
         raise ValueError(f"label_classes must be >= 2, got {label_classes}")
     dtype = np.dtype(dtype)
-    if head == "pinned":
-        n_classes = label_classes + 1
-        u = np.zeros((n_classes, m), dtype=dtype)
-        v = np.zeros(n_classes, dtype=dtype)
-        v[-1] = PIN_OFFSET
-        pinned = True
-    elif head == "random":
-        if head_stream is None:
-            raise ValueError("random head requires head_stream")
-        n_classes = label_classes
-        u = head_stream.derive(0).normal((n_classes, m), sd=head_scale, dtype=dtype)
-        v = head_stream.derive(1).normal(n_classes, sd=head_scale, dtype=dtype)
-        pinned = False
-    else:
-        raise ValueError(f"unknown head {head!r}")
-    params = {"head.weight": u, "head.bias": v}
+    u, v, n_classes, pinned = _head(head, label_classes, m, gain=0.0,
+                                    head_stream=head_stream, head_scale=head_scale,
+                                    dtype=dtype)
     return ModelGraph(stages=(), imprint=None, bridge=None, n_classes=n_classes,
-                      label_classes=label_classes, params=params, pinned=pinned,
-                      gain=1.0, dtype=dtype)
+                      label_classes=label_classes, params={"head.weight": u, "head.bias": v},
+                      pinned=pinned, gain=1.0, dtype=dtype)

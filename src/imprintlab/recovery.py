@@ -5,7 +5,9 @@ converted first) plus the imprint metadata the server kept. The core identity:
 for a genuine imprint row, the weight gradient is (sum over contributing
 examples of weight * example) and the bias gradient is (sum of weights), so
 their ratio is a weighted average of the examples the row saw. Differencing
-adjacent ReLU rows narrows "saw" down to one bin.
+adjacent ReLU rows narrows "saw" down to one bin. `recover_bins` is the one
+read-out for binned imprints (ReLU and hard-threshold); it and
+`recover_unique_labels` divide rows through the same `_read_rows`.
 """
 
 from __future__ import annotations
@@ -34,37 +36,11 @@ class Candidate:
     confidence: float    # mean |weight-gradient| of the differenced row
 
 
-def _imprint_grads(payload: UpdatePayload, imprint: ImprintModule):
-    g = to_gradient_form(payload.mean_payload()).tensors
-    try:
-        gw, gb = g["imprint.weight"], g["imprint.bias"]
-    except KeyError as exc:
-        raise ValueError("payload has no imprint gradients") from exc
-    order = imprint.row_of_bin
-    return np.asarray(gw, dtype=np.float64)[order], np.asarray(gb, dtype=np.float64)[order]
-
-
-def recover_relu_bins(payload: UpdatePayload, imprint: ImprintModule, *,
-                      tau0: float = DEFAULT_TAU0) -> list[Candidate]:
-    """Adjacent-row differences: one candidate per bin that captured mass.
-
-    Candidates come out in bin order (ascending measurement value). The top
-    bin is read from the last row alone. Denominators at or below
-    tau0 * max|bias grad| are suppressed as numerically dead.
-    """
-    if imprint.variant != "relu":
-        raise ValueError(f"relu recovery on a {imprint.variant!r} imprint")
-    gw, gb = _imprint_grads(payload, imprint)
-    k = imprint.k
-    num = np.empty_like(gw)
-    den = np.empty(k, dtype=np.float64)
-    num[:-1] = gw[:-1] - gw[1:]
-    den[:-1] = gb[:-1] - gb[1:]
-    num[-1] = gw[-1]
-    den[-1] = gb[-1]
-    floor = tau0 * float(np.abs(gb).max(initial=0.0))
+def _read_rows(num: np.ndarray, den: np.ndarray, floor: float) -> list[Candidate]:
+    """Row i reads num[i] / den[i]; rows whose |den| is at or below floor are
+    suppressed as numerically dead."""
     out = []
-    for i in range(k):
+    for i in range(den.shape[0]):
         if abs(den[i]) <= floor:
             continue
         out.append(Candidate(vector=num[i] / den[i], bin_index=i,
@@ -73,28 +49,30 @@ def recover_relu_bins(payload: UpdatePayload, imprint: ImprintModule, *,
     return out
 
 
-def recover_hard_threshold_bins(payload: UpdatePayload, imprint: ImprintModule, *,
-                                tau0: float = DEFAULT_TAU0) -> list[Candidate]:
-    """Per-row read-out: each hard-threshold row already isolates its own bin."""
-    if imprint.variant != "hard_threshold":
-        raise ValueError(f"hard-threshold recovery on a {imprint.variant!r} imprint")
-    gw, gb = _imprint_grads(payload, imprint)
-    floor = tau0 * float(np.abs(gb).max(initial=0.0))
-    out = []
-    for i in range(imprint.k):
-        if abs(gb[i]) <= floor:
-            continue
-        out.append(Candidate(vector=gw[i] / gb[i], bin_index=i,
-                             denominator=float(gb[i]),
-                             confidence=float(np.abs(gw[i]).mean())))
-    return out
-
-
 def recover_bins(payload: UpdatePayload, imprint: ImprintModule, *,
                  tau0: float = DEFAULT_TAU0) -> list[Candidate]:
+    """One candidate per bin that captured mass, in bin order (ascending
+    measurement value).
+
+    A hard-threshold row already isolates its own bin. A ReLU row sees every
+    example above its boundary, so bin i reads row i minus row i+1 and
+    the top bin reads the last row alone. Denominators at or below
+    tau0 * max|bias grad| are suppressed. The payload is left untouched.
+    """
+    g = to_gradient_form(payload.mean_payload()).tensors
+    try:
+        gw, gb = g["imprint.weight"], g["imprint.bias"]
+    except KeyError as exc:
+        raise ValueError("payload has no imprint gradients") from exc
+    order = imprint.row_of_bin
+    # the fancy index copies, so the differences below never reach the payload
+    gw = gw[order].astype(np.float64, copy=False)
+    gb = gb[order].astype(np.float64, copy=False)
+    floor = tau0 * float(np.abs(gb).max(initial=0.0))
     if imprint.variant == "relu":
-        return recover_relu_bins(payload, imprint, tau0=tau0)
-    return recover_hard_threshold_bins(payload, imprint, tau0=tau0)
+        gw[:-1] -= gw[1:]
+        gb[:-1] -= gb[1:]
+    return _read_rows(gw, gb, floor)
 
 
 def select_candidates(candidates: list[Candidate], n: int) -> list[Candidate]:
@@ -130,16 +108,9 @@ def recover_unique_labels(grad_w: np.ndarray, grad_b: np.ndarray, *,
     With repeated labels a class row returns the gradient-weighted average of
     that class's examples.
     """
-    gw = np.asarray(grad_w, dtype=np.float64)
     gb = np.asarray(grad_b, dtype=np.float64)
     floor = tau0 * float(np.abs(gb).max(initial=0.0))
-    out = []
-    for c in range(gb.shape[0]):
-        if abs(gb[c]) <= floor:
-            continue
-        out.append(Candidate(vector=gw[c] / gb[c], bin_index=c,
-                             denominator=float(gb[c]),
-                             confidence=float(np.abs(gw[c]).mean())))
+    out = _read_rows(np.asarray(grad_w, dtype=np.float64), gb, floor)
     if not out:
         raise NoActiveRow("no class row carries signal")
     return out

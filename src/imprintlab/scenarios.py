@@ -1,11 +1,14 @@
 """End-to-end experiment scenarios.
 
-A scenario wires the whole chain together: draw (or load) a batch, build the
-malicious model around a measurement + bin layout, simulate the federated
-update, apply the defense, run recovery, and score candidates against the
-ground truth. `run_scenario` returns a JSON-friendly report plus in-memory
-artifacts; everything nondeterministic (wall-clock timing) lives under the
-single report key "timing" so reports are otherwise byte-reproducible.
+A scenario wires the whole chain together: build the malicious model around a
+measurement + bin layout, then run rounds. A round takes one batch through the
+model's features and their bin occupancy, the federated update, the defense,
+secure aggregation and recovery. A plain run is one round, scored against the
+ground truth; a one-shot trial run is one round per trial on a fresh batch,
+each reduced to its trial record. `run_scenario` returns a JSON-friendly
+report plus in-memory artifacts; everything nondeterministic (wall-clock
+timing) lives under the single report key "timing" so reports are otherwise
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -270,6 +273,16 @@ def _front_dim(m, front):
     return m
 
 
+def _check_batch(cfg, n):
+    """Users split a batch of n evenly, and fed-AVG steps split each user's shard."""
+    fed = cfg["federation"]
+    if n % fed["users"] != 0:
+        _fail("federation.users", f"{fed['users']} does not divide the batch size {n}")
+    if fed["protocol"] == "fed_avg" and (n // fed["users"]) % fed["steps"] != 0:
+        _fail("federation.steps",
+              f"{fed['steps']} does not divide the per-user shard {n // fed['users']}")
+
+
 def validate_config(raw: dict) -> dict:
     """Full validation; returns the canonical config with defaults filled in."""
     if not isinstance(raw, dict):
@@ -304,11 +317,7 @@ def validate_config(raw: dict) -> dict:
         _fail("model.measurement.freq", f"must be < feature width {m_feat}")
     n = data.get("n", data.get("n_seq"))
     if n is not None:
-        if n % fed["users"] != 0:
-            _fail("federation.users", f"{fed['users']} does not divide the batch size {n}")
-        if fed["protocol"] == "fed_avg" and (n // fed["users"]) % fed["steps"] != 0:
-            _fail("federation.steps",
-                  f"{fed['steps']} does not divide the per-user shard {n // fed['users']}")
+        _check_batch(cfg, n)
     if model["imprint"]["variant"] == "one_shot":
         if model["imprint"]["target_mass"] == "1/n" and n is None:
             _fail("model.imprint.target_mass", '"1/n" needs a known batch size')
@@ -393,17 +402,14 @@ def _build_attack(cfg, m_feat, n, dtype):
         bridge_dim=model_cfg.get("bridge_dim", 1), head=head["kind"],
         gain=head.get("gain", 1.0), head_stream=RngStream(seed, STREAM_HEAD),
         head_scale=head.get("scale", 1e-2), stages=stages, dtype=dtype)
-    return h, dist, imp, model
+    return imp, model
 
 
 def _federate(cfg, model, x, labels, defense_base: RngStream):
     """Per-user payloads -> defense -> secure aggregation."""
     fed = cfg["federation"]
     users = fed["users"]
-    n = x.shape[0]
-    if n % users != 0:
-        raise ConfigError(f"federation.users: {users} does not divide the batch size {n}")
-    shard = n // users
+    shard = x.shape[0] // users
     dconf = DefenseConfig(clip=cfg["defense"]["clip"], noise=cfg["defense"]["noise"],
                           sigma=cfg["defense"]["sigma"])
     payloads, losses, logs = [], [], []
@@ -421,7 +427,28 @@ def _federate(cfg, model, x, labels, defense_base: RngStream):
     return secure_aggregate(payloads), losses, logs
 
 
-def _theory_block(imp, model, n, m_feat, bridge_params):
+@dataclass(eq=False)
+class _Round:
+    """One batch through the attack: what the imprint layer saw, where the
+    examples fell, and what the server read back from the update."""
+
+    feats: np.ndarray
+    bins: np.ndarray    # bin of each example by its measurement; -1 below range
+    counts: np.ndarray  # examples per bin
+    candidates: list
+    losses: list
+    logs: list          # per-user fed-AVG step logs; empty under fed-SGD
+
+
+def _round(cfg, imp, model, batch, defense_base: RngStream) -> _Round:
+    feats = model.forward_features(batch.x)
+    bins = imp.layout.bin_of(imp.measurement.measure(feats))
+    counts = np.bincount(bins[bins >= 0], minlength=imp.k)
+    agg, losses, logs = _federate(cfg, model, batch.x, batch.labels, defense_base)
+    return _Round(feats, bins, counts, recover_bins(agg, imp), losses, logs)
+
+
+def _theory_block(imp, model, n, m_feat):
     k = imp.k
     block = {"iid_expected": theory.iid_expected(n, k)}
     try:
@@ -430,19 +457,13 @@ def _theory_block(imp, model, n, m_feat, bridge_params):
         block["prop1_expected"] = None
     if imp.fused_mass is not None:
         block["one_shot_success"] = theory.one_shot_success(n, imp.fused_mass)
+    bridge = model.params.get("bridge.weight")
     over = theory.overhead(m_feat, k, decoys=len(imp.decoy_rows),
-                           bridge_params=bridge_params,
+                           bridge_params=0 if bridge is None else int(bridge.size),
                            base_params=model.param_count())
     block["overhead_params"] = over["absolute"]
     block["overhead_relative"] = over["relative"]
     return block
-
-
-def _occupancy(imp, feats):
-    values = imp.measurement.measure(feats)
-    bins = imp.layout.bin_of(values)
-    counts = np.bincount(bins[bins >= 0], minlength=imp.k)
-    return bins, counts
 
 
 def _nan_none(v):
@@ -458,25 +479,14 @@ def _unit_transform(feats64):
     return lambda v: (v - lo) / (hi - lo), lo, hi
 
 
-def _run_standard(cfg, t0):
-    seed = cfg["seed"]
-    dtype = np.dtype(cfg["dtype"])
-    batch = _load_batch(cfg, dtype, RngStream(seed, STREAM_DATA))
-    stages_dim = _front_dim(batch.m, cfg["model"]["front"])
-    h, dist, imp, model = _build_attack(cfg, stages_dim, batch.n, dtype)
-
-    feats = model.forward_features(batch.x)
-    feats64 = np.asarray(feats, dtype=np.float64)
-    bins, counts = _occupancy(imp, feats)
+def _round_report(cfg, model, batch, rnd: _Round) -> dict:
+    """Occupancy, federation and recovery blocks (plus tokens) of a plain run."""
+    counts, bins = rnd.counts, rnd.bins
     singleton_bins = [int(b) for b in np.flatnonzero(counts == 1)]
+    selected = select_candidates(rnd.candidates, cfg["metrics"]["select"] or batch.n)
 
-    agg, losses, logs = _federate(cfg, model, batch.x, batch.labels,
-                                  RngStream(seed, STREAM_DEFENSE))
-    candidates = recover_bins(agg, imp)
-    n_select = cfg["metrics"]["select"] or batch.n
-    selected = select_candidates(candidates, n_select)
-
-    pool = _draw_pool(cfg, model, batch, dtype)
+    feats64 = np.asarray(rnd.feats, dtype=np.float64)
+    pool = _draw_pool(cfg, model, batch)
     tf, lo, hi = _unit_transform(feats64)
     rep = score([c.vector for c in selected], feats64,
                 pool=pool, peak=1.0, rel_tol=cfg["metrics"]["rel_tol"],
@@ -489,59 +499,41 @@ def _run_standard(cfg, t0):
     else:
         exact_bins, exact_psnrs = [], []
 
-    recovery_block = {
-        "n_candidates": len(candidates),
-        "n_selected": len(selected),
-        "exact_count": len(exact_bins),
-        "exact_fraction": len(exact_bins) / batch.n,
-        "exact_bins": exact_bins,
-        "singleton_match": exact_bins == singleton_bins,
-        "mean_psnr": _nan_none(rep.mean_psnr) if rep else None,
-        "mean_psnr_exact": float(np.mean(exact_psnrs)) if exact_psnrs else None,
-        "iip": rep.iip if rep else 0.0,
-        "psnr_scale": {"lo": lo, "hi": hi},
-    }
+    fed = cfg["federation"]
+    fed_block = {"protocol": fed["protocol"], "users": fed["users"],
+                 "mean_loss": float(np.mean(rnd.losses))}
+    if rnd.logs:
+        fed_block["steps"] = fed["steps"]
+        fed_block["lr"] = fed["lr"]
+        fed_block["drift_pre_bound"] = _drift_bound(fed["lr"], rnd.logs)
 
-    fed_block = {"protocol": cfg["federation"]["protocol"],
-                 "users": cfg["federation"]["users"],
-                 "mean_loss": float(np.mean(losses))}
-    if logs:
-        fed_block["steps"] = cfg["federation"]["steps"]
-        fed_block["lr"] = cfg["federation"]["lr"]
-        fed_block["drift_pre_bound"] = _drift_bound(cfg["federation"]["lr"], logs)
-
-    occupancy_block = {
-        "k": int(imp.k),
-        "singletons": len(singleton_bins),
-        "singleton_bins": singleton_bins,
-        "empty": int((counts == 0).sum()),
-        "collisions": int((counts >= 2).sum()),
-        "max_count": int(counts.max()),
-        "below_range": int((bins < 0).sum()),
-    }
-
-    bridge_params = int(model.params["bridge.weight"].size) \
-        if "bridge.weight" in model.params else 0
-    report = {
-        "config": cfg,
-        "n": batch.n,
-        "m_features": stages_dim,
-        "occupancy": occupancy_block,
+    blocks = {
+        "occupancy": {
+            "k": len(counts),
+            "singletons": len(singleton_bins),
+            "singleton_bins": singleton_bins,
+            "empty": int((counts == 0).sum()),
+            "collisions": int((counts >= 2).sum()),
+            "max_count": int(counts.max()),
+            "below_range": int((bins < 0).sum()),
+        },
         "federation": fed_block,
-        "recovery": recovery_block,
-        "theory": _theory_block(imp, model, batch.n, stages_dim, bridge_params),
+        "recovery": {
+            "n_candidates": len(rnd.candidates),
+            "n_selected": len(selected),
+            "exact_count": len(exact_bins),
+            "exact_fraction": len(exact_bins) / batch.n,
+            "exact_bins": exact_bins,
+            "singleton_match": exact_bins == singleton_bins,
+            "mean_psnr": _nan_none(rep.mean_psnr) if rep else None,
+            "mean_psnr_exact": float(np.mean(exact_psnrs)) if exact_psnrs else None,
+            "iip": rep.iip if rep else 0.0,
+            "psnr_scale": {"lo": lo, "hi": hi},
+        },
     }
-    artifacts = {"batch": batch, "feats": feats, "measurement": h, "distribution": dist,
-                 "imprint": imp, "model": model, "aggregate": agg,
-                 "candidates": candidates, "selected": selected, "score": rep,
-                 "occupancy_counts": counts, "bin_of_example": bins, "pool": pool,
-                 "fed_logs": logs}
-
     if batch.meta.get("table") is not None:
-        report["tokens"] = _token_block(cfg, batch, selected, rep)
-
-    report["timing"] = {"total_s": time.perf_counter() - t0}
-    return ScenarioResult(report=report, artifacts=artifacts)
+        blocks["tokens"] = _token_block(cfg, batch, selected, rep)
+    return blocks
 
 
 def _drift_bound(lr, logs):
@@ -555,11 +547,12 @@ def _drift_bound(lr, logs):
     return worst
 
 
-def _draw_pool(cfg, model, batch, dtype):
+def _draw_pool(cfg, model, batch):
     p = cfg["metrics"]["pool"]
     if p == 0:
         return None
     stream = RngStream(cfg["seed"], STREAM_POOL)
+    dtype = np.dtype(cfg["dtype"])
     data = cfg["data"]
     if data["kind"] == "token_sequences":
         table = batch.meta["table"]
@@ -593,69 +586,45 @@ def _token_block(cfg, batch, selected, rep):
     }
 
 
-def _run_trials(cfg, t0):
-    """One-shot trap, repeated over fresh batches: per-trial success statistics."""
-    seed = cfg["seed"]
-    dtype = np.dtype(cfg["dtype"])
-    data = cfg["data"]
-    n, m = data["n"], data["m"]
-    h, dist, imp, model = _build_attack(cfg, _front_dim(m, cfg["model"]["front"]), n, dtype)
-    rel_tol = cfg["metrics"]["rel_tol"]
-    trial_base = RngStream(seed, STREAM_TRIALS)
-    defense_base = RngStream(seed, STREAM_DEFENSE)
-    records = []
-    for t in range(cfg["trials"]):
-        batch = _load_batch(cfg, dtype, trial_base.derive(t))
-        feats = model.forward_features(batch.x)
-        bins, counts = _occupancy(imp, feats)
-        trap_count = int(counts[0])
-        agg, losses, _ = _federate(cfg, model, batch.x, batch.labels,
-                                   defense_base.derive(t))
-        trap = [c for c in recover_bins(agg, imp) if c.bin_index == 0]
-        rel_err = None
-        success = False
-        if trap:
-            v = trap[0].vector
-            feats64 = np.asarray(feats, dtype=np.float64)
-            dist2 = ((feats64 - v) ** 2).sum(axis=1)
-            j = int(dist2.argmin())
-            norm = float(np.linalg.norm(feats64[j]))
-            rel_err = float(math.sqrt(dist2[j])) / norm if norm > 0 else float("inf")
-            success = rel_err <= rel_tol
-        records.append({"trial": t, "trap_count": trap_count,
-                        "read_out": bool(trap), "rel_err": rel_err,
-                        "success": success})
+def _trial_record(t, rnd: _Round, rel_tol):
+    """A trial succeeds when the trap bin (bin 0) reads out one of the batch's
+    examples to within rel_tol."""
+    trap = [c for c in rnd.candidates if c.bin_index == 0]
+    rel_err = None
+    if trap:
+        feats64 = np.asarray(rnd.feats, dtype=np.float64)
+        dist2 = ((feats64 - trap[0].vector) ** 2).sum(axis=1)
+        j = int(dist2.argmin())
+        norm = float(np.linalg.norm(feats64[j]))
+        rel_err = float(math.sqrt(dist2[j])) / norm if norm > 0 else float("inf")
+    return {"trial": t, "trap_count": int(rnd.counts[0]), "read_out": bool(trap),
+            "rel_err": rel_err, "success": rel_err is not None and rel_err <= rel_tol}
+
+
+def _trials_block(records, imp, expected_success):
+    n_trials = len(records)
     successes = sum(r["success"] for r in records)
-    singles = sum(r["trap_count"] == 1 for r in records)
     success_errs = [r["rel_err"] for r in records if r["success"]]
-    trials_block = {
-        "n_trials": cfg["trials"],
+    return {
+        "n_trials": n_trials,
         "successes": int(successes),
-        "success_rate": successes / cfg["trials"],
-        "expected_success": theory.one_shot_success(n, imp.fused_mass),
+        "success_rate": successes / n_trials,
+        "expected_success": expected_success,
         "fused_mass": imp.fused_mass,
-        "singleton_trials": int(singles),
+        "singleton_trials": int(sum(r["trap_count"] == 1 for r in records)),
         "max_success_rel_err": max(success_errs) if success_errs else None,
         "mean_trap_count": float(np.mean([r["trap_count"] for r in records])),
     }
-    bridge_params = int(model.params["bridge.weight"].size) \
-        if "bridge.weight" in model.params else 0
-    report = {
-        "config": cfg,
-        "n": n,
-        "m_features": imp.m,
-        "trials": trials_block,
-        "theory": _theory_block(imp, model, n, imp.m, bridge_params),
-    }
-    artifacts = {"imprint": imp, "model": model, "measurement": h,
-                 "distribution": dist, "trial_records": records}
-    report["timing"] = {"total_s": time.perf_counter() - t0}
-    return ScenarioResult(report=report, artifacts=artifacts)
 
 
 def run_scenario(raw_cfg: dict, *, seed: int | None = None,
                  use_float64: bool = False) -> ScenarioResult:
-    """Validate, run, and score one scenario end to end."""
+    """Validate, run, and score one scenario end to end.
+
+    A plain run is one round on the data stream. A trial run (the one-shot
+    trap) is one round per trial on a fresh batch against the same model,
+    each reduced to its trial record.
+    """
     t0 = time.perf_counter()
     raw_cfg = dict(raw_cfg)
     if seed is not None:
@@ -663,9 +632,40 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None,
     if use_float64:
         raw_cfg["dtype"] = "float64"
     cfg = validate_config(raw_cfg)
-    if cfg["trials"] is not None:
-        return _run_trials(cfg, t0)
-    return _run_standard(cfg, t0)
+    seed = cfg["seed"]
+    dtype = np.dtype(cfg["dtype"])
+    trials = cfg["trials"]
+    if trials is None:
+        batch = _load_batch(cfg, dtype, RngStream(seed, STREAM_DATA))
+        _check_batch(cfg, batch.n)
+        n, m = batch.n, batch.m
+    else:
+        n, m = cfg["data"]["n"], cfg["data"]["m"]
+    m_feat = _front_dim(m, cfg["model"]["front"])
+    imp, model = _build_attack(cfg, m_feat, n, dtype)
+    theory_block = _theory_block(imp, model, n, m_feat)
+    report = {"config": cfg, "n": n, "m_features": m_feat}
+    artifacts = {"model": model, "imprint": imp}
+
+    if trials is None:
+        rnd = _round(cfg, imp, model, batch, RngStream(seed, STREAM_DEFENSE))
+        report.update(_round_report(cfg, model, batch, rnd))
+        artifacts.update(batch=batch, feats=rnd.feats, candidates=rnd.candidates,
+                         occupancy_counts=rnd.counts)
+    else:
+        trial_base = RngStream(seed, STREAM_TRIALS)
+        defense_base = RngStream(seed, STREAM_DEFENSE)
+        records = []
+        for t in range(trials):
+            rnd = _round(cfg, imp, model, _load_batch(cfg, dtype, trial_base.derive(t)),
+                         defense_base.derive(t))
+            records.append(_trial_record(t, rnd, cfg["metrics"]["rel_tol"]))
+        report["trials"] = _trials_block(records, imp, theory_block["one_shot_success"])
+        artifacts["trial_records"] = records
+
+    report["theory"] = theory_block
+    report["timing"] = {"total_s": time.perf_counter() - t0}
+    return ScenarioResult(report=report, artifacts=artifacts)
 
 
 # -- sweeps ----------------------------------------------------------------------

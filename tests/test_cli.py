@@ -70,6 +70,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
 
+    # a CSV's batch size is known only once loaded: 12 rows, 2 users, 4 steps
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text("a,b\n" + "".join(f"{i}.5,{-i}.25\n" for i in range(12)))
+    cfg = _small_cfg_file(tmp_path, data={"kind": "csv", "path": str(csv_path),
+                                          "label_classes": 4},
+                          federation={"protocol": "fed_avg", "users": 2, "steps": 4,
+                                      "lr": 1e-4})
+    assert main(["run", "--config", cfg]) == 2
+    assert "federation.steps: 4 does not divide the per-user shard 6" in \
+        capsys.readouterr().err
+
 
 def test_runtime_errors_exit_3(tmp_path, capsys):
     cfg = _small_cfg_file(tmp_path, data={"kind": "csv", "path": str(tmp_path / "no.csv"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imprintlab.distributions import Normal
 from imprintlab.federation import fed_avg, fed_sgd, secure_aggregate
@@ -8,9 +10,9 @@ from imprintlab.measurement import build_measurement
 from imprintlab.model import make_imprint_model, make_logistic_model
 from imprintlab.numerics import RngStream
 from imprintlab.recovery import (Candidate, NoActiveRow, decoding_verified,
-                                 recover_bins, recover_relu_bins,
-                                 recover_single_linear, recover_unique_labels,
-                                 select_candidates, token_lookup)
+                                 recover_bins, recover_single_linear,
+                                 recover_unique_labels, select_candidates,
+                                 token_lookup)
 
 
 def _place_in_bins(layout, h, bins, stream):
@@ -122,7 +124,7 @@ def test_relu_singletons_recover_exactly():
     bins = [0, 2, 4, 7]
     x = _place_in_bins(lay, h, bins, RngStream(35, 0))
     _, payload = fed_sgd(model, x, np.array([0, 1, 2, 3]))
-    cands = recover_relu_bins(payload, imp)
+    cands = recover_bins(payload, imp)
     assert [c.bin_index for c in cands] == bins
     for c, xe in zip(cands, x):
         assert np.abs(c.vector - xe).max() / np.abs(xe).max() < 1e-9
@@ -149,9 +151,9 @@ def test_relu_collision_reads_out_weighted_average():
     x = _place_in_bins(lay, h, [3, 3], RngStream(36, 1))
     labels = np.array([0, 2])
     _, payload = fed_sgd(model, x, labels)
-    cands = recover_relu_bins(payload, imp)
+    cands = recover_bins(payload, imp)
     assert [c.bin_index for c in cands] == [3]
-    singles = [recover_relu_bins(fed_sgd(model, x[i:i + 1], labels[i:i + 1])[1], imp)
+    singles = [recover_bins(fed_sgd(model, x[i:i + 1], labels[i:i + 1])[1], imp)
                for i in range(2)]
     dens = np.array([s[0].denominator for s in singles])
     assert abs(dens[0] - dens[1]) > 1e-12 * abs(dens[0])
@@ -177,7 +179,7 @@ def test_recovery_ignores_row_permutation_and_decoys():
         imp = build_relu(lay, h, dtype=np.float64, **kw)
         model = make_imprint_model(imp, label_classes=4, gain=8.0, dtype=np.float64)
         _, payload = fed_sgd(model, x, labels)
-        outs.append(recover_relu_bins(payload, imp))
+        outs.append(recover_bins(payload, imp))
     assert [c.bin_index for c in outs[0]] == [1, 3, 6]
     for other in outs[1:]:
         assert [c.bin_index for c in other] == [1, 3, 6]
@@ -228,35 +230,86 @@ def test_aggregate_recovery_matches_joint_batch():
     users = [fed_sgd(model, x[i:i + 2], labels[i:i + 2])[1] for i in (0, 2)]
     agg = secure_aggregate(users)
     # the sum-form aggregate is accepted directly and matches its own mean form
-    from_agg = recover_relu_bins(agg, imp)
-    from_mean = recover_relu_bins(agg.mean_payload(), imp)
+    from_agg = recover_bins(agg, imp)
+    from_mean = recover_bins(agg.mean_payload(), imp)
     for a, b in zip(from_agg, from_mean):
         assert a.bin_index == b.bin_index
         assert np.array_equal(a.vector, b.vector)
-    ref = recover_relu_bins(joint, imp)
+    ref = recover_bins(joint, imp)
     assert [c.bin_index for c in from_agg] == [c.bin_index for c in ref]
     for a, r in zip(from_agg, ref):
         assert np.abs(a.vector - r.vector).max() / np.abs(r.vector).max() < 1e-10
 
 
-def test_variant_mismatch_and_missing_grads_error():
-    lay = make_layout(Normal(), 4)
-    h = build_measurement("mean", 8, c0="auto")
-    relu = build_relu(lay, h, dtype=np.float64)
-    hard = build_hard_threshold(lay, h, dtype=np.float64)
-    model = make_imprint_model(relu, label_classes=3, dtype=np.float64)
-    x = RngStream(40, 0).normal((2, 8))
-    _, payload = fed_sgd(model, x, np.array([0, 1]))
-    from imprintlab.recovery import recover_hard_threshold_bins
-    with pytest.raises(ValueError, match="hard-threshold recovery"):
-        recover_hard_threshold_bins(payload, relu)
-    with pytest.raises(ValueError, match="relu recovery"):
-        recover_relu_bins(payload, hard)
+def _model_members(model, imp, x):
+    """(n, k) membership of each example in each logical bin, from the imprint
+    pre-activations the model itself computes."""
+    pre = x @ model.params["imprint.weight"].T + model.params["imprint.bias"]
+    pre = pre[:, imp.row_of_bin]
+    if imp.variant == "hard_threshold":
+        return (pre > 0) & (pre < 1)
+    members = pre > 0
+    members[:, :-1] ^= members[:, 1:]  # row i minus row i+1 isolates bin i
+    return members
+
+
+def _same_candidates(a, b):
+    return [(c.bin_index, c.denominator, c.confidence, c.vector.tobytes()) for c in a] == \
+        [(c.bin_index, c.denominator, c.confidence, c.vector.tobytes()) for c in b]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(["relu", "hard_threshold"]), shard=st.integers(1, 12),
+       users=st.sampled_from([1, 2, 4]), k=st.integers(2, 24), m=st.integers(2, 12),
+       permute=st.booleans(), decoys=st.integers(0, 4), seed=st.integers(0, 2 ** 16))
+def test_recover_bins_properties(variant, shard, users, k, m, permute, decoys, seed):
+    n = shard * users
+    lay = make_layout(Normal(), k)
+    h = build_measurement("mean", m, c0="auto")
+    x = RngStream(seed, 0).normal((n, m))
+    labels = RngStream(seed, 1).integers(n, low=0, high=4)
+
+    def recover(**kw):
+        build = build_relu if variant == "relu" else build_hard_threshold
+        imp = build(lay, h, dtype=np.float64, **kw)
+        model = make_imprint_model(imp, label_classes=4, gain=8.0, dtype=np.float64)
+        agg = secure_aggregate(fed_sgd(model, x[u * shard:(u + 1) * shard],
+                                       labels[u * shard:(u + 1) * shard])[1]
+                               for u in range(users))
+        before = {key: t.copy() for key, t in agg.tensors.items()}
+        cands = recover_bins(agg, imp)
+        # the read-out never writes into the payload, so a second call agrees
+        assert all(agg.tensors[key].tobytes() == t.tobytes() for key, t in before.items())
+        assert _same_candidates(cands, recover_bins(agg, imp))
+        return model, imp, cands
+
+    model, imp, plain = recover()
+    kw = {"perm_stream": RngStream(seed, 2)} if permute else {}
+    if variant == "relu" and decoys:
+        kw.update(decoys=decoys, decoy_stream=RngStream(seed, 3))
+    _, _, moved = recover(**kw)
+    # bias sums are exact; the weight rows come out of a matmul whose
+    # blocking may differ with the row count, so vectors get a tolerance
+    assert [(c.bin_index, c.denominator) for c in moved] == \
+        [(c.bin_index, c.denominator) for c in plain]
+    for a, b in zip(plain, moved):
+        assert np.allclose(a.vector, b.vector, rtol=1e-12, atol=0.0)
+
+    by_bin = {c.bin_index: c.vector for c in plain}
+    members = _model_members(model, imp, x)
+    for b in np.flatnonzero(members.sum(axis=0) == 1):
+        xe = x[members[:, b]][0]
+        assert np.linalg.norm(by_bin[int(b)] - xe) <= 1e-8 * np.linalg.norm(xe)
+
+
+def test_missing_imprint_grads_error():
+    relu = build_relu(make_layout(Normal(), 4), build_measurement("mean", 8, c0="auto"),
+                      dtype=np.float64)
     from imprintlab.federation import UpdatePayload
     bare = UpdatePayload(kind="gradient", tensors={"head.bias": np.ones(3)},
                          batch_size=1)
     with pytest.raises(ValueError, match="imprint gradients"):
-        recover_relu_bins(bare, relu)
+        recover_bins(bare, relu)
 
 
 def test_select_candidates_ranking():
