@@ -83,14 +83,14 @@ def _parse_values(text: str, axis: str):
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     values = _parse_values(args.values, args.axis)
-    header, rows, _ = sweep_scenario(cfg, args.axis, values, jobs=args.jobs,
-                                     seed=args.seed, use_float64=args.f64)
+    header, rows, reports = sweep_scenario(cfg, args.axis, values, jobs=args.jobs,
+                                           seed=args.seed, use_float64=args.f64)
     name = cfg.get("name", "sweep")
     if args.out:
         csv_path = os.path.join(args.out, f"{name}_{args.axis}_sweep.csv")
         write_csv(csv_path, header, rows)
         print(f"sweep written to {csv_path}")
-        svg = _sweep_chart(args.axis, values, rows)
+        svg = _sweep_chart(args.axis, values, rows, reports)
         if svg is not None:
             svg_path = os.path.join(args.out, f"{name}_{args.axis}_sweep.svg")
             with open(svg_path, "w") as fh:
@@ -105,7 +105,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sweep_chart(axis, values, rows):
+def _sweep_chart(axis, values, rows, reports):
     def col(name):
         idx = {"prop1": 2, "iid": 3, "one_shot": 5, "exact_fraction": 7,
                "success_rate": 10}[name]
@@ -119,22 +119,15 @@ def _sweep_chart(axis, values, rows):
         series = [("measured exact fraction", values, col("exact_fraction"))]
         y = "exact fraction"
     else:
-        n = None
-        series = [("measured exact fraction", values, col("exact_fraction"))]
-        prop1 = col("prop1")
-        iid = col("iid")
-        # predictions are expected counts; scale to fractions via the batch size
-        exact_counts = [row[6] if isinstance(row[6], (int, float)) else None for row in rows]
-        fracs = col("exact_fraction")
-        for cnt, frac in zip(exact_counts, fracs):
-            if cnt and frac:
-                n = cnt / frac
-                break
-        if n:
-            series.append(("composition model", values,
-                           [p / n if p is not None else None for p in prop1]))
-            series.append(("iid model", values,
-                           [p / n if p is not None else None for p in iid]))
+        # predictions are expected counts; scale each point by its own batch size
+        ns = [rep["n"] for rep in reports]
+
+        def fractions(name):
+            return [p / n if p is not None else None for p, n in zip(col(name), ns)]
+
+        series = [("measured exact fraction", values, col("exact_fraction")),
+                  ("composition model", values, fractions("prop1")),
+                  ("iid model", values, fractions("iid"))]
         y = "exact fraction"
     try:
         return line_chart(series, title=f"{axis} sweep", x_label=axis, y_label=y)

@@ -4,11 +4,13 @@ Matching is an optimal assignment under squared Euclidean distance, so scores
 never depend on the order candidates came out in. PSNR uses a fixed sentinel
 (300 dB) for exact-zero error; identification accuracy asks whether each
 candidate's nearest neighbor in truth-plus-distractors is its matched row.
+`score` computes the candidate-truth distances once and reads the matching,
+exactness, PSNR and identification off them as per-candidate arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,92 +20,96 @@ PSNR_EXACT_SENTINEL = 300.0
 EXACT_REL_TOL = 1e-4
 
 
+def _rows(a) -> np.ndarray:
+    return np.atleast_2d(np.asarray(a, dtype=np.float64))
+
+
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """Squared distances between the float64 rows of a and of b."""
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     aa = np.sum(a * a, axis=1)[:, None]
     bb = np.sum(b * b, axis=1)[None, :]
     return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
 
 
+def _iip(dists, cols, candidates, pool) -> float:
+    """Fraction of candidates whose nearest row among truth plus pool is their
+    matched truth row cols[i] (-1: unmatched). Truth wins a tie with the pool,
+    as the first minimum over [truth; pool] would."""
+    hits = np.argmin(dists, axis=1) == cols
+    if pool is not None and len(pool):
+        nearest_pool = _pairwise_sq(candidates, _rows(pool)).min(axis=1)
+        hits &= dists[np.arange(len(cols)), cols] <= nearest_pool
+    return int(hits.sum()) / max(1, len(cols))
+
+
 def match(candidates: np.ndarray, truth: np.ndarray) -> list[tuple[int, int]]:
     """Pair each candidate with a distinct truth row, minimizing total squared
     distance. Needs len(candidates) <= len(truth)."""
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    truth = np.atleast_2d(np.asarray(truth, dtype=np.float64))
-    if candidates.shape[1] != truth.shape[1]:
-        raise ValueError(f"dimension mismatch: {candidates.shape[1]} vs {truth.shape[1]}")
-    if candidates.shape[0] == 0:
-        return []
-    cols = assignment(_pairwise_sq(candidates, truth))
-    return [(i, int(cols[i])) for i in range(candidates.shape[0])]
+    cols = assignment(_pairwise_sq(_rows(candidates), _rows(truth)))
+    return list(enumerate(cols.tolist()))
 
 
-def psnr(a: np.ndarray, b: np.ndarray, *, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; exact match maps to the sentinel."""
+def psnr(a: np.ndarray, b: np.ndarray, *, peak: float = 1.0):
+    """Peak signal-to-noise ratio in dB along the last axis (a float for
+    vectors, an array for stacks of rows); exact match maps to the sentinel."""
     if peak <= 0:
         raise ValueError(f"peak must be positive, got {peak}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0.0:
-        return PSNR_EXACT_SENTINEL
-    return 10.0 * np.log10(peak * peak / mse)
+    diff = a - b
+    diff **= 2
+    mse = np.atleast_1d(np.mean(diff, axis=-1))
+    out = np.full(mse.shape, PSNR_EXACT_SENTINEL)
+    nonzero = mse != 0.0
+    out[nonzero] = 10.0 * np.log10(peak * peak / mse[nonzero])
+    return float(out[0]) if a.ndim == 1 else out
 
 
-def exact_flags(candidates, truth, matches, *, rel_tol: float = EXACT_REL_TOL) -> list[bool]:
-    """Whether each matched candidate reproduces its truth row to rel_tol
-    (relative l2)."""
-    flags = []
-    for ci, ti in matches:
-        c = np.asarray(candidates[ci], dtype=np.float64)
-        t = np.asarray(truth[ti], dtype=np.float64)
-        denom = float(np.linalg.norm(t))
-        err = float(np.linalg.norm(c - t))
-        flags.append(err <= rel_tol * denom if denom > 0 else err == 0.0)
-    return flags
+def exact_flags(candidates, truth, *, rel_tol: float = EXACT_REL_TOL) -> np.ndarray:
+    """Whether each candidate row reproduces the truth row in the same
+    position to rel_tol (relative l2); a zero truth row needs an exact zero."""
+    c = np.asarray(candidates, dtype=np.float64)
+    t = np.asarray(truth, dtype=np.float64)
+    denom = np.linalg.norm(t, axis=-1)
+    err = np.linalg.norm(c - t, axis=-1)
+    return np.where(denom > 0, err <= rel_tol * denom, err == 0.0)
 
 
 def iip_pixel(candidates, truth, matches, *, pool=None) -> float:
     """Image identification precision: fraction of candidates whose nearest
     neighbor among truth rows plus an optional distractor pool is exactly the
     truth row they were matched to. Unmatched candidates count as misses."""
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    if candidates.shape[0] == 0:
-        return 0.0
-    truth = np.atleast_2d(np.asarray(truth, dtype=np.float64))
-    gallery = truth if pool is None else np.vstack([truth, np.atleast_2d(pool)])
-    dists = _pairwise_sq(candidates, gallery)
-    nearest = np.argmin(dists, axis=1)
-    hits = sum(1 for ci, ti in matches if nearest[ci] == ti)
-    return hits / candidates.shape[0]
-
-
-def exact_count(candidates, truth, matches, *, rel_tol: float = EXACT_REL_TOL) -> int:
-    return int(sum(exact_flags(candidates, truth, matches, rel_tol=rel_tol)))
+    candidates = _rows(candidates)
+    cols = np.full(len(candidates), -1, dtype=np.int64)
+    for ci, ti in matches:
+        cols[ci] = ti
+    return _iip(_pairwise_sq(candidates, _rows(truth)), cols, candidates, pool)
 
 
 @dataclass
 class ScoreReport:
-    n_candidates: int
-    n_truth: int
-    exact_count: int
-    exact_fraction: float
-    mean_psnr: float
-    iip: float
-    matching: list = field(default_factory=list)    # (candidate, truth) index pairs
-    per_sample: list = field(default_factory=list)  # dicts: candidate/truth/psnr/exact
+    """Per-candidate scores, indexed like the candidates that were scored."""
 
-    def as_dict(self) -> dict:
-        return {
-            "n_candidates": self.n_candidates, "n_truth": self.n_truth,
-            "exact_count": self.exact_count, "exact_fraction": self.exact_fraction,
-            "mean_psnr": self.mean_psnr, "iip": self.iip,
-            "matching": [list(p) for p in self.matching],
-            "per_sample": self.per_sample,
-        }
+    truth_row: np.ndarray  # matched truth row
+    exact: np.ndarray      # reproduces its truth row to rel_tol
+    psnr: np.ndarray       # dB, in the psnr_transform space
+    iip: float
+
+    @property
+    def n_candidates(self) -> int:
+        return len(self.truth_row)
+
+    @property
+    def exact_count(self) -> int:
+        return int(self.exact.sum())
+
+    @property
+    def mean_psnr(self) -> float:
+        return float(np.mean(self.psnr)) if len(self.psnr) else float("nan")
 
 
 def score(candidates, truth, *, pool=None, peak: float = 1.0,
@@ -114,23 +120,16 @@ def score(candidates, truth, *, pool=None, peak: float = 1.0,
     (e.g. [0,1] scaling); matching, exactness, and IIP always use the raw
     vectors.
     """
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    truth = np.atleast_2d(np.asarray(truth, dtype=np.float64))
-    matches = match(candidates, truth)
-    flags = exact_flags(candidates, truth, matches, rel_tol=rel_tol)
-    tf = psnr_transform if psnr_transform is not None else (lambda v: v)
-    psnrs = [psnr(tf(candidates[ci]), tf(truth[ti]), peak=peak) for ci, ti in matches]
-    per_sample = [
-        {"candidate": int(ci), "truth": int(ti), "psnr": float(p), "exact": bool(fl)}
-        for (ci, ti), p, fl in zip(matches, psnrs, flags)
-    ]
-    return ScoreReport(
-        n_candidates=int(candidates.shape[0]),
-        n_truth=int(truth.shape[0]),
-        exact_count=int(sum(flags)),
-        exact_fraction=float(sum(flags)) / max(1, candidates.shape[0]),
-        mean_psnr=float(np.mean(psnrs)) if psnrs else float("nan"),
-        iip=iip_pixel(candidates, truth, matches, pool=pool),
-        matching=list(matches),
-        per_sample=per_sample,
-    )
+    candidates = _rows(candidates)
+    truth = _rows(truth)
+    dists = _pairwise_sq(candidates, truth)
+    cols = assignment(dists)  # matched truth row of each candidate
+    iip = _iip(dists, cols, candidates, pool)
+    matched = truth[cols]
+    exact = exact_flags(candidates, matched, rel_tol=rel_tol)
+    if psnr_transform is not None:
+        # rebinding drops each raw copy as soon as its transform exists
+        candidates = psnr_transform(candidates)
+        matched = psnr_transform(matched)
+    return ScoreReport(truth_row=cols, exact=exact,
+                       psnr=psnr(candidates, matched, peak=peak), iip=iip)

@@ -229,9 +229,11 @@ def make_imprint_model(imprint: ImprintModule, *, label_classes: int,
     if label_classes < 1:
         raise ValueError(f"label_classes must be >= 1, got {label_classes}")
     dtype = np.dtype(dtype)
+    # shared with the imprint module when the dtypes agree; nothing writes
+    # into model.params in place (fed-AVG trains a ModelGraph.copy())
     params = {
-        "imprint.weight": np.asarray(imprint.weight, dtype=dtype).copy(),
-        "imprint.bias": np.asarray(imprint.bias, dtype=dtype).copy(),
+        "imprint.weight": np.asarray(imprint.weight, dtype=dtype),
+        "imprint.bias": np.asarray(imprint.bias, dtype=dtype),
     }
     if bridge == "sum":
         p = 1

@@ -199,7 +199,9 @@ def _validate_model(raw):
                    "k": _get_int(imp_raw, "k", "model.imprint", lo=2),
                    "p_min": _get_float(imp_raw, "p_min", "model.imprint",
                                        DEFAULT_P_MIN, lo=0.0, lo_open=True),
-                   "permute": bool(imp_raw.get("permute", False))}
+                   "permute": imp_raw.get("permute", False)}
+        if not isinstance(imprint["permute"], bool):
+            _fail("model.imprint.permute", f"expected true or false, got {imprint['permute']!r}")
         if variant == "relu":
             imprint["decoys"] = _get_int(imp_raw, "decoys", "model.imprint", 0, lo=0)
         if imprint["p_min"] >= 1.0 / imprint["k"]:
@@ -318,11 +320,18 @@ def validate_config(raw: dict) -> dict:
     n = data.get("n", data.get("n_seq"))
     if n is not None:
         _check_batch(cfg, n)
-    if model["imprint"]["variant"] == "one_shot":
-        if model["imprint"]["target_mass"] == "1/n" and n is None:
-            _fail("model.imprint.target_mass", '"1/n" needs a known batch size')
+    imprint = model["imprint"]
+    if imprint["variant"] == "one_shot":
+        mass = imprint["target_mass"]
+        if mass == "1/n":
+            if n is None:
+                _fail("model.imprint.target_mass", '"1/n" needs a known batch size')
+            mass = 1.0 / n
+        if imprint["placement"] is not None and imprint["placement"] + mass >= 1.0:
+            _fail("model.imprint.placement", f"{imprint['placement']} plus target_mass "
+                  f"{mass} leaves the interval outside (0, 1)")
     if cfg["trials"] is not None:
-        if model["imprint"]["variant"] != "one_shot":
+        if imprint["variant"] != "one_shot":
             _fail("trials", "trial loops only make sense for the one_shot imprint")
         if data["kind"] != "synthetic_gaussian":
             _fail("trials", "trial loops need synthetic_gaussian data")
@@ -466,11 +475,6 @@ def _theory_block(imp, model, n, m_feat):
     return block
 
 
-def _nan_none(v):
-    v = float(v)
-    return None if math.isnan(v) else v
-
-
 def _unit_transform(feats64):
     lo = float(feats64.min())
     hi = float(feats64.max())
@@ -492,12 +496,8 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
                 pool=pool, peak=1.0, rel_tol=cfg["metrics"]["rel_tol"],
                 psnr_transform=tf) if selected else None
 
-    if rep is not None:
-        exact_bins = sorted(int(selected[s["candidate"]].bin_index)
-                            for s in rep.per_sample if s["exact"])
-        exact_psnrs = [s["psnr"] for s in rep.per_sample if s["exact"]]
-    else:
-        exact_bins, exact_psnrs = [], []
+    exact = [] if rep is None else np.flatnonzero(rep.exact)
+    exact_bins = sorted(int(selected[i].bin_index) for i in exact)
 
     fed = cfg["federation"]
     fed_block = {"protocol": fed["protocol"], "users": fed["users"],
@@ -525,8 +525,8 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
             "exact_fraction": len(exact_bins) / batch.n,
             "exact_bins": exact_bins,
             "singleton_match": exact_bins == singleton_bins,
-            "mean_psnr": _nan_none(rep.mean_psnr) if rep else None,
-            "mean_psnr_exact": float(np.mean(exact_psnrs)) if exact_psnrs else None,
+            "mean_psnr": rep.mean_psnr if rep else None,
+            "mean_psnr_exact": float(np.mean(rep.psnr[rep.exact])) if exact_bins else None,
             "iip": rep.iip if rep else 0.0,
             "psnr_scale": {"lo": lo, "hi": hi},
         },
@@ -571,13 +571,12 @@ def _token_block(cfg, batch, selected, rep):
     correct = 0
     verified = 0
     if rep is not None:
-        for s in rep.per_sample:
-            cand = selected[s["candidate"]]
+        for cand, row in zip(selected, rep.truth_row):
             ids = token_lookup(cand.vector, table, seq_len)
             if decoding_verified(cand.vector, ids, table,
                                  rel_tol=cfg["metrics"]["verify_rel_tol"]):
                 verified += 1
-                correct += int((ids == truth_ids[s["truth"]]).sum())
+                correct += int((ids == truth_ids[row]).sum())
     return {
         "total_tokens": total,
         "correct_tokens": correct,
@@ -587,15 +586,15 @@ def _token_block(cfg, batch, selected, rep):
 
 
 def _trial_record(t, rnd: _Round, rel_tol):
-    """A trial succeeds when the trap bin (bin 0) reads out one of the batch's
-    examples to within rel_tol."""
+    """A trial succeeds when the trap bin (bin 0) reads out one of its own
+    members to within rel_tol."""
     trap = [c for c in rnd.candidates if c.bin_index == 0]
+    members = np.asarray(rnd.feats[rnd.bins == 0], dtype=np.float64)
     rel_err = None
-    if trap:
-        feats64 = np.asarray(rnd.feats, dtype=np.float64)
-        dist2 = ((feats64 - trap[0].vector) ** 2).sum(axis=1)
+    if trap and len(members):
+        dist2 = ((members - trap[0].vector) ** 2).sum(axis=1)
         j = int(dist2.argmin())
-        norm = float(np.linalg.norm(feats64[j]))
+        norm = float(np.linalg.norm(members[j]))
         rel_err = float(math.sqrt(dist2[j])) / norm if norm > 0 else float("inf")
     return {"trial": t, "trap_count": int(rnd.counts[0]), "read_out": bool(trap),
             "rel_err": rel_err, "success": rel_err is not None and rel_err <= rel_tol}

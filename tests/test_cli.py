@@ -81,6 +81,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "federation.steps: 4 does not divide the per-user shard 6" in \
         capsys.readouterr().err
 
+    # a one-shot interval past the top of the distribution
+    cfg = _small_cfg_file(tmp_path, model={"imprint": {"variant": "one_shot",
+                                                       "target_mass": 0.2,
+                                                       "placement": 0.9}})
+    assert main(["run", "--config", cfg]) == 2
+    assert "model.imprint.placement" in capsys.readouterr().err
+
 
 def test_runtime_errors_exit_3(tmp_path, capsys):
     cfg = _small_cfg_file(tmp_path, data={"kind": "csv", "path": str(tmp_path / "no.csv"),
@@ -146,6 +153,21 @@ def test_sweep_writes_csv_and_svg(tmp_path, capsys):
     assert lines[1].split(",")[:2] == ["bins", "8"]
     with open(svg_path) as fh:
         assert fh.read(5) == "<svg "
+
+
+def test_sweep_chart_scales_each_point_by_its_batch(tmp_path, capsys, monkeypatch):
+    import imprintlab.cli as cli
+    from imprintlab.theory import iid_expected, prop1_closed_form
+
+    charts = []
+    monkeypatch.setattr(cli, "line_chart", lambda series, **kw: charts.append(series) or "")
+    cfg = _small_cfg_file(tmp_path)
+    assert main(["sweep", "--config", cfg, "--axis", "batch", "--values", "4,8,16",
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    model = {name: ys for name, _, ys in charts[0]}
+    assert model["composition model"] == [prop1_closed_form(n, 32) / n for n in (4, 8, 16)]
+    assert model["iid model"] == [iid_expected(n, 32) / n for n in (4, 8, 16)]
 
 
 def test_sweep_stdout_mode(tmp_path, capsys):

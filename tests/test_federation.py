@@ -132,11 +132,16 @@ def test_fed_avg_is_deterministic():
 
 def test_fed_avg_leaves_caller_model_untouched():
     model = _model()
+    imp = model.imprint
     before = {k: v.copy() for k, v in model.params.items()}
+    imp_before = imp.weight.copy(), imp.bias.copy()
     x = RngStream(23, 2).normal((4, 8))
     fed_avg(model, x, np.array([0, 1, 2, 0]), steps=2, lr=0.1)
     for key, v in model.params.items():
         assert np.array_equal(v, before[key])
+    # the model shares the imprint module's arrays; local steps must not write them
+    assert np.array_equal(imp.weight, imp_before[0])
+    assert np.array_equal(imp.bias, imp_before[1])
 
 
 def test_fed_avg_validation():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from imprintlab.metrics import (PSNR_EXACT_SENTINEL, ScoreReport, exact_count,
-                                exact_flags, iip_pixel, match, psnr, score)
+from imprintlab.metrics import (PSNR_EXACT_SENTINEL, exact_flags, iip_pixel, match,
+                                psnr, score)
 from imprintlab.numerics import RngStream
 from oracles import brute_assignment
 
@@ -73,27 +73,31 @@ def test_psnr_reference_points():
         psnr(a, a[:-1])
 
 
+def test_psnr_works_along_the_last_axis():
+    a = RngStream(64, 1).uniform((5, 16))
+    b = a + 0.1
+    b[2] = a[2]  # an exact row takes the sentinel, with no divide warning
+    rows = psnr(a, b, peak=2.0)
+    assert rows.shape == (5,)
+    assert rows.tolist() == [psnr(a[i], b[i], peak=2.0) for i in range(5)]
+    assert rows[2] == PSNR_EXACT_SENTINEL
+
+
 def test_exact_flags_and_count():
     truth = RngStream(65, 0).normal((5, 6))
-    cands = truth.copy()
-    pairs = match(cands, truth)
-    assert exact_flags(cands, truth, pairs) == [True] * 5
-    assert exact_count(cands, truth, pairs) == 5
+    assert exact_flags(truth.copy(), truth).tolist() == [True] * 5
     cands2 = truth.copy()
     cands2[2] = 0.5 * (truth[2] + truth[3])  # collision blend
-    pairs2 = match(cands2, truth)
-    assert exact_count(cands2, truth, pairs2) == 4
-    assert exact_count(cands2, truth, []) == 0
+    assert score(cands2, truth).exact_count == 4
+    assert exact_flags(cands2, truth).tolist() == [True, True, False, True, True]
     # tolerance boundary: relative l2 exactly at rel_tol passes
     c = truth[0] * (1 + 1e-5)
-    flags = exact_flags(c[None, :], truth[0][None, :], [(0, 0)], rel_tol=1e-4)
-    assert flags == [True]
-    flags = exact_flags(c[None, :], truth[0][None, :], [(0, 0)], rel_tol=1e-6)
-    assert flags == [False]
+    assert exact_flags(c, truth[0], rel_tol=1e-4)
+    assert not exact_flags(c, truth[0], rel_tol=1e-6)
     # zero-norm truth row: only an exact zero counts
     z = np.zeros((1, 4))
-    assert exact_flags(z, z, [(0, 0)]) == [True]
-    assert exact_flags(z + 1e-9, z, [(0, 0)]) == [False]
+    assert exact_flags(z, z).tolist() == [True]
+    assert exact_flags(z + 1e-9, z).tolist() == [False]
 
 
 def test_iip_basics():
@@ -104,6 +108,7 @@ def test_iip_basics():
     assert iip_pixel(truth, truth, pairs, pool=pool) == 1.0  # exact copies keep winning
     # distractors that ARE the candidates steal every hit
     assert iip_pixel(truth + 0.01, truth, pairs, pool=truth + 0.01) == 0.0
+    assert iip_pixel(truth, truth, pairs, pool=truth) == 1.0  # truth wins a tie
     assert iip_pixel(truth, truth, []) == 0.0  # unmatched candidates are misses
     assert iip_pixel(np.zeros((0, 8)), truth, []) == 0.0
 
@@ -119,6 +124,17 @@ def test_iip_nonincreasing_in_nested_pools():
                 iip_pixel(cands, truth, pairs, pool=pool),
                 iip_pixel(cands, truth, pairs, pool=big_pool)]
         assert vals[0] >= vals[1] >= vals[2]
+
+
+def test_score_iip_equals_nearest_in_stacked_gallery():
+    # the reference stacks truth and pool and takes the first nearest row
+    for seed in range(10):
+        truth = RngStream(75, seed).normal((12, 6))
+        cands = truth[:9] + 0.4 * RngStream(76, seed).normal((9, 6))
+        pool = truth + 0.3 * RngStream(77, seed).normal((12, 6))
+        rep = score(cands, truth, pool=pool)
+        nearest = _sqdist(cands, np.vstack([truth, pool])).argmin(axis=1)
+        assert rep.iip == float(np.mean(nearest == rep.truth_row))
 
 
 def test_iip_exceeds_singleton_fraction_on_collisions():
@@ -153,13 +169,11 @@ def test_score_is_order_invariant():
     assert a.exact_count == b.exact_count
     assert abs(a.mean_psnr - b.mean_psnr) < 1e-12
     assert a.iip == b.iip
-    assert sorted(t for _, t in a.matching) == sorted(t for _, t in b.matching)
-    d = a.as_dict()
-    assert set(d) == {"n_candidates", "n_truth", "exact_count", "exact_fraction",
-                      "mean_psnr", "iip", "matching", "per_sample"}
-    assert len(d["per_sample"]) == 7
-    assert all(set(row) == {"candidate", "truth", "psnr", "exact"}
-               for row in d["per_sample"])
+    assert np.array_equal(a.truth_row[perm], b.truth_row)
+    assert np.array_equal(a.exact[perm], b.exact)
+    assert np.array_equal(a.psnr[perm], b.psnr)
+    assert a.n_candidates == 7
+    assert a.truth_row.shape == a.exact.shape == a.psnr.shape == (7,)
 
 
 def test_score_psnr_transform_changes_only_psnr():
@@ -170,8 +184,8 @@ def test_score_psnr_transform_changes_only_psnr():
     scaled = score(cands, truth, psnr_transform=tf)
     assert scaled.exact_count == plain.exact_count
     assert scaled.iip == plain.iip
-    assert scaled.matching == plain.matching
-    ref = np.mean([psnr(tf(cands[c]), tf(truth[t])) for c, t in plain.matching])
+    assert np.array_equal(scaled.truth_row, plain.truth_row)
+    ref = np.mean([psnr(tf(cands[c]), tf(truth[t])) for c, t in enumerate(plain.truth_row)])
     assert abs(scaled.mean_psnr - ref) < 1e-12
     assert abs(scaled.mean_psnr - plain.mean_psnr - 20 * np.log10(8)) < 1e-9
 
@@ -181,7 +195,6 @@ def test_score_empty_candidates():
     rep = score(np.zeros((0, 5)), truth)
     assert rep.n_candidates == 0
     assert rep.exact_count == 0
-    assert rep.exact_fraction == 0.0
     assert rep.iip == 0.0
     assert np.isnan(rep.mean_psnr)
-    assert rep.matching == []
+    assert rep.truth_row.tolist() == []

@@ -168,6 +168,18 @@ def test_label_validation():
         model.forward_features(np.zeros(8))  # not a batch
 
 
+def test_imprint_arrays_are_held_once():
+    lay = make_layout(Normal(), 4)
+    imp = build_relu(lay, build_measurement("mean", 8, c0="auto"), dtype=np.float32)
+    same = make_imprint_model(imp, label_classes=3, dtype=np.float32)
+    assert same.params["imprint.weight"] is imp.weight
+    assert same.params["imprint.bias"] is imp.bias
+    # a dtype change still converts
+    wide = make_imprint_model(imp, label_classes=3, dtype=np.float64)
+    assert wide.params["imprint.weight"].dtype == np.float64
+    assert np.array_equal(wide.params["imprint.weight"], imp.weight)
+
+
 def test_copy_isolates_parameters():
     model = _relu_model()
     clone = model.copy()

@@ -59,6 +59,11 @@ def test_validate_fills_defaults():
     (lambda c: c.update(trials=5), "trials"),
     (lambda c: c["data"].update(kind="images"), "data.kind"),
     (lambda c: c["model"]["measurement"].update(c0=0.0), "model.measurement.c0"),
+    (lambda c: c["model"]["imprint"].update(permute="no"), "model.imprint.permute"),
+    (lambda c: c["model"].update(imprint={"variant": "one_shot", "target_mass": 0.2,
+                                          "placement": 0.9}), "model.imprint.placement"),
+    (lambda c: c["model"].update(imprint={"variant": "one_shot", "target_mass": "1/n",
+                                          "placement": 0.95}), "model.imprint.placement"),
 ])
 def test_validation_errors_name_the_field(mutate, path):
     raw = _small_cfg(federation={"protocol": "fed_sgd", "users": 2},
