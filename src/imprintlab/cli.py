@@ -138,6 +138,14 @@ def _sweep_chart(axis, values, rows, reports):
 def _cmd_plan(args) -> int:
     if (args.k is None) == (args.p is None):
         raise ConfigError("plan: pass exactly one of --k or --p")
+    # the one-shot optimum needs two elements to share the batch
+    for flag, value, lo in (("--n", args.n, 1 if args.p is None else 2),
+                            ("--k", args.k, 1), ("--m", args.m, 1),
+                            ("--decoys", args.decoys, 0),
+                            ("--bridge-params", args.bridge_params, 0),
+                            ("--base-params", args.base_params, 1)):
+        if value is not None and value < lo:
+            raise ConfigError(f"plan: {flag} must be >= {lo}, got {value}")
     lines = [f"batch size n = {args.n}"]
     if args.k is not None:
         lines.append(f"bins k = {args.k}")

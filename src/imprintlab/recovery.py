@@ -7,7 +7,9 @@ examples of weight * example) and the bias gradient is (sum of weights), so
 their ratio is a weighted average of the examples the row saw. Differencing
 adjacent ReLU rows narrows "saw" down to one bin. `recover_bins` is the one
 read-out for binned imprints (ReLU and hard-threshold); it and
-`recover_unique_labels` divide rows through the same `_read_rows`.
+`recover_unique_labels` divide rows through the same `_read_rows` and return
+one `Readout`: parallel arrays of bins, vectors, denominators and confidences,
+which `select_candidates` ranks and scoring takes as they are.
 """
 
 from __future__ import annotations
@@ -27,30 +29,34 @@ class NoActiveRow(RuntimeError):
 
 
 @dataclass(eq=False)
-class Candidate:
-    """One recovered input candidate."""
+class Readout:
+    """Recovered candidates as parallel arrays, one entry per live row."""
 
-    vector: np.ndarray
-    bin_index: int
-    denominator: float   # the bias-gradient mass behind the read-out
-    confidence: float    # mean |weight-gradient| of the differenced row
+    bins: np.ndarray          # (c,) int64 bin (or class row) of each candidate
+    vectors: np.ndarray       # (c, m) float64 recovered inputs
+    denominators: np.ndarray  # (c,) the bias-gradient mass behind each read-out
+    confidences: np.ndarray   # (c,) mean |weight-gradient| of the differenced row
+
+    def __len__(self) -> int:
+        return len(self.bins)
 
 
-def _read_rows(num: np.ndarray, den: np.ndarray, floor: float) -> list[Candidate]:
+def _read_rows(num: np.ndarray, den: np.ndarray, floor: float) -> Readout:
     """Row i reads num[i] / den[i]; rows whose |den| is at or below floor are
-    suppressed as numerically dead."""
-    out = []
-    for i in range(den.shape[0]):
-        if abs(den[i]) <= floor:
-            continue
-        out.append(Candidate(vector=num[i] / den[i], bin_index=i,
-                             denominator=float(den[i]),
-                             confidence=float(np.abs(num[i]).mean())))
-    return out
+    suppressed as numerically dead. A non-finite gradient is an error: it
+    would otherwise reach scoring as garbage (or, as NaN, slip the floor)."""
+    if not (np.isfinite(den).all() and np.isfinite(num).all()):
+        raise ValueError("non-finite gradient in the payload; no row can be read out")
+    live = np.flatnonzero(np.abs(den) > floor)
+    vectors = num[live]
+    confidences = np.abs(vectors).mean(axis=1)
+    vectors /= den[live, None]
+    return Readout(bins=live, vectors=vectors, denominators=den[live],
+                   confidences=confidences)
 
 
 def recover_bins(payload: UpdatePayload, imprint: ImprintModule, *,
-                 tau0: float = DEFAULT_TAU0) -> list[Candidate]:
+                 tau0: float = DEFAULT_TAU0) -> Readout:
     """One candidate per bin that captured mass, in bin order (ascending
     measurement value).
 
@@ -75,34 +81,18 @@ def recover_bins(payload: UpdatePayload, imprint: ImprintModule, *,
     return _read_rows(gw, gb, floor)
 
 
-def select_candidates(candidates: list[Candidate], n: int) -> list[Candidate]:
+def select_candidates(readout: Readout, n: int) -> Readout:
     """Top n candidates by confidence; ties broken toward lower bin index."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    ranked = sorted(candidates, key=lambda c: (-c.confidence, c.bin_index))
-    return ranked[:n]
-
-
-def recover_single_linear(grad_w: np.ndarray, grad_b: np.ndarray, *,
-                          tau0: float = DEFAULT_TAU0) -> Candidate:
-    """Recover one input from a plain linear layer's gradients: divide the
-    row with the largest |bias gradient|. Exact for a batch of one."""
-    gw = np.asarray(grad_w, dtype=np.float64)
-    gb = np.asarray(grad_b, dtype=np.float64)
-    if gw.ndim != 2 or gb.shape != (gw.shape[0],):
-        raise ValueError(f"gradient shapes disagree: {gw.shape} vs {gb.shape}")
-    scale = float(np.abs(gb).max(initial=0.0))
-    if scale <= 0.0:
-        raise NoActiveRow("all bias gradients are zero")
-    i = int(np.abs(gb).argmax())
-    if abs(gb[i]) <= tau0 * scale:
-        raise NoActiveRow("dominant bias gradient is below the suppression floor")
-    return Candidate(vector=gw[i] / gb[i], bin_index=i, denominator=float(gb[i]),
-                     confidence=float(np.abs(gw[i]).mean()))
+    top = np.lexsort((readout.bins, -readout.confidences))[:n]
+    return Readout(bins=readout.bins[top], vectors=readout.vectors[top],
+                   denominators=readout.denominators[top],
+                   confidences=readout.confidences[top])
 
 
 def recover_unique_labels(grad_w: np.ndarray, grad_b: np.ndarray, *,
-                          tau0: float = DEFAULT_TAU0) -> list[Candidate]:
+                          tau0: float = DEFAULT_TAU0) -> Readout:
     """Per-class read-out of a linear layer: exact when each label appears once.
 
     With repeated labels a class row returns the gradient-weighted average of
@@ -116,7 +106,16 @@ def recover_unique_labels(grad_w: np.ndarray, grad_b: np.ndarray, *,
     return out
 
 
-def _lookup_one(vec: np.ndarray, table: np.ndarray, seq_len: int) -> np.ndarray:
+def token_lookup(vector: np.ndarray, table: np.ndarray, seq_len: int) -> np.ndarray:
+    """Map one recovered embedding concatenation back to its seq_len token ids.
+
+    Splits the vector into seq_len blocks of the embedding width and takes
+    the nearest table row (Euclidean) per block.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2:
+        raise ValueError(f"embedding table must be 2-d, got {table.shape}")
+    vec = np.asarray(vector, dtype=np.float64).ravel()
     d = table.shape[1]
     if vec.size != seq_len * d:
         raise ValueError(f"vector length {vec.size} != seq_len {seq_len} * width {d}")
@@ -124,26 +123,6 @@ def _lookup_one(vec: np.ndarray, table: np.ndarray, seq_len: int) -> np.ndarray:
     # ||b - t||^2 = ||b||^2 - 2 b.t + ||t||^2; first term constant per row
     scores = -2.0 * blocks @ table.T + np.sum(table * table, axis=1)
     return np.argmin(scores, axis=1).astype(np.int64)
-
-
-def token_lookup(cands, table: np.ndarray, seq_len: int) -> np.ndarray:
-    """Map recovered embedding concatenations back to token ids.
-
-    Splits each vector into seq_len blocks of the embedding width and takes
-    the nearest table row (Euclidean) per block. Accepts one vector, a list
-    of vectors, or a list of Candidates.
-    """
-    table = np.asarray(table, dtype=np.float64)
-    if table.ndim != 2:
-        raise ValueError(f"embedding table must be 2-d, got {table.shape}")
-    if isinstance(cands, (list, tuple)):
-        vecs = [np.asarray(c.vector if isinstance(c, Candidate) else c,
-                           dtype=np.float64).ravel() for c in cands]
-        return np.stack([_lookup_one(v, table, seq_len) for v in vecs]) if vecs \
-            else np.zeros((0, seq_len), dtype=np.int64)
-    vec = np.asarray(cands.vector if isinstance(cands, Candidate) else cands,
-                     dtype=np.float64).ravel()
-    return _lookup_one(vec, table, seq_len)
 
 
 def decoding_verified(vector: np.ndarray, ids: np.ndarray, table: np.ndarray, *,

@@ -30,7 +30,8 @@ from .measurement import assumed_distribution, build_measurement
 from .metrics import score
 from .model import FrontStage, make_imprint_model
 from .numerics import RngStream
-from .recovery import decoding_verified, recover_bins, select_candidates, token_lookup
+from .recovery import (Readout, decoding_verified, recover_bins, select_candidates,
+                       token_lookup)
 
 # fixed subsystem stream ids: every draw a scenario makes descends from
 # (master seed, one of these), so subsystems stay independent and reordering
@@ -308,6 +309,11 @@ def validate_config(raw: dict) -> dict:
 
     # cross-field consistency
     data, model, fed = cfg["data"], cfg["model"], cfg["federation"]
+    top = float(np.finfo(cfg["dtype"]).max)
+    for key in ("gain", "scale"):
+        if model["head"].get(key, 0.0) > top:
+            _fail(f"model.head.{key}", f"must be finite in {cfg['dtype']} (at most "
+                  f"{top:g}), got {model['head'][key]:g}")
     if data["kind"] == "synthetic_gaussian":
         m_feat = _front_dim(data["m"], model["front"])
     elif data["kind"] == "token_sequences":
@@ -444,7 +450,7 @@ class _Round:
     feats: np.ndarray
     bins: np.ndarray    # bin of each example by its measurement; -1 below range
     counts: np.ndarray  # examples per bin
-    candidates: list
+    readout: Readout
     losses: list
     logs: list          # per-user fed-AVG step logs; empty under fed-SGD
 
@@ -487,17 +493,15 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
     """Occupancy, federation and recovery blocks (plus tokens) of a plain run."""
     counts, bins = rnd.counts, rnd.bins
     singleton_bins = [int(b) for b in np.flatnonzero(counts == 1)]
-    selected = select_candidates(rnd.candidates, cfg["metrics"]["select"] or batch.n)
+    selected = select_candidates(rnd.readout, cfg["metrics"]["select"] or batch.n)
 
     feats64 = np.asarray(rnd.feats, dtype=np.float64)
     pool = _draw_pool(cfg, model, batch)
     tf, lo, hi = _unit_transform(feats64)
-    rep = score([c.vector for c in selected], feats64,
+    rep = score(selected.vectors, feats64,
                 pool=pool, peak=1.0, rel_tol=cfg["metrics"]["rel_tol"],
                 psnr_transform=tf) if selected else None
-
-    exact = [] if rep is None else np.flatnonzero(rep.exact)
-    exact_bins = sorted(int(selected[i].bin_index) for i in exact)
+    exact_bins = [] if rep is None else sorted(selected.bins[rep.exact].tolist())
 
     fed = cfg["federation"]
     fed_block = {"protocol": fed["protocol"], "users": fed["users"],
@@ -519,7 +523,7 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
         },
         "federation": fed_block,
         "recovery": {
-            "n_candidates": len(rnd.candidates),
+            "n_candidates": len(rnd.readout),
             "n_selected": len(selected),
             "exact_count": len(exact_bins),
             "exact_fraction": len(exact_bins) / batch.n,
@@ -571,9 +575,9 @@ def _token_block(cfg, batch, selected, rep):
     correct = 0
     verified = 0
     if rep is not None:
-        for cand, row in zip(selected, rep.truth_row):
-            ids = token_lookup(cand.vector, table, seq_len)
-            if decoding_verified(cand.vector, ids, table,
+        for vector, row in zip(selected.vectors, rep.truth_row):
+            ids = token_lookup(vector, table, seq_len)
+            if decoding_verified(vector, ids, table,
                                  rel_tol=cfg["metrics"]["verify_rel_tol"]):
                 verified += 1
                 correct += int((ids == truth_ids[row]).sum())
@@ -588,15 +592,16 @@ def _token_block(cfg, batch, selected, rep):
 def _trial_record(t, rnd: _Round, rel_tol):
     """A trial succeeds when the trap bin (bin 0) reads out one of its own
     members to within rel_tol."""
-    trap = [c for c in rnd.candidates if c.bin_index == 0]
+    readout = rnd.readout
+    read_out = bool(len(readout) and readout.bins[0] == 0)  # bins ascend
     members = np.asarray(rnd.feats[rnd.bins == 0], dtype=np.float64)
     rel_err = None
-    if trap and len(members):
-        dist2 = ((members - trap[0].vector) ** 2).sum(axis=1)
+    if read_out and len(members):
+        dist2 = ((members - readout.vectors[0]) ** 2).sum(axis=1)
         j = int(dist2.argmin())
         norm = float(np.linalg.norm(members[j]))
         rel_err = float(math.sqrt(dist2[j])) / norm if norm > 0 else float("inf")
-    return {"trial": t, "trap_count": int(rnd.counts[0]), "read_out": bool(trap),
+    return {"trial": t, "trap_count": int(rnd.counts[0]), "read_out": read_out,
             "rel_err": rel_err, "success": rel_err is not None and rel_err <= rel_tol}
 
 
@@ -649,7 +654,7 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None,
     if trials is None:
         rnd = _round(cfg, imp, model, batch, RngStream(seed, STREAM_DEFENSE))
         report.update(_round_report(cfg, model, batch, rnd))
-        artifacts.update(batch=batch, feats=rnd.feats, candidates=rnd.candidates,
+        artifacts.update(batch=batch, feats=rnd.feats, candidates=rnd.readout,
                          occupancy_counts=rnd.counts)
     else:
         trial_base = RngStream(seed, STREAM_TRIALS)

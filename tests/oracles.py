@@ -11,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
+from imprintlab.federation import to_gradient_form
+
 
 def naive_matmul(a, b):
     a = np.asarray(a, dtype=np.float64)
@@ -100,3 +102,75 @@ def prop1_double_sum(n, k):
             inner += math.comb(k - i, j) * math.comb(n - i - j - 1, j - 1)
         acc += i * math.comb(k, i) * inner
     return Fraction(acc, total) - Fraction(n, k)
+
+
+def composition_oracle(n: int, k: int, *, limit: int = 10_000_000) -> Fraction:
+    """Mean singleton count over ALL weak compositions of n into k bins,
+    by direct enumeration (no tail correction)."""
+    if n < 1 or k < 1:
+        raise ValueError(f"need n, k >= 1, got n={n} k={k}")
+    total = math.comb(k + n - 1, k - 1)
+    if total > limit:
+        raise ValueError(f"{total} compositions exceeds enumeration limit {limit}")
+    slots = n + k - 1
+    singletons = 0
+    for bars in itertools.combinations(range(slots), k - 1):
+        prev = -1
+        count = 0
+        for b in bars:
+            if b - prev - 1 == 1:
+                count += 1
+            prev = b
+        if slots - prev - 1 == 1:
+            count += 1
+        singletons += count
+    return Fraction(singletons, total)
+
+
+def iid_monte_carlo(n: int, k: int, *, reps: int, stream,
+                    probs=None) -> tuple[float, float]:
+    """Monte Carlo singleton count for iid bin occupancy.
+
+    probs optionally gives non-uniform bin masses (length k, summing to ~1).
+    Returns (mean, standard error).
+    """
+    if reps < 2:
+        raise ValueError(f"need reps >= 2, got {reps}")
+    counts = np.empty(reps, dtype=np.float64)
+    for r in range(reps):
+        # per-replicate stream: result independent of evaluation order
+        gen = stream.derive(r).generator()
+        if probs is None:
+            bins = gen.integers(0, k, size=n)
+        else:
+            bins = gen.choice(k, size=n, p=probs)
+        occupancy = np.bincount(bins, minlength=k)
+        counts[r] = float((occupancy == 1).sum())
+    mean = float(counts.mean())
+    stderr = float(counts.std(ddof=1) / math.sqrt(reps))
+    return mean, stderr
+
+
+def loop_readout(payload, imprint, tau0=1e-9):
+    """The bin read-out one row at a time: gather the rows in bin order, cast
+    to float64, floor at tau0 * max|bias grad|, difference adjacent ReLU rows,
+    then divide each live row. Returns (bin, vector, denominator, confidence)
+    tuples in bin order."""
+    g = to_gradient_form(payload.mean_payload()).tensors
+    gw = g["imprint.weight"][imprint.row_of_bin].astype(np.float64)
+    gb = g["imprint.bias"][imprint.row_of_bin].astype(np.float64)
+    floor = tau0 * float(np.abs(gb).max(initial=0.0))
+    if imprint.variant == "relu":
+        gw[:-1] -= gw[1:]
+        gb[:-1] -= gb[1:]
+    rows = []
+    for i in range(len(gb)):
+        if abs(gb[i]) <= floor:
+            continue
+        rows.append((i, gw[i] / gb[i], float(gb[i]), float(np.abs(gw[i]).mean())))
+    return rows
+
+
+def loop_select(rows, n):
+    """Top n read-out rows by confidence, ties toward the lower bin."""
+    return sorted(rows, key=lambda r: (-r[3], r[0]))[:n]

@@ -24,9 +24,8 @@ from imprintlab.model import make_imprint_model, make_logistic_model
 from imprintlab.numerics import RngStream, assignment
 from imprintlab.recovery import recover_bins, recover_unique_labels
 from imprintlab.scenarios import bundled_config, run_scenario, sweep_scenario
-from imprintlab.theory import (composition_oracle, one_shot_success,
-                               prop1_closed_form, prop1_exact)
-from oracles import brute_assignment, fd_gradcheck
+from imprintlab.theory import one_shot_success, prop1_closed_form, prop1_exact
+from oracles import brute_assignment, composition_oracle, fd_gradcheck
 
 
 def _verdict(num, label, ok, detail=""):
@@ -105,17 +104,18 @@ def test_criterion_04_collisions_are_weighted_averages():
     for variant in ("relu", "hard_threshold"):
         imp, model, x, labels = _two_per_bin_case(variant, 0)
         _, payload = fed_sgd(model, x, labels)
-        cands = {c.bin_index: c for c in recover_bins(payload, imp)}
+        readout = recover_bins(payload, imp)
+        cands = dict(zip(readout.bins.tolist(), readout.vectors))
         singles = [recover_bins(fed_sgd(model, x[i:i + 1], labels[i:i + 1])[1], imp)
                    for i in range(10)]
         for j, b in enumerate([1, 4, 7, 10, 13]):
-            pair = singles[2 * j] + singles[2 * j + 1]
-            assert len(pair) == 2 and all(p.bin_index == b for p in pair)
-            dens = np.array([p.denominator for p in pair])
+            pair = singles[2 * j:2 * j + 2]
+            assert all(p.bins.tolist() == [b] for p in pair)
+            dens = np.array([p.denominators[0] for p in pair])
             weights_spread = max(weights_spread,
                                  float(abs(dens[0] - dens[1]) / np.abs(dens).max()))
             oracle = (dens[:, None] * x[2 * j:2 * j + 2]).sum(axis=0) / dens.sum()
-            rel = float(np.abs(cands[b].vector - oracle).max() / np.abs(oracle).max())
+            rel = float(np.abs(cands[b] - oracle).max() / np.abs(oracle).max())
             worst = max(worst, rel)
     ok = worst <= 1e-5 and weights_spread > 1e-6
     _verdict(4, "two-per-bin candidates equal the per-example weighted average",
@@ -215,11 +215,11 @@ def test_criterion_08_unique_label_readout():
     _, grads = model.loss_and_grads(x, labels)
     # the reader built the head, so it reads the 16 class rows and skips the
     # pinned row (whose gradient is the whole-batch mean by construction)
-    cands = {c.bin_index: c for c in recover_unique_labels(
-        grads["head.weight"][:-1], grads["head.bias"][:-1])}
-    worst = max(float(np.linalg.norm(cands[int(l)].vector - x[e])
+    readout = recover_unique_labels(grads["head.weight"][:-1], grads["head.bias"][:-1])
+    cands = dict(zip(readout.bins.tolist(), readout.vectors))
+    worst = max(float(np.linalg.norm(cands[int(l)] - x[e])
                       / np.linalg.norm(x[e])) for e, l in enumerate(labels))
-    distinct_psnr = float(np.mean([psnr(cands[int(l)].vector, x[e])
+    distinct_psnr = float(np.mean([psnr(cands[int(l)], x[e])
                                    for e, l in enumerate(labels)]))
 
     same = RngStream(231, 0).uniform((16, 24))
@@ -227,10 +227,10 @@ def test_criterion_08_unique_label_readout():
     blended = recover_unique_labels(g2["head.weight"][:-1], g2["head.bias"][:-1])
     one_cand = len(blended) == 1
     # pinned head weights every same-label example equally
-    avg_ok = bool(np.allclose(blended[0].vector, same.mean(axis=0),
+    avg_ok = bool(np.allclose(blended.vectors[0], same.mean(axis=0),
                               rtol=1e-10, atol=1e-13))
-    pair = match(blended[0].vector[None, :], same)
-    same_psnr = psnr(blended[0].vector, same[pair[0][1]])
+    pair = match(blended.vectors[:1], same)
+    same_psnr = psnr(blended.vectors[0], same[pair[0][1]])
     ok = worst <= 1e-4 and one_cand and avg_ok \
         and distinct_psnr - same_psnr > 20.0
     _verdict(8, "16 distinct labels recover each example; same-label batch "

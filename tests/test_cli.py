@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from imprintlab.cli import main
+from imprintlab.scenarios import bundled_config
 
 
 def _small_cfg_file(tmp_path, **over):
@@ -88,12 +90,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 2
     assert "model.imprint.placement" in capsys.readouterr().err
 
+    # a head gain past the float32 range; the same gain is finite in float64
+    cfg = bundled_config("fullbatch64")
+    cfg["model"]["head"]["gain"] = 1e39
+    cfg = _small_cfg_file(tmp_path, **cfg)
+    assert main(["run", "--config", cfg]) == 2
+    assert "model.head.gain: must be finite in float32" in capsys.readouterr().err
+
 
 def test_runtime_errors_exit_3(tmp_path, capsys):
     cfg = _small_cfg_file(tmp_path, data={"kind": "csv", "path": str(tmp_path / "no.csv"),
                                           "label_classes": 4})
     assert main(["run", "--config", cfg]) == 3
     assert "runtime error" in capsys.readouterr().err
+
+    # a gain finite in float64 still overflows the forward pass; the read-out
+    # refuses the non-finite payload instead of scoring it
+    cfg = bundled_config("fullbatch64")
+    cfg["model"]["head"]["gain"] = 1e308
+    cfg = _small_cfg_file(tmp_path, **cfg)
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", cfg, "--f64"]) == 3
+    assert "(ValueError): non-finite gradient in the payload" in capsys.readouterr().err
 
 
 def test_non_finite_csv_cell_is_a_config_error(tmp_path, capsys):
@@ -134,6 +152,16 @@ def test_plan_argument_validation(capsys):
     capsys.readouterr()
     assert main(["plan", "--n", "8", "--p", "1.5", "--m", "4"]) == 2
     assert "must lie in (0, 1)" in capsys.readouterr().err
+    for flag, value, lo in (("--n", "0", 1), ("--k", "0", 1), ("--m", "-5", 1),
+                            ("--decoys", "-3", 0), ("--base-params", "0", 1)):
+        args = {"--n": "8", "--k": "16", "--m": "4", flag: value}
+        assert main(["plan", *[t for kv in args.items() for t in kv]]) == 2
+        assert f"plan: {flag} must be >= {lo}, got {value}" in capsys.readouterr().err
+    assert main(["plan", "--n", "8", "--p", "0.1", "--m", "4",
+                 "--bridge-params", "-1"]) == 2
+    assert "plan: --bridge-params must be >= 0, got -1" in capsys.readouterr().err
+    assert main(["plan", "--n", "1", "--p", "0.5", "--m", "4"]) == 2
+    assert "plan: --n must be >= 2, got 1" in capsys.readouterr().err
 
 
 def test_sweep_writes_csv_and_svg(tmp_path, capsys):

@@ -54,6 +54,9 @@ def test_validate_fills_defaults():
     (lambda c: c.update(seed=-1), "config.seed"),
     (lambda c: c.update(name=""), "name"),
     (lambda c: c["model"]["head"].update(kind="huge"), "model.head.kind"),
+    (lambda c: c["model"]["head"].update(gain=1e39), "model.head.gain: must be finite"),
+    (lambda c: c["model"].update(head={"kind": "random", "scale": 1e39}),
+     "model.head.scale: must be finite"),
     (lambda c: c["defense"].update(sigma=0.1), "defense.sigma"),
     (lambda c: c["federation"].update(lr=0.1), "federation.lr"),
     (lambda c: c.update(trials=5), "trials"),

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from imprintlab.numerics import RngStream
-from imprintlab.theory import (composition_oracle, iid_expected,
-                               iid_monte_carlo, one_shot_optimum,
-                               one_shot_success, overhead, prop1_closed_form,
-                               prop1_exact)
-from oracles import prop1_double_sum
+from imprintlab.theory import (iid_expected, one_shot_optimum, one_shot_success,
+                               overhead, prop1_closed_form, prop1_exact)
+from oracles import composition_oracle, iid_monte_carlo, prop1_double_sum
 
 
 def test_composition_oracle_tiny_cases_by_hand():
