@@ -81,6 +81,8 @@ def _parse_values(text: str, axis: str):
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"sweep: --jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args)
     values = _parse_values(args.values, args.axis)
     header, rows, reports = sweep_scenario(cfg, args.axis, values, jobs=args.jobs,

@@ -63,7 +63,7 @@ def apply_defense(payload: UpdatePayload, config: DefenseConfig,
                 noise = child.normal(t.shape, sd=config.sigma)
             else:
                 noise = child.laplace(t.shape, scale=config.sigma)
-            v = v + noise.astype(t.dtype)
+            v += noise.astype(t.dtype, copy=False)  # v is our own copy
         out[key] = v
     return replace(payload, tensors=out)
 

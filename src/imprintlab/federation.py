@@ -51,8 +51,8 @@ def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
     """Sequential local SGD over an equal split of the batch; returns the
     parameter delta. The caller's model is untouched.
 
-    With record=True also returns a per-step log (loss and imprint gradient
-    magnitudes) used to bound parameter drift.
+    With record=True also returns a per-step log (loss plus the model's
+    drift-bound stats) used to bound parameter drift.
     """
     n = len(labels)
     if steps < 1:
@@ -62,7 +62,6 @@ def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
     if not (lr > 0):
         raise ValueError(f"lr must be positive, got {lr}")
     local = model.copy()
-    start = {k: v.copy() for k, v in local.params.items()}
     chunk = n // steps
     log = []
     for s in range(steps):
@@ -70,15 +69,12 @@ def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
         stats = {} if record else None
         loss, grads = local.loss_and_grads(x[sl], labels[sl], stats=stats)
         for key, g in grads.items():
-            local.params[key] -= g.dtype.type(lr) * g
+            g *= g.dtype.type(lr)  # each step's gradients are fresh arrays
+            local.params[key] -= g
         if record:
-            entry = {"step": s, "loss": loss}
-            if "imprint.weight" in grads:
-                entry["imprint_weight_grad_max"] = float(np.abs(grads["imprint.weight"]).max())
-                entry["imprint_bias_grad_max"] = float(np.abs(grads["imprint.bias"]).max())
-            entry.update(stats)
-            log.append(entry)
-    delta = {k: local.params[k] - start[k] for k in start}
+            log.append({"step": s, "loss": loss, **stats})
+    # model.copy() copied the params, so the caller's are still the start point
+    delta = {k: local.params[k] - model.params[k] for k in local.params}
     payload = UpdatePayload(kind="param_delta", tensors=delta, batch_size=n,
                             steps=steps, lr=lr)
     return (payload, log) if record else payload

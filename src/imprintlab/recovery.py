@@ -106,22 +106,29 @@ def recover_unique_labels(grad_w: np.ndarray, grad_b: np.ndarray, *,
     return out
 
 
-def token_lookup(vector: np.ndarray, table: np.ndarray, seq_len: int) -> np.ndarray:
+def token_lookup(vector: np.ndarray, table: np.ndarray, seq_len: int, *,
+                 table_sq: np.ndarray | None = None) -> np.ndarray:
     """Map one recovered embedding concatenation back to its seq_len token ids.
 
     Splits the vector into seq_len blocks of the embedding width and takes
-    the nearest table row (Euclidean) per block.
+    the nearest table row (Euclidean) per block. `table_sq` is the table's
+    per-row squared norm; a caller decoding many vectors against one table
+    passes it (with a float64 table) so it is computed once, not per call.
     """
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2:
         raise ValueError(f"embedding table must be 2-d, got {table.shape}")
+    if table_sq is None:
+        table_sq = (table * table).sum(axis=1)
+    elif np.shape(table_sq) != (table.shape[0],):
+        raise ValueError(f"table_sq shape {np.shape(table_sq)} != ({table.shape[0]},)")
     vec = np.asarray(vector, dtype=np.float64).ravel()
     d = table.shape[1]
     if vec.size != seq_len * d:
         raise ValueError(f"vector length {vec.size} != seq_len {seq_len} * width {d}")
     blocks = vec.reshape(seq_len, d)
     # ||b - t||^2 = ||b||^2 - 2 b.t + ||t||^2; first term constant per row
-    scores = -2.0 * blocks @ table.T + np.sum(table * table, axis=1)
+    scores = -2.0 * blocks @ table.T + table_sq
     return np.argmin(scores, axis=1).astype(np.int64)
 
 

@@ -568,7 +568,9 @@ def _draw_pool(cfg, model, batch):
 
 
 def _token_block(cfg, batch, selected, rep):
-    table = batch.meta["table"]
+    # one float64 table and one set of row norms for every decoded row
+    table = np.asarray(batch.meta["table"], dtype=np.float64)
+    table_sq = (table * table).sum(axis=1)
     seq_len = batch.meta["seq_len"]
     truth_ids = batch.meta["ids"]
     total = int(truth_ids.size)
@@ -576,7 +578,7 @@ def _token_block(cfg, batch, selected, rep):
     verified = 0
     if rep is not None:
         for vector, row in zip(selected.vectors, rep.truth_row):
-            ids = token_lookup(vector, table, seq_len)
+            ids = token_lookup(vector, table, seq_len, table_sq=table_sq)
             if decoding_verified(vector, ids, table,
                                  rel_tol=cfg["metrics"]["verify_rel_tol"]):
                 verified += 1

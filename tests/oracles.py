@@ -174,3 +174,20 @@ def loop_readout(payload, imprint, tau0=1e-9):
 def loop_select(rows, n):
     """Top n read-out rows by confidence, ties toward the lower bin."""
     return sorted(rows, key=lambda r: (-r[3], r[0]))[:n]
+
+
+def loop_fed_avg(model, x, labels, *, steps, lr):
+    """Textbook local SGD: copy the params, step with params -= lr * g, and
+    take the delta against the start copy. Returns (delta, per-step log)."""
+    local = model.copy()
+    start = {k: v.copy() for k, v in local.params.items()}
+    chunk = len(labels) // steps
+    log = []
+    for s in range(steps):
+        sl = slice(s * chunk, (s + 1) * chunk)
+        stats = {}
+        loss, grads = local.loss_and_grads(x[sl], labels[sl], stats=stats)
+        for key, g in grads.items():
+            local.params[key] = local.params[key] - lr * g
+        log.append({"loss": loss, **stats})
+    return {k: local.params[k] - start[k] for k in start}, log

@@ -212,6 +212,10 @@ def test_sweep_bad_values(tmp_path, capsys):
     assert "bad value" in capsys.readouterr().err
     assert main(["sweep", "--config", cfg, "--axis", "bins", "--values", ","]) == 2
     capsys.readouterr()
+    for jobs in ("0", "-3"):
+        assert main(["sweep", "--config", cfg, "--axis", "bins", "--values", "8",
+                     "--jobs", jobs]) == 2
+        assert f"sweep: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
 
 
 def test_check_runs_every_bundled_scenario(capsys):

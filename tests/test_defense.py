@@ -89,6 +89,26 @@ def test_noise_independent_of_dict_order():
         assert np.array_equal(out_f.tensors[key], out_r.tensors[key])
 
 
+@pytest.mark.parametrize("noise", ["gaussian", "laplace"])
+@pytest.mark.parametrize("clip", [None, 0.5])
+def test_noise_leaves_the_input_payload_untouched(noise, clip):
+    for dtype in (np.float32, np.float64):
+        stream = RngStream(87, 0)
+        p = UpdatePayload(kind="gradient", batch_size=4, tensors={
+            "w": stream.derive(0).normal((3, 4), dtype=dtype),
+            "b": stream.derive(1).normal((5,), dtype=dtype)})
+        before = {k: v.copy() for k, v in p.tensors.items()}
+        if clip is not None:
+            assert l2_norm(p.tensors.values()) > clip  # the clip is active
+        out = apply_defense(p, DefenseConfig(clip=clip, noise=noise, sigma=0.1),
+                            stream=RngStream(87, 1))
+        for key, v in p.tensors.items():
+            assert np.array_equal(v, before[key])
+            assert out.tensors[key] is not v
+            assert out.tensors[key].dtype == dtype
+            assert not np.array_equal(out.tensors[key], v)
+
+
 def test_stronger_noise_degrades_the_payload_monotonically():
     p = _payload(RngStream(86, 0), shapes=((64,),))
     ref = p.tensors["t0"]

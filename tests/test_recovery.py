@@ -331,6 +331,32 @@ def test_token_lookup_roundtrip_and_noise_margin():
         token_lookup(vec, table.ravel(), 3)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(vocab=st.integers(1, 64), d=st.integers(1, 12), seq_len=st.integers(1, 6),
+       noise=st.sampled_from([0.0, 1e-6, 0.1, 1.0]), seed=st.integers(0, 2 ** 16),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_token_lookup_with_precomputed_norms(vocab, d, seq_len, noise, seed, dtype):
+    table = RngStream(seed, 0).normal((vocab, d), dtype=dtype)
+    ids = RngStream(seed, 1).integers(seq_len, low=0, high=vocab)
+    vec = table[ids].ravel() + RngStream(seed, 2).normal(seq_len * d, sd=noise)
+    t64 = table.astype(np.float64)
+    table_sq = (t64 * t64).sum(axis=1)
+    plain = token_lookup(vec, table, seq_len)
+    assert np.array_equal(token_lookup(vec, table, seq_len, table_sq=table_sq), plain)
+    assert np.array_equal(token_lookup(vec, t64, seq_len, table_sq=table_sq), plain)
+    if noise == 0.0 and len(np.unique(table, axis=0)) == vocab:
+        assert np.array_equal(plain, ids)
+
+
+def test_token_lookup_rejects_mismatched_norms():
+    table = RngStream(43, 0).normal((7, 4))
+    vec = table[[1, 3]].ravel()
+    sq = (table * table).sum(axis=1)
+    for bad in (sq[:-1], np.append(sq, 1.0), sq[:, None]):
+        with pytest.raises(ValueError, match="table_sq"):
+            token_lookup(vec, table, 2, table_sq=bad)
+
+
 def test_decoding_verified_separates_mashups():
     table = RngStream(42, 0).normal((9, 5))
     ids = np.array([1, 7])
