@@ -89,8 +89,10 @@ def _cmd_sweep(args) -> int:
                                            seed=args.seed, use_float64=args.f64)
     name = cfg.get("name", "sweep")
     if args.out:
+        os.makedirs(args.out, exist_ok=True)
         csv_path = os.path.join(args.out, f"{name}_{args.axis}_sweep.csv")
-        write_csv(csv_path, header, rows)
+        with open(csv_path, "w", newline="") as fh:
+            write_csv(fh, header, rows)
         print(f"sweep written to {csv_path}")
         svg = _sweep_chart(args.axis, values, rows, reports)
         if svg is not None:
@@ -99,11 +101,7 @@ def _cmd_sweep(args) -> int:
                 fh.write(svg)
             print(f"chart written to {svg_path}")
     else:
-        import csv as _csv
-        writer = _csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        write_csv(sys.stdout, header, rows)
     return EXIT_OK
 
 

@@ -24,7 +24,6 @@ NORMALIZATIONS = ("none", "standardize", "unit_interval")
 class Batch:
     x: np.ndarray                    # (n, m)
     labels: np.ndarray | None        # (n,) int64
-    normalization: dict | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -35,20 +34,12 @@ class Batch:
     def m(self) -> int:
         return self.x.shape[1]
 
-    def denormalize(self, vectors: np.ndarray) -> np.ndarray:
-        """Map model-space vectors back to raw data space."""
-        if self.normalization is None:
-            return vectors
-        scale = self.normalization["scale"]
-        offset = self.normalization["offset"]
-        return vectors * scale + offset
 
-
-def normalize(x: np.ndarray, kind: str) -> tuple[np.ndarray, dict | None]:
-    """Per-feature normalization; returns the transformed array and the
-    parameters needed to invert it."""
+def normalize(x: np.ndarray, kind: str) -> np.ndarray:
+    """Per-feature normalization in the dtype of x; a zero-spread column keeps
+    scale 1."""
     if kind == "none":
-        return x, None
+        return x
     if kind == "standardize":
         offset = x.mean(axis=0)
         scale = x.std(axis=0)
@@ -61,24 +52,21 @@ def normalize(x: np.ndarray, kind: str) -> tuple[np.ndarray, dict | None]:
         raise ValueError(f"unknown normalization {kind!r}; expected one of {NORMALIZATIONS}")
     offset = offset.astype(np.float64)
     scale = scale.astype(np.float64)
-    out = ((x - offset) / scale).astype(x.dtype)
-    return out, {"kind": kind, "offset": offset, "scale": scale}
+    return ((x - offset) / scale).astype(x.dtype)
 
 
 def load_synthetic_gaussian(n: int, m: int, *, label_classes: int, stream: RngStream,
-                            dtype=np.float32, normalization: str = "none") -> Batch:
+                            dtype=np.float32) -> Batch:
     if n < 1 or m < 1:
         raise ValueError(f"need n, m >= 1, got n={n} m={m}")
     x = stream.derive(0).normal((n, m), dtype=dtype)
     labels = stream.derive(1).integers(n, low=0, high=label_classes)
-    x, norm = normalize(x, normalization)
-    return Batch(x=x, labels=labels, normalization=norm)
+    return Batch(x=x, labels=labels)
 
 
-def load_csv(path: str, *, dtype=np.float32, normalization: str = "none",
-             label_column: str = "label") -> Batch:
+def load_csv(path: str, *, dtype=np.float32, normalization: str = "none") -> Batch:
     """CSV with a header row; every column is a float feature except an
-    optional integer label column."""
+    optional integer column named "label"."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -86,7 +74,7 @@ def load_csv(path: str, *, dtype=np.float32, normalization: str = "none",
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        label_idx = header.index(label_column) if label_column in header else None
+        label_idx = header.index("label") if "label" in header else None
         rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -114,25 +102,18 @@ def load_csv(path: str, *, dtype=np.float32, normalization: str = "none",
             rows.append(feats)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    x = np.asarray(rows, dtype=dtype)
-    x, norm = normalize(x, normalization)
+    x = normalize(np.asarray(rows, dtype=dtype), normalization)
     lab = np.asarray(labels, dtype=np.int64) if label_idx is not None else None
-    return Batch(x=x, labels=lab, normalization=norm)
+    return Batch(x=x, labels=lab)
 
 
 def load_token_sequences(n_seq: int, seq_len: int, *, vocab: int, embed_dim: int,
-                         label_classes: int, stream: RngStream, dtype=np.float32,
-                         table: np.ndarray | None = None) -> Batch:
-    """Random token ids embedded through a (given or generated) table; the
-    model input is the per-sequence concatenation of embeddings."""
+                         label_classes: int, stream: RngStream, dtype=np.float32) -> Batch:
+    """Random token ids embedded through a random normal table; the model
+    input is the per-sequence concatenation of embeddings."""
     if min(n_seq, seq_len, vocab, embed_dim) < 1:
         raise ValueError("n_seq, seq_len, vocab, embed_dim must all be >= 1")
-    if table is None:
-        table = stream.derive(0).normal((vocab, embed_dim), dtype=dtype)
-    else:
-        table = np.asarray(table, dtype=dtype)
-        if table.shape != (vocab, embed_dim):
-            raise ValueError(f"table shape {table.shape} != ({vocab}, {embed_dim})")
+    table = stream.derive(0).normal((vocab, embed_dim), dtype=dtype)
     ids = stream.derive(1).integers((n_seq, seq_len), low=0, high=vocab)
     x = table[ids].reshape(n_seq, seq_len * embed_dim)
     labels = stream.derive(2).integers(n_seq, low=0, high=label_classes)
@@ -169,17 +150,16 @@ def write_report(report: dict, path: str) -> None:
         fh.write(canonical_json(report))
 
 
-def write_csv(path: str, header: list, rows: list) -> None:
-    """CSV with repr-formatted floats (deterministic, round-trippable)."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+def write_csv(fh, header: list, rows: list) -> None:
+    """CSV with repr-formatted floats (deterministic, round-trippable) to an
+    open text file; open it with newline=""."""
     def fmt(v):
         if isinstance(v, (float, np.floating)):
             return repr(float(v))
         if isinstance(v, (int, np.integer)):
             return str(int(v))
         return str(v)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])

@@ -1,9 +1,9 @@
 """Scalar distributions used to place imprint bin boundaries.
 
-Each distribution exposes cdf/quantile/sample; quantile is the workhorse
-(boundaries are quantiles of equal-mass grids). cdf and quantile take a
-scalar or an array and answer in kind; the normal ones are scipy's ndtr and
-ndtri.
+Each distribution exposes cdf/quantile; quantile is the workhorse (boundaries
+are quantiles of equal-mass grids), and the tests check it against cdf. Both
+take a scalar or an array and answer in kind; the normal ones are scipy's ndtr
+and ndtri.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-
-from .numerics import RngStream
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -47,9 +45,6 @@ class Normal:
     def quantile(self, p):
         return _like(p, self.mean + self.sd * ndtri(_check_prob(p)))
 
-    def sample(self, shape, stream: RngStream, dtype=np.float64) -> np.ndarray:
-        return stream.normal(shape, mean=self.mean, sd=self.sd, dtype=dtype)
-
 
 @dataclass(frozen=True)
 class Laplace:
@@ -69,10 +64,6 @@ class Laplace:
         out = np.where(q < 0.5, self.mean + self.scale * np.log(2.0 * q),
                        self.mean - self.scale * np.log(2.0 * (1.0 - q)))
         return _like(p, out)
-
-    def sample(self, shape, stream: RngStream, dtype=np.float64) -> np.ndarray:
-        out = stream.laplace(shape, scale=self.scale) + self.mean
-        return np.asarray(out, dtype=dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,20 +88,3 @@ class Empirical:
 
     def quantile(self, p):
         return _like(p, np.interp(_check_prob(p), self._probs, self.values))
-
-    def sample(self, shape, stream: RngStream, dtype=np.float64) -> np.ndarray:
-        # inverse-transform off the interpolated quantile curve
-        u = stream.uniform(shape)
-        out = np.interp(u, self._probs, self.values)
-        return np.asarray(out, dtype=dtype)
-
-
-def fit_empirical(samples) -> Empirical:
-    """Build an Empirical distribution from raw observations."""
-    vals = np.asarray(samples, dtype=np.float64).ravel()
-    if vals.size < 2:
-        raise ValueError(f"need >= 2 samples to fit, got {vals.size}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("samples must be finite")
-    return Empirical(vals)
-

@@ -13,7 +13,7 @@ from .model import ModelGraph
 @dataclass(eq=False)
 class UpdatePayload:
     """What one user ships to the server, or the secure sum of `users` such
-    updates (tensors summed, batch_size counting every example behind them).
+    updates (tensors summed).
 
     kind "gradient": tensors are mean gradients over the local batch.
     kind "param_delta": tensors are final minus initial parameters after
@@ -22,7 +22,6 @@ class UpdatePayload:
 
     kind: str
     tensors: dict
-    batch_size: int
     steps: int = 1
     lr: float | None = None
     users: int = 1
@@ -35,24 +34,21 @@ class UpdatePayload:
         """Per-user average of a summed payload; a single user's is itself."""
         if self.users == 1:
             return self
-        return replace(self.scaled(1.0 / self.users),
-                       batch_size=self.batch_size // self.users, users=1)
+        return replace(self.scaled(1.0 / self.users), users=1)
 
 
 def fed_sgd(model: ModelGraph, x: np.ndarray, labels: np.ndarray) -> tuple[float, UpdatePayload]:
     """One full-batch gradient; the payload is exactly the mean gradient."""
     loss, grads = model.loss_and_grads(x, labels)
-    payload = UpdatePayload(kind="gradient", tensors=grads, batch_size=len(labels))
+    payload = UpdatePayload(kind="gradient", tensors=grads)
     return loss, payload
 
 
 def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
-            lr: float, record: bool = False):
+            lr: float) -> tuple[UpdatePayload, list]:
     """Sequential local SGD over an equal split of the batch; returns the
-    parameter delta. The caller's model is untouched.
-
-    With record=True also returns a per-step log (loss plus the model's
-    drift-bound stats) used to bound parameter drift.
+    parameter delta and a per-step log (loss plus the model's drift-bound
+    stats) used to bound parameter drift. The caller's model is untouched.
     """
     n = len(labels)
     if steps < 1:
@@ -66,18 +62,16 @@ def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
     log = []
     for s in range(steps):
         sl = slice(s * chunk, (s + 1) * chunk)
-        stats = {} if record else None
+        stats = {}
         loss, grads = local.loss_and_grads(x[sl], labels[sl], stats=stats)
         for key, g in grads.items():
             g *= g.dtype.type(lr)  # each step's gradients are fresh arrays
             local.params[key] -= g
-        if record:
-            log.append({"step": s, "loss": loss, **stats})
+        log.append({"step": s, "loss": loss, **stats})
     # model.copy() copied the params, so the caller's are still the start point
     delta = {k: local.params[k] - model.params[k] for k in local.params}
-    payload = UpdatePayload(kind="param_delta", tensors=delta, batch_size=n,
-                            steps=steps, lr=lr)
-    return (payload, log) if record else payload
+    payload = UpdatePayload(kind="param_delta", tensors=delta, steps=steps, lr=lr)
+    return payload, log
 
 
 def to_gradient_form(payload: UpdatePayload) -> UpdatePayload:
@@ -113,6 +107,5 @@ def secure_aggregate(payloads) -> UpdatePayload:
                 raise ValueError(f"shape mismatch on {k!r}")
     # a running sum in user order; stacking first would hold every payload twice
     summed = {k: sum(p.tensors[k] for p in payloads) for k in keys}
-    return UpdatePayload(kind=first.kind, tensors=summed,
-                         batch_size=sum(p.batch_size for p in payloads),
-                         steps=first.steps, lr=first.lr, users=sum(p.users for p in payloads))
+    return UpdatePayload(kind=first.kind, tensors=summed, steps=first.steps, lr=first.lr,
+                         users=sum(p.users for p in payloads))

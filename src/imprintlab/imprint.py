@@ -16,7 +16,6 @@ import numpy as np
 from .measurement import Measurement
 from .numerics import DEFAULT_DTYPE, RngStream
 
-VARIANTS = ("relu", "hard_threshold")
 DEFAULT_P_MIN = 1e-6
 
 
@@ -24,15 +23,11 @@ DEFAULT_P_MIN = 1e-6
 class BinLayout:
     """k bin boundaries at quantiles of an assumed scalar distribution.
 
-    probs[i] = max(i/k, p_min); boundaries[i] = quantile(probs[i]). Bin i is
-    the interval (boundaries[i], boundaries[i+1]); the top bin is open-ended.
-    Mass below boundaries[0] (p_min at most) is never recoverable.
+    Bin i is the interval (boundaries[i], boundaries[i+1]); the top bin is
+    open-ended. Mass below boundaries[0] is never recoverable.
     """
 
     boundaries: np.ndarray  # float64, shape (k,), strictly increasing
-    probs: np.ndarray       # float64, shape (k,)
-    distribution: object
-    p_min: float
 
     @property
     def k(self) -> int:
@@ -45,6 +40,7 @@ class BinLayout:
 
 
 def make_layout(distribution, k: int, *, p_min: float = DEFAULT_P_MIN) -> BinLayout:
+    """Equal-mass bins: boundaries[i] = quantile(max(i/k, p_min))."""
     if k < 2:
         raise ValueError(f"need at least 2 bins, got {k}")
     if not (0.0 < p_min < 1.0 / k):
@@ -53,7 +49,7 @@ def make_layout(distribution, k: int, *, p_min: float = DEFAULT_P_MIN) -> BinLay
     boundaries = distribution.quantile(probs)
     if not np.all(np.diff(boundaries) > 0):
         raise ValueError("bin boundaries are not strictly increasing; distribution too degenerate")
-    return BinLayout(boundaries=boundaries, probs=probs, distribution=distribution, p_min=p_min)
+    return BinLayout(boundaries=boundaries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +58,7 @@ class ImprintModule:
 
     weight/bias are the initial layer parameters (physical row order, i.e.
     after permutation). row_of_bin[i] is the physical row that serves logical
-    bin i, in ascending boundary order. deltas is None for the relu variant.
+    bin i, in ascending boundary order.
     """
 
     variant: str
@@ -72,7 +68,6 @@ class ImprintModule:
     measurement: Measurement
     row_of_bin: np.ndarray   # int64, (k,)
     decoy_rows: np.ndarray   # int64, (K - k,)
-    deltas: np.ndarray | None = None
     fused_mass: float | None = None  # set by fuse_one_shot
 
     @property
@@ -82,10 +77,6 @@ class ImprintModule:
     @property
     def n_rows(self) -> int:
         return self.weight.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.weight.shape[1]
 
 
 def _permute(k: int, decoys: int, perm_stream: RngStream | None) -> np.ndarray:
@@ -149,7 +140,7 @@ def build_hard_threshold(layout: BinLayout, measurement: Measurement, *,
     return ImprintModule(
         variant="hard_threshold", weight=weight, bias=bias, layout=layout,
         measurement=measurement, row_of_bin=np.asarray(perm, dtype=np.int64),
-        decoy_rows=np.zeros(0, dtype=np.int64), deltas=deltas,
+        decoy_rows=np.zeros(0, dtype=np.int64),
     )
 
 
@@ -168,8 +159,7 @@ def fuse_one_shot(distribution, measurement: Measurement, target_mass: float, *,
     if not (0.0 < q and q + p < 1.0):
         raise ValueError(f"placement {q} with mass {p} leaves the interval outside (0, 1)")
     bounds = np.array([distribution.quantile(q), distribution.quantile(q + p)])
-    layout = BinLayout(boundaries=bounds, probs=np.array([q, q + p]),
-                       distribution=distribution, p_min=q)
+    layout = BinLayout(boundaries=bounds)
     weight = np.empty((2, measurement.m), dtype=dtype)
     bias = np.empty(2, dtype=dtype)
     row = measurement.row()

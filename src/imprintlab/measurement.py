@@ -21,7 +21,6 @@ KINDS = ("mean", "dct", "random_gaussian")
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    kind: str
     weights: np.ndarray  # float64 master copy, shape (m,)
     c0: float
 
@@ -39,9 +38,9 @@ class Measurement:
         w = self.weights.astype(x.dtype) if x.dtype != np.float64 else self.weights
         return x.dtype.type(self.c0) * (x @ w)
 
-    def row(self, dtype=np.float64) -> np.ndarray:
-        """The measurement materialized as a weight row: c0 * weights."""
-        return (self.c0 * self.weights).astype(dtype)
+    def row(self) -> np.ndarray:
+        """The measurement materialized as a float64 weight row: c0 * weights."""
+        return self.c0 * self.weights
 
 
 def build_measurement(kind: str, m: int, *, c0: float | str = "auto",
@@ -74,7 +73,7 @@ def build_measurement(kind: str, m: int, *, c0: float | str = "auto",
     c0 = float(c0)
     if not (math.isfinite(c0) and c0 != 0.0):
         raise ValueError(f"c0 must be finite and nonzero, got {c0}")
-    return Measurement(kind=kind, weights=weights, c0=c0)
+    return Measurement(weights=weights, c0=c0)
 
 
 def assumed_distribution(h: Measurement, data_model: dict | None = None, *,
@@ -83,8 +82,8 @@ def assumed_distribution(h: Measurement, data_model: dict | None = None, *,
 
     data_model: {"kind": "normal"|"laplace"|"empirical", ...params}. Defaults:
     Normal(0,1); Laplace defaults to scale 1/sqrt(2) (unit variance). The
-    empirical kind fits surrogate measurements: pass raw surrogate vectors (or
-    ready measurement values) via `surrogate`, or under data_model["surrogate"].
+    empirical kind takes the measurements of `surrogate`, an (s, m) block of
+    surrogate vectors.
     """
     from . import distributions  # late import: avoids cycle at module load
 
@@ -96,10 +95,7 @@ def assumed_distribution(h: Measurement, data_model: dict | None = None, *,
         return distributions.Laplace(mean=cfg.pop("mean", 0.0),
                                      scale=cfg.pop("scale", 1.0 / math.sqrt(2.0)))
     if kind == "empirical":
-        src = surrogate if surrogate is not None else cfg.pop("surrogate", None)
-        if src is None:
+        if surrogate is None:
             raise ValueError("empirical assumed distribution needs surrogate data")
-        src = np.asarray(src, dtype=np.float64)
-        values = h.measure(src) if src.ndim == 2 else src  # vectors vs ready values
-        return distributions.fit_empirical(values)
+        return distributions.Empirical(h.measure(np.asarray(surrogate, dtype=np.float64)))
     raise ValueError(f"unknown assumed-distribution kind {kind!r}")

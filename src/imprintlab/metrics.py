@@ -35,7 +35,7 @@ def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _iip(dists, cols, candidates, pool) -> float:
     """Fraction of candidates whose nearest row among truth plus pool is their
-    matched truth row cols[i] (-1: unmatched). Truth wins a tie with the pool,
+    matched truth row cols[i]. Truth wins a tie with the pool,
     as the first minimum over [truth; pool] would."""
     hits = np.argmin(dists, axis=1) == cols
     if pool is not None and len(pool):
@@ -51,11 +51,10 @@ def match(candidates: np.ndarray, truth: np.ndarray) -> list[tuple[int, int]]:
     return list(enumerate(cols.tolist()))
 
 
-def psnr(a: np.ndarray, b: np.ndarray, *, peak: float = 1.0):
-    """Peak signal-to-noise ratio in dB along the last axis (a float for
-    vectors, an array for stacks of rows); exact match maps to the sentinel."""
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+def psnr(a: np.ndarray, b: np.ndarray):
+    """Peak signal-to-noise ratio in dB for peak 1 along the last axis (a
+    float for vectors, an array for stacks of rows); exact match maps to the
+    sentinel."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -65,7 +64,7 @@ def psnr(a: np.ndarray, b: np.ndarray, *, peak: float = 1.0):
     mse = np.atleast_1d(np.mean(diff, axis=-1))
     out = np.full(mse.shape, PSNR_EXACT_SENTINEL)
     nonzero = mse != 0.0
-    out[nonzero] = 10.0 * np.log10(peak * peak / mse[nonzero])
+    out[nonzero] = 10.0 * np.log10(1.0 / mse[nonzero])
     return float(out[0]) if a.ndim == 1 else out
 
 
@@ -77,17 +76,6 @@ def exact_flags(candidates, truth, *, rel_tol: float = EXACT_REL_TOL) -> np.ndar
     denom = np.linalg.norm(t, axis=-1)
     err = np.linalg.norm(c - t, axis=-1)
     return np.where(denom > 0, err <= rel_tol * denom, err == 0.0)
-
-
-def iip_pixel(candidates, truth, matches, *, pool=None) -> float:
-    """Image identification precision: fraction of candidates whose nearest
-    neighbor among truth rows plus an optional distractor pool is exactly the
-    truth row they were matched to. Unmatched candidates count as misses."""
-    candidates = _rows(candidates)
-    cols = np.full(len(candidates), -1, dtype=np.int64)
-    for ci, ti in matches:
-        cols[ci] = ti
-    return _iip(_pairwise_sq(candidates, _rows(truth)), cols, candidates, pool)
 
 
 @dataclass
@@ -112,9 +100,10 @@ class ScoreReport:
         return float(np.mean(self.psnr)) if len(self.psnr) else float("nan")
 
 
-def score(candidates, truth, *, pool=None, peak: float = 1.0,
-          rel_tol: float = EXACT_REL_TOL, psnr_transform=None) -> ScoreReport:
-    """One-stop scoring: match, exactness, PSNR over matched pairs, IIP.
+def score(candidates, truth, *, pool=None, rel_tol: float = EXACT_REL_TOL,
+          psnr_transform=None) -> ScoreReport:
+    """One-stop scoring: match, exactness, PSNR over matched pairs,
+    and image identification precision (IIP) against truth plus `pool`.
 
     psnr_transform optionally maps vectors into the space PSNR is quoted in
     (e.g. [0,1] scaling); matching, exactness, and IIP always use the raw
@@ -132,4 +121,4 @@ def score(candidates, truth, *, pool=None, peak: float = 1.0,
         candidates = psnr_transform(candidates)
         matched = psnr_transform(matched)
     return ScoreReport(truth_row=cols, exact=exact,
-                       psnr=psnr(candidates, matched, peak=peak), iip=iip)
+                       psnr=psnr(candidates, matched), iip=iip)

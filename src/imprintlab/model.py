@@ -55,12 +55,6 @@ class FrontStage:
         n, w = x.shape
         return x.reshape(n, w // self.factor, self.factor).mean(axis=2)
 
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Transpose of apply as a linear map: <apply(x), y> == <x, adjoint(y)>."""
-        if self.kind == "identity":
-            return y
-        return np.repeat(y, self.factor, axis=1) / y.dtype.type(self.factor)
-
 
 def front_apply(stages, x: np.ndarray) -> np.ndarray:
     for st in stages:
@@ -92,8 +86,8 @@ class ModelGraph:
     """
 
     def __init__(self, *, stages=(), imprint: ImprintModule | None = None,
-                 bridge: str | None = None, n_classes: int, label_classes: int,
-                 params: dict, pinned: bool, gain: float = 1.0, dtype=DEFAULT_DTYPE):
+                 bridge: str | None = None, n_classes: int, params: dict,
+                 dtype=DEFAULT_DTYPE):
         if imprint is not None and bridge not in ("sum", "identical_row_linear"):
             raise ValueError(f"imprint models need a bridge, got {bridge!r}")
         if imprint is None and bridge is not None:
@@ -102,9 +96,6 @@ class ModelGraph:
         self.imprint = imprint
         self.bridge = bridge
         self.n_classes = n_classes
-        self.label_classes = label_classes
-        self.pinned = pinned
-        self.gain = float(gain)
         self.dtype = np.dtype(dtype)
         self.params = params
 
@@ -149,9 +140,6 @@ class ModelGraph:
         cache["z"] = z
         logits = matmul(z, self.params["head.weight"].T) + self.params["head.bias"]
         return logits, cache
-
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        return self._forward(x)[0]
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray, *, stats: dict | None = None):
         """Mean cross-entropy and gradients for every parameter.
@@ -199,7 +187,7 @@ class ModelGraph:
 
 def _head(kind: str, label_classes: int, width: int, *, gain: float,
           head_stream: RngStream | None, head_scale: float, dtype):
-    """Head weight, bias, class count and pinned flag over `width` inputs.
+    """Head weight, bias and class count over `width` inputs.
 
     A pinned head adds one class with weight `gain` and bias PIN_OFFSET; a
     random head draws small normal weights from head_stream.
@@ -210,13 +198,13 @@ def _head(kind: str, label_classes: int, width: int, *, gain: float,
         u[-1, :] = gain
         v = np.zeros(n_classes, dtype=dtype)
         v[-1] = PIN_OFFSET
-        return u, v, n_classes, True
+        return u, v, n_classes
     if kind == "random":
         if head_stream is None:
             raise ValueError("random head requires head_stream")
         u = head_stream.derive(0).normal((label_classes, width), sd=head_scale, dtype=dtype)
         v = head_stream.derive(1).normal(label_classes, sd=head_scale, dtype=dtype)
-        return u, v, label_classes, False
+        return u, v, label_classes
     raise ValueError(f"unknown head {kind!r}")
 
 
@@ -243,12 +231,11 @@ def make_imprint_model(imprint: ImprintModule, *, label_classes: int,
         params["bridge.weight"] = np.full((p, imprint.n_rows), 1.0 / imprint.n_rows, dtype=dtype)
     else:
         raise ValueError(f"unknown bridge {bridge!r}")
-    params["head.weight"], params["head.bias"], n_classes, pinned = _head(
+    params["head.weight"], params["head.bias"], n_classes = _head(
         head, label_classes, p, gain=gain, head_stream=head_stream,
         head_scale=head_scale, dtype=dtype)
     return ModelGraph(stages=stages, imprint=imprint, bridge=bridge, n_classes=n_classes,
-                      label_classes=label_classes, params=params, pinned=pinned,
-                      gain=gain, dtype=dtype)
+                      params=params, dtype=dtype)
 
 
 def make_logistic_model(m: int, label_classes: int, *, head: str = "random",
@@ -259,9 +246,7 @@ def make_logistic_model(m: int, label_classes: int, *, head: str = "random",
     if label_classes < 2:
         raise ValueError(f"label_classes must be >= 2, got {label_classes}")
     dtype = np.dtype(dtype)
-    u, v, n_classes, pinned = _head(head, label_classes, m, gain=0.0,
-                                    head_stream=head_stream, head_scale=head_scale,
-                                    dtype=dtype)
+    u, v, n_classes = _head(head, label_classes, m, gain=0.0, head_stream=head_stream,
+                            head_scale=head_scale, dtype=dtype)
     return ModelGraph(stages=(), imprint=None, bridge=None, n_classes=n_classes,
-                      label_classes=label_classes, params={"head.weight": u, "head.bias": v},
-                      pinned=pinned, gain=1.0, dtype=dtype)
+                      params={"head.weight": u, "head.bias": v}, dtype=dtype)

@@ -52,17 +52,15 @@ class RngStream:
     # All draws sample in float64 and cast, so a float32 run sees the rounded
     # version of exactly the float64 run's values.
 
-    def normal(self, shape, *, mean: float = 0.0, sd: float = 1.0, dtype=np.float64) -> np.ndarray:
-        out = self.generator().standard_normal(shape) * sd + mean
+    def normal(self, shape, *, sd: float = 1.0, dtype=np.float64) -> np.ndarray:
+        out = self.generator().standard_normal(shape) * sd
         return np.asarray(out, dtype=dtype)
 
-    def uniform(self, shape, *, low: float = 0.0, high: float = 1.0, dtype=np.float64) -> np.ndarray:
-        out = self.generator().uniform(low, high, shape)
-        return np.asarray(out, dtype=dtype)
+    def uniform(self, shape, *, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        return self.generator().uniform(low, high, shape)
 
-    def laplace(self, shape, *, scale: float, dtype=np.float64) -> np.ndarray:
-        out = self.generator().laplace(0.0, scale, shape)
-        return np.asarray(out, dtype=dtype)
+    def laplace(self, shape, *, scale: float) -> np.ndarray:
+        return self.generator().laplace(0.0, scale, shape)
 
     def integers(self, shape, *, low: int, high: int) -> np.ndarray:
         """Uniform integers in [low, high)."""
@@ -85,15 +83,15 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def dct_row(m: int, freq: int, dtype=np.float64) -> np.ndarray:
-    """Row `freq` of the type-II DCT analysis map on m points, scaled by 4/m."""
+def dct_row(m: int, freq: int) -> np.ndarray:
+    """Row `freq` of the type-II DCT analysis map on m points, scaled by 4/m,
+    in float64."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if not (0 <= freq < m):
         raise ValueError(f"freq must be in [0, {m}), got {freq}")
     j = np.arange(m, dtype=np.float64)
-    row = (4.0 / m) * np.cos(math.pi * freq * (2.0 * j + 1.0) / (2.0 * m))
-    return row.astype(dtype)
+    return (4.0 / m) * np.cos(math.pi * freq * (2.0 * j + 1.0) / (2.0 * m))
 
 
 def assignment(cost: np.ndarray) -> np.ndarray:

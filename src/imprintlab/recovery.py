@@ -21,7 +21,7 @@ import numpy as np
 from .federation import UpdatePayload, to_gradient_form
 from .imprint import ImprintModule
 
-DEFAULT_TAU0 = 1e-9  # relative floor under which a denominator counts as inactive
+TAU0 = 1e-9  # relative floor under which a denominator counts as inactive
 
 
 class NoActiveRow(RuntimeError):
@@ -55,15 +55,14 @@ def _read_rows(num: np.ndarray, den: np.ndarray, floor: float) -> Readout:
                    confidences=confidences)
 
 
-def recover_bins(payload: UpdatePayload, imprint: ImprintModule, *,
-                 tau0: float = DEFAULT_TAU0) -> Readout:
+def recover_bins(payload: UpdatePayload, imprint: ImprintModule) -> Readout:
     """One candidate per bin that captured mass, in bin order (ascending
     measurement value).
 
     A hard-threshold row already isolates its own bin. A ReLU row sees every
     example above its boundary, so bin i reads row i minus row i+1 and
     the top bin reads the last row alone. Denominators at or below
-    tau0 * max|bias grad| are suppressed. The payload is left untouched.
+    TAU0 * max|bias grad| are suppressed. The payload is left untouched.
     """
     g = to_gradient_form(payload.mean_payload()).tensors
     try:
@@ -74,7 +73,7 @@ def recover_bins(payload: UpdatePayload, imprint: ImprintModule, *,
     # the fancy index copies, so the differences below never reach the payload
     gw = gw[order].astype(np.float64, copy=False)
     gb = gb[order].astype(np.float64, copy=False)
-    floor = tau0 * float(np.abs(gb).max(initial=0.0))
+    floor = TAU0 * float(np.abs(gb).max(initial=0.0))
     if imprint.variant == "relu":
         gw[:-1] -= gw[1:]
         gb[:-1] -= gb[1:]
@@ -91,15 +90,14 @@ def select_candidates(readout: Readout, n: int) -> Readout:
                    confidences=readout.confidences[top])
 
 
-def recover_unique_labels(grad_w: np.ndarray, grad_b: np.ndarray, *,
-                          tau0: float = DEFAULT_TAU0) -> Readout:
+def recover_unique_labels(grad_w: np.ndarray, grad_b: np.ndarray) -> Readout:
     """Per-class read-out of a linear layer: exact when each label appears once.
 
     With repeated labels a class row returns the gradient-weighted average of
     that class's examples.
     """
     gb = np.asarray(grad_b, dtype=np.float64)
-    floor = tau0 * float(np.abs(gb).max(initial=0.0))
+    floor = TAU0 * float(np.abs(gb).max(initial=0.0))
     out = _read_rows(np.asarray(grad_w, dtype=np.float64), gb, floor)
     if not out:
         raise NoActiveRow("no class row carries signal")

@@ -29,7 +29,7 @@ from .imprint import (DEFAULT_P_MIN, build_hard_threshold, build_relu,
 from .measurement import assumed_distribution, build_measurement
 from .metrics import score
 from .model import FrontStage, make_imprint_model
-from .numerics import RngStream
+from .numerics import _DERIVE_SPAN, RngStream
 from .recovery import (Readout, decoding_verified, recover_bins, select_candidates,
                        token_lookup)
 
@@ -47,6 +47,10 @@ STREAM_SURROGATE = 8
 STREAM_TRIALS = 9
 
 SWEEP_AXES = ("bins", "batch", "sigma", "placement")
+
+# trials and users each index a child stream (derive), which must stay below
+# _DERIVE_SPAN - 1
+_MAX_CHILDREN = _DERIVE_SPAN - 1
 
 _TOP_KEYS = ("name", "seed", "dtype", "data", "model", "federation", "defense",
              "metrics", "trials")
@@ -229,7 +233,8 @@ def _validate_model(raw):
 def _validate_federation(raw):
     raw = _section(raw, "federation", ("protocol", "users", "steps", "lr"))
     protocol = _get_choice(raw, "protocol", "federation", ("fed_sgd", "fed_avg"), "fed_sgd")
-    out = {"protocol": protocol, "users": _get_int(raw, "users", "federation", 1, lo=1)}
+    out = {"protocol": protocol,
+           "users": _get_int(raw, "users", "federation", 1, lo=1, hi=_MAX_CHILDREN)}
     if protocol == "fed_avg":
         out["steps"] = _get_int(raw, "steps", "federation", lo=1)
         out["lr"] = _get_float(raw, "lr", "federation", lo=0.0, lo_open=True)
@@ -296,7 +301,7 @@ def validate_config(raw: dict) -> dict:
         _fail("name", f"expected a nonempty string, got {name!r}")
     cfg = {
         "name": name,
-        "seed": _get_int(raw, "seed", "config", 0, lo=0),
+        "seed": _get_int(raw, "seed", "config", 0, lo=0, hi=(1 << 64) - 1),
         "dtype": _get_choice(raw, "dtype", "config", ("float32", "float64"), "float32"),
         "data": _validate_data(raw.get("data", {"kind": None})),
         "model": _validate_model(raw.get("model", {})),
@@ -305,7 +310,8 @@ def validate_config(raw: dict) -> dict:
         "metrics": _validate_metrics(raw.get("metrics", {})),
     }
     trials = raw.get("trials")
-    cfg["trials"] = None if trials is None else _get_int(raw, "trials", "config", lo=1)
+    cfg["trials"] = None if trials is None else _get_int(raw, "trials", "config", lo=1,
+                                                         hi=_MAX_CHILDREN)
 
     # cross-field consistency
     data, model, fed = cfg["data"], cfg["model"], cfg["federation"]
@@ -372,8 +378,7 @@ def _load_batch(cfg, dtype, data_stream):
         raise ConfigError(f"data.path: {exc}") from None
     if batch.labels is None:
         labels = data_stream.derive(3).integers(batch.n, low=0, high=data["label_classes"])
-        return dataio.Batch(x=batch.x, labels=labels, normalization=batch.normalization,
-                            meta=batch.meta)
+        return dataio.Batch(x=batch.x, labels=labels, meta=batch.meta)
     if int(batch.labels.max()) >= data["label_classes"]:
         raise ConfigError(f"data.label_classes: file holds label "
                           f"{int(batch.labels.max())}, configured {data['label_classes']}")
@@ -435,7 +440,7 @@ def _federate(cfg, model, x, labels, defense_base: RngStream):
             losses.append(loss)
         else:
             payload, log = fed_avg(model, x[sl], labels[sl], steps=fed["steps"],
-                                   lr=fed["lr"], record=True)
+                                   lr=fed["lr"])
             logs.append(log)
             losses.extend(entry["loss"] for entry in log)
         payloads.append(apply_defense(payload, dconf, defense_base.derive(u)))
@@ -498,8 +503,7 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
     feats64 = np.asarray(rnd.feats, dtype=np.float64)
     pool = _draw_pool(cfg, model, batch)
     tf, lo, hi = _unit_transform(feats64)
-    rep = score(selected.vectors, feats64,
-                pool=pool, peak=1.0, rel_tol=cfg["metrics"]["rel_tol"],
+    rep = score(selected.vectors, feats64, pool=pool, rel_tol=cfg["metrics"]["rel_tol"],
                 psnr_transform=tf) if selected else None
     exact_bins = [] if rep is None else sorted(selected.bins[rep.exact].tolist())
 

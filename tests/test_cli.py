@@ -71,6 +71,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "unknown bundled" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
+    # a seed past the 64-bit stream key
+    assert main(["run", "--scenario", "fullbatch64", "--seed", str(1 << 64)]) == 2
+    assert "config.seed: must be <= 18446744073709551615" in capsys.readouterr().err
 
     # a CSV's batch size is known only once loaded: 12 rows, 2 users, 4 steps
     csv_path = tmp_path / "rows.csv"
@@ -199,11 +202,17 @@ def test_sweep_chart_scales_each_point_by_its_batch(tmp_path, capsys, monkeypatc
 
 
 def test_sweep_stdout_mode(tmp_path, capsys):
-    cfg = _small_cfg_file(tmp_path)
-    assert main(["sweep", "--config", cfg, "--axis", "bins", "--values", "8"]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    args = ["sweep", "--scenario", "fullbatch64", "--axis", "bins", "--values", "64,128"]
+    assert main(args) == 0
+    text = capsys.readouterr().out
+    lines = text.splitlines()
     assert lines[0].split(",")[0] == "axis"
-    assert lines[1].startswith("bins,8,")
+    assert lines[1].startswith("bins,64,")
+    # stdout carries exactly the bytes of the --out CSV
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "fullbatch64_bins_sweep.csv", newline="") as fh:
+        assert fh.read() == text
 
 
 def test_sweep_bad_values(tmp_path, capsys):

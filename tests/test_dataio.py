@@ -3,10 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from imprintlab.dataio import (Batch, canonical_json, load_csv, load_synthetic_gaussian,
+from imprintlab.dataio import (canonical_json, load_csv, load_synthetic_gaussian,
                                load_token_sequences, normalize, to_jsonable, write_csv,
                                write_report)
 from imprintlab.numerics import RngStream
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        write_csv(fh, header, rows)
 
 
 def test_synthetic_gaussian_shape_and_determinism():
@@ -22,9 +27,9 @@ def test_synthetic_gaussian_shape_and_determinism():
 
 def test_csv_roundtrip_without_label_column(tmp_path):
     path = str(tmp_path / "feats.csv")
-    write_csv(path, ["a", "b", "c"], [[1.0, 2.5, -3.0], [0.125, 7.0, 9.5],
-                                      [4.0, 5.0, 6.0], [1.5, 2.0, 0.0],
-                                      [-1.0, -2.0, -3.5]])
+    _write_csv(path, ["a", "b", "c"], [[1.0, 2.5, -3.0], [0.125, 7.0, 9.5],
+                                       [4.0, 5.0, 6.0], [1.5, 2.0, 0.0],
+                                       [-1.0, -2.0, -3.5]])
     batch = load_csv(path)
     assert batch.x.shape == (5, 3)
     assert batch.labels is None
@@ -33,15 +38,12 @@ def test_csv_roundtrip_without_label_column(tmp_path):
 
 def test_csv_with_label_column(tmp_path):
     path = str(tmp_path / "labeled.csv")
-    write_csv(path, ["f0", "label", "f1"], [[0.5, 2, 1.5], [1.5, 0, 2.5]])
+    _write_csv(path, ["f0", "label", "f1"], [[0.5, 2, 1.5], [1.5, 0, 2.5]])
     batch = load_csv(path)
     assert batch.x.shape == (2, 2)
+    assert np.array_equal(batch.x, [[0.5, 1.5], [1.5, 2.5]])  # any column may be the label
     assert np.array_equal(batch.labels, [2, 0])
     assert batch.labels.dtype == np.int64
-    # the label column is positional-agnostic and optional by name
-    other = load_csv(path, label_column="missing")
-    assert other.x.shape == (2, 3)
-    assert other.labels is None
 
 
 def test_csv_errors_name_row_and_column(tmp_path):
@@ -76,26 +78,22 @@ def test_csv_errors_name_row_and_column(tmp_path):
 
 def test_normalize_standardize_and_inverse():
     x = RngStream(94, 0).normal((50, 6), dtype=np.float64) * 3.0 + 1.5
-    out, info = normalize(x, "standardize")
+    out = normalize(x, "standardize")
     assert np.abs(out.mean(axis=0)).max() < 1e-12
     assert np.abs(out.std(axis=0) - 1).max() < 1e-12
-    batch = Batch(x=out, labels=None, normalization=info)
-    assert np.allclose(batch.denormalize(out), x, rtol=1e-12, atol=1e-12)
+    # an affine map per column: the column statistics undo it
+    assert np.allclose(out * x.std(axis=0) + x.mean(axis=0), x, rtol=1e-12, atol=1e-12)
 
 
 def test_normalize_unit_interval_and_guards():
     x = np.array([[0.0, 5.0], [2.0, 5.0], [4.0, 5.0]])
-    out, info = normalize(x, "unit_interval")
+    out = normalize(x, "unit_interval")
     assert out.min() == 0.0 and out[:, 0].max() == 1.0
     # zero-spread column: scale falls back to 1 instead of dividing by zero
     assert np.all(out[:, 1] == 0.0)
-    assert info["scale"][1] == 1.0
-    same, none_info = normalize(x, "none")
-    assert same is x and none_info is None
+    assert normalize(x, "none") is x
     with pytest.raises(ValueError, match="unknown normalization"):
         normalize(x, "whiten")
-    batch = Batch(x=out, labels=None, normalization=None)
-    assert batch.denormalize(out) is out
 
 
 def test_canonical_json_is_stable_and_sorted():
@@ -117,10 +115,10 @@ def test_write_report_and_csv_format(tmp_path):
     assert text == canonical_json({"nested": {"a": 1, "b": 2}, "x": 0.1})
     assert json.loads(text)["x"] == 0.1
     csv_path = str(tmp_path / "table.csv")
-    write_csv(csv_path, ["k", "v"], [[1, 0.1], [2, 2.0]])
+    _write_csv(csv_path, ["k", "v"], [[1, 0.1], [2, 2.0], [3, np.float64(1 / 3)]])
     with open(csv_path) as fh:
         lines = fh.read().splitlines()
-    assert lines == ["k,v", "1,0.1", "2,2.0"]
+    assert lines == ["k,v", "1,0.1", "2,2.0", "3,0.3333333333333333"]
 
 
 def test_token_sequences_embed_through_the_table():
@@ -135,14 +133,6 @@ def test_token_sequences_embed_through_the_table():
     again = load_token_sequences(6, 3, vocab=11, embed_dim=4, label_classes=2,
                                  stream=RngStream(95, 0))
     assert np.array_equal(batch.x, again.x) and np.array_equal(ids, again.meta["ids"])
-    # caller-provided table is used verbatim
-    custom = np.eye(11, 4, dtype=np.float32)
-    given = load_token_sequences(6, 3, vocab=11, embed_dim=4, label_classes=2,
-                                 stream=RngStream(95, 0), table=custom)
-    assert np.array_equal(given.meta["table"], custom)
-    with pytest.raises(ValueError, match="table shape"):
-        load_token_sequences(6, 3, vocab=11, embed_dim=4, label_classes=2,
-                             stream=RngStream(95, 0), table=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         load_token_sequences(0, 3, vocab=11, embed_dim=4, label_classes=2,
                              stream=RngStream(95, 0))

@@ -10,7 +10,7 @@ from imprintlab.numerics import RngStream, l2_norm
 
 def _payload(stream, shapes=((3, 4), (5,))):
     tensors = {f"t{i}": stream.derive(i).normal(s) for i, s in enumerate(shapes)}
-    return UpdatePayload(kind="gradient", tensors=tensors, batch_size=4)
+    return UpdatePayload(kind="gradient", tensors=tensors)
 
 
 def test_no_defense_is_the_identity():
@@ -19,7 +19,7 @@ def test_no_defense_is_the_identity():
     for key in p.tensors:
         assert np.array_equal(out.tensors[key], p.tensors[key])
         assert out.tensors[key] is not p.tensors[key]  # still a private copy
-    assert (out.kind, out.batch_size) == (p.kind, p.batch_size)
+    assert out.kind == p.kind
 
 
 def test_clip_hits_the_bound_and_under_norm_passes():
@@ -77,11 +77,9 @@ def test_laplace_noise_scale():
 def test_noise_independent_of_dict_order():
     stream = RngStream(85, 0)
     tensors = {"b": stream.derive(0).normal((3,)), "a": stream.derive(1).normal((3,))}
-    fwd = UpdatePayload(kind="gradient", tensors=dict(sorted(tensors.items())),
-                        batch_size=1)
+    fwd = UpdatePayload(kind="gradient", tensors=dict(sorted(tensors.items())))
     rev = UpdatePayload(kind="gradient",
-                        tensors=dict(sorted(tensors.items(), reverse=True)),
-                        batch_size=1)
+                        tensors=dict(sorted(tensors.items(), reverse=True)))
     cfg = DefenseConfig(noise="gaussian", sigma=0.1)
     out_f = apply_defense(fwd, cfg, stream=RngStream(85, 1))
     out_r = apply_defense(rev, cfg, stream=RngStream(85, 1))
@@ -94,7 +92,7 @@ def test_noise_independent_of_dict_order():
 def test_noise_leaves_the_input_payload_untouched(noise, clip):
     for dtype in (np.float32, np.float64):
         stream = RngStream(87, 0)
-        p = UpdatePayload(kind="gradient", batch_size=4, tensors={
+        p = UpdatePayload(kind="gradient", tensors={
             "w": stream.derive(0).normal((3, 4), dtype=dtype),
             "b": stream.derive(1).normal((5,), dtype=dtype)})
         before = {k: v.copy() for k, v in p.tensors.items()}

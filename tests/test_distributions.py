@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from imprintlab.distributions import Empirical, Laplace, Normal, fit_empirical
+from imprintlab.distributions import Empirical, Laplace, Normal
 from imprintlab.numerics import RngStream
 from oracles import bisect_quantile, normal_cdf_quadrature
 
@@ -86,14 +86,13 @@ def test_parameter_validation():
 
 
 def test_empirical_two_point():
-    d = fit_empirical([0.0, 1.0])
+    d = Empirical(np.array([0.0, 1.0]))
     assert d.quantile(0.5) == 0.5
     assert d.cdf(0.25) == 0.25
 
 
 def test_empirical_from_normal_draws():
-    smp = Normal().sample(10_000, RngStream(5, 0))
-    d = fit_empirical(smp)
+    d = Empirical(RngStream(5, 0).normal(10_000))
     assert abs(d.quantile(0.25) - (-0.6745)) < 0.05
     assert abs(d.quantile(0.5)) < 0.05
 
@@ -102,33 +101,23 @@ def test_empirical_small_subsample_ks():
     """A 0.1% subsample's CDF stays within Kolmogorov distance 0.05 of the
     full-pool empirical CDF."""
     pool = RngStream(9, 0).normal(1_000_000)
-    full = fit_empirical(pool)
-    part = fit_empirical(pool[:1000])
+    full = Empirical(pool)
+    part = Empirical(pool[:1000])
     grid = np.linspace(-4.0, 4.0, 2001)
     assert float(np.max(np.abs(full.cdf(grid) - part.cdf(grid)))) < 0.05
 
 
 def test_empirical_validation():
-    with pytest.raises(ValueError):
-        fit_empirical([1.0])
-    with pytest.raises(ValueError):
-        fit_empirical([0.0, float("inf")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs >= 2 samples"):
         Empirical(np.array([5.0]))
-
-
-def test_empirical_sampling_matches_quantiles():
-    d = fit_empirical(RngStream(6, 0).normal(5000))
-    draws = d.sample(20_000, RngStream(6, 1))
-    # inverse-transform sampling: the sample median sits near quantile(0.5)
-    assert abs(float(np.median(draws)) - d.quantile(0.5)) < 0.05
-
+    with pytest.raises(ValueError, match="finite"):
+        Empirical(np.array([0.0, float("inf")]))
 
 
 def test_array_quantile_matches_scalar():
     ps = np.linspace(1e-6, 1 - 1e-6, 97)
     for d in (Normal(mean=0.5, sd=2.0), Laplace(mean=-1.0, scale=0.3),
-              fit_empirical(RngStream(7, 0).normal(500))):
+              Empirical(RngStream(7, 0).normal(500))):
         qs = d.quantile(ps)
         assert isinstance(qs, np.ndarray) and qs.shape == ps.shape
         assert qs.tolist() == [d.quantile(float(p)) for p in ps]

@@ -26,7 +26,6 @@ def test_fed_sgd_payload_is_the_mean_gradient():
     ref_loss, grads = model.loss_and_grads(x, labels)
     assert loss == ref_loss
     assert payload.kind == "gradient"
-    assert payload.batch_size == 1
     for key, g in grads.items():
         assert np.array_equal(payload.tensors[key], g)
 
@@ -38,7 +37,7 @@ def test_two_users_average_to_the_joint_batch():
     _, full = fed_sgd(model, x, labels)
     parts = [fed_sgd(model, x[i:i + 2], labels[i:i + 2])[1] for i in (0, 2)]
     mean = secure_aggregate(parts).mean_payload()
-    assert mean.batch_size == 2
+    assert mean.users == 1
     for key in full.tensors:
         assert np.allclose(mean.tensors[key], full.tensors[key], rtol=1e-12, atol=1e-15)
 
@@ -54,7 +53,6 @@ def test_sharding_is_invisible_after_aggregation():
               for u in range(10)]
     agg = secure_aggregate(shards)
     assert agg.users == 10
-    assert agg.batch_size == 1000
     mean = agg.mean_payload()
     for key in full.tensors:
         scale = max(float(np.abs(full.tensors[key]).max()), 1e-12)
@@ -69,7 +67,7 @@ def test_single_local_step_is_a_scaled_gradient():
     x = RngStream(22, 0).normal((6, 8))
     labels = np.array([0, 1, 2, 0, 1, 2])
     lr = 1e-4
-    payload = fed_avg(model, x, labels, steps=1, lr=lr)
+    payload, _ = fed_avg(model, x, labels, steps=1, lr=lr)
     assert payload.kind == "param_delta"
     assert payload.steps == 1 and payload.lr == lr
     _, grads = model.loss_and_grads(x, labels)
@@ -89,7 +87,7 @@ def test_gradient_form_error_shrinks_with_lr():
     ref = {k: 0.5 * (chunks[0][k] + chunks[1][k]) for k in chunks[0]}
 
     def err(lr):
-        eff = to_gradient_form(fed_avg(model, x, labels, steps=2, lr=lr))
+        eff = to_gradient_form(fed_avg(model, x, labels, steps=2, lr=lr)[0])
         worst = 0.0
         for key in ref:
             scale = max(float(np.abs(ref[key]).max()), 1e-12)
@@ -106,7 +104,7 @@ def test_recorded_log_bounds_imprint_drift():
     x = RngStream(23, 0).normal((8, 8))
     labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
     lr = 0.05
-    payload, log = fed_avg(model, x, labels, steps=4, lr=lr, record=True)
+    payload, log = fed_avg(model, x, labels, steps=4, lr=lr)
     assert len(log) == 4
     assert [e["step"] for e in log] == [0, 1, 2, 3]
     dw = payload.tensors["imprint.weight"]
@@ -125,7 +123,7 @@ def test_fed_avg_matches_reference_local_sgd(dtype):
     model = _model(m=8, k=6, classes=3, dtype=dtype)
     x = RngStream(23, 4).normal((12, 8), dtype=dtype)
     labels = np.array([0, 1, 2] * 4)
-    payload, log = fed_avg(model, x, labels, steps=3, lr=0.05, record=True)
+    payload, log = fed_avg(model, x, labels, steps=3, lr=0.05)
     ref_delta, ref_log = loop_fed_avg(model, x, labels, steps=3, lr=0.05)
     assert set(payload.tensors) == set(ref_delta)
     for key, ref in ref_delta.items():
@@ -143,8 +141,8 @@ def test_fed_avg_is_deterministic():
     model = _model()
     x = RngStream(23, 1).normal((4, 8))
     labels = np.array([2, 0, 1, 1])
-    a = fed_avg(model, x, labels, steps=2, lr=1e-3)
-    b = fed_avg(model, x, labels, steps=2, lr=1e-3)
+    a, _ = fed_avg(model, x, labels, steps=2, lr=1e-3)
+    b, _ = fed_avg(model, x, labels, steps=2, lr=1e-3)
     for key in a.tensors:
         assert np.array_equal(a.tensors[key], b.tensors[key])
 
@@ -179,7 +177,7 @@ def test_to_gradient_form_inverts_the_step_scaling():
     model = _model()
     x = RngStream(24, 0).normal((4, 8))
     labels = np.array([1, 1, 0, 2])
-    payload = fed_avg(model, x, labels, steps=1, lr=1e-3)
+    payload, _ = fed_avg(model, x, labels, steps=1, lr=1e-3)
     eff = to_gradient_form(payload)
     assert eff.kind == "gradient"
     _, grads = model.loss_and_grads(x, labels)
@@ -188,7 +186,7 @@ def test_to_gradient_form_inverts_the_step_scaling():
     # gradient payloads pass through unchanged
     _, direct = fed_sgd(model, x, labels)
     assert to_gradient_form(direct) is direct
-    bare = UpdatePayload(kind="param_delta", tensors={}, batch_size=1)
+    bare = UpdatePayload(kind="param_delta", tensors={})
     with pytest.raises(ValueError, match="lr"):
         to_gradient_form(bare)
 
@@ -199,12 +197,12 @@ def test_secure_aggregate_sum_and_cancellation():
     for u in range(3):
         tensors = {"a": stream.derive(u).normal((2, 3)),
                    "b": stream.derive(u + 8).normal((4,))}
-        payloads.append(UpdatePayload(kind="gradient", tensors=tensors, batch_size=5))
+        payloads.append(UpdatePayload(kind="gradient", tensors=tensors))
     agg = secure_aggregate(payloads)
     for key in ("a", "b"):
         oracle = payloads[0].tensors[key] + payloads[1].tensors[key] + payloads[2].tensors[key]
         assert np.allclose(agg.tensors[key], oracle, rtol=1e-15, atol=1e-15)
-    assert agg.batch_size == 15
+    assert agg.users == 3
     solo = secure_aggregate([payloads[0]])
     for key in ("a", "b"):
         assert np.array_equal(solo.tensors[key], payloads[0].tensors[key])
@@ -214,20 +212,20 @@ def test_secure_aggregate_sum_and_cancellation():
 
 
 def test_secure_aggregate_validation():
-    g = UpdatePayload(kind="gradient", tensors={"a": np.ones(3)}, batch_size=1)
-    d = UpdatePayload(kind="param_delta", tensors={"a": np.ones(3)}, batch_size=1,
+    g = UpdatePayload(kind="gradient", tensors={"a": np.ones(3)})
+    d = UpdatePayload(kind="param_delta", tensors={"a": np.ones(3)},
                       steps=2, lr=0.1)
     with pytest.raises(ValueError, match="nothing"):
         secure_aggregate([])
     with pytest.raises(ValueError, match="mixed"):
         secure_aggregate([g, d])
-    other = UpdatePayload(kind="gradient", tensors={"b": np.ones(3)}, batch_size=1)
+    other = UpdatePayload(kind="gradient", tensors={"b": np.ones(3)})
     with pytest.raises(ValueError, match="parameter sets"):
         secure_aggregate([g, other])
-    wide = UpdatePayload(kind="gradient", tensors={"a": np.ones(4)}, batch_size=1)
+    wide = UpdatePayload(kind="gradient", tensors={"a": np.ones(4)})
     with pytest.raises(ValueError, match="shape"):
         secure_aggregate([g, wide])
-    d2 = UpdatePayload(kind="param_delta", tensors={"a": np.ones(3)}, batch_size=1,
+    d2 = UpdatePayload(kind="param_delta", tensors={"a": np.ones(3)},
                        steps=3, lr=0.1)
     with pytest.raises(ValueError, match="steps/lr"):
         secure_aggregate([d, d2])

@@ -19,7 +19,8 @@ def test_layout_k2():
 def test_layout_k2048_matches_bisection():
     d = Normal()
     lay = make_layout(d, 2048)
-    expect = [bisect_quantile(d.cdf, p) for p in lay.probs]
+    probs = np.maximum(np.arange(2048) / 2048, DEFAULT_P_MIN)
+    expect = [bisect_quantile(d.cdf, p) for p in probs]
     assert np.max(np.abs(lay.boundaries - expect)) <= 1e-12
 
 
@@ -76,11 +77,11 @@ def test_relu_direct_construction():
     lay = make_layout(Normal(), 2)
     h = build_measurement("mean", 3, c0=1.0)
     imp = build_relu(lay, h, dtype=np.float64)
-    assert imp.n_rows == 2 and imp.m == 3
+    assert imp.n_rows == 2 and imp.weight.shape == (2, 3)
     assert np.allclose(imp.weight, 1.0 / 3.0, rtol=0, atol=1e-15)
     assert np.allclose(imp.bias, -lay.boundaries, rtol=0, atol=0)
     assert imp.row_of_bin.tolist() == [0, 1]
-    assert imp.decoy_rows.size == 0 and imp.deltas is None
+    assert imp.decoy_rows.size == 0
 
 
 def test_relu_active_rows_follow_measurement():
@@ -131,12 +132,12 @@ def test_hard_threshold_deltas():
     lay = make_layout(Normal(), 4)
     h = build_measurement("mean", 8, c0=1.0)
     imp = build_hard_threshold(lay, h, dtype=np.float64)
+    # row i spans bin i's width; the open top bin reuses the last interior gap
     gaps = np.diff(lay.boundaries)
-    assert np.allclose(imp.deltas[:-1], gaps, rtol=0, atol=0)
-    assert imp.deltas[-1] == gaps[-1]
+    deltas = np.append(gaps, gaps[-1])
     for i in range(4):
-        assert np.allclose(imp.weight[i], h.row() / imp.deltas[i], rtol=1e-15, atol=0)
-        assert abs(imp.bias[i] + lay.boundaries[i] / imp.deltas[i]) < 1e-12
+        assert np.allclose(imp.weight[i], h.row() / deltas[i], rtol=1e-15, atol=0)
+        assert abs(imp.bias[i] + lay.boundaries[i] / deltas[i]) < 1e-12
 
 
 def test_hard_threshold_tiling():

@@ -99,8 +99,10 @@ def test_assumed_distribution_empirical():
     surrogate = RngStream(8, 0).normal((10_000, 32))
     d = assumed_distribution(h, {"kind": "empirical"}, surrogate=surrogate)
     assert isinstance(d, Empirical)
-    # measured means of standard normal rows concentrate near 0
+    # measured means of standard normal rows concentrate near 0, with
+    # spread 1/sqrt(32)
     assert abs(d.quantile(0.5)) < 0.05
+    assert abs(d.quantile(0.9) - 1.2816 / np.sqrt(32)) < 0.02
     q = sorted(d.quantile(p) for p in (0.1, 0.5, 0.9))
     assert q == [d.quantile(0.1), d.quantile(0.5), d.quantile(0.9)]
 

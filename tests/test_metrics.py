@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from imprintlab.metrics import (PSNR_EXACT_SENTINEL, exact_flags, iip_pixel, match,
-                                psnr, score)
+from imprintlab.metrics import PSNR_EXACT_SENTINEL, exact_flags, match, psnr, score
 from imprintlab.numerics import RngStream
 from oracles import brute_assignment
 
@@ -65,10 +64,6 @@ def test_psnr_reference_points():
     assert psnr(a, a) == PSNR_EXACT_SENTINEL
     assert abs(psnr(a, a + 0.1) - 20.0) < 1e-12       # mse 0.01, peak 1
     assert abs(psnr(a, a + 0.02) - (-20 * np.log10(0.02))) < 1e-9
-    # doubling the quoted peak adds 20 log10 2 dB
-    assert abs(psnr(a, a + 0.1, peak=2.0) - 20.0 - 20 * np.log10(2)) < 1e-12
-    with pytest.raises(ValueError, match="peak"):
-        psnr(a, a, peak=0.0)
     with pytest.raises(ValueError, match="shape"):
         psnr(a, a[:-1])
 
@@ -77,9 +72,9 @@ def test_psnr_works_along_the_last_axis():
     a = RngStream(64, 1).uniform((5, 16))
     b = a + 0.1
     b[2] = a[2]  # an exact row takes the sentinel, with no divide warning
-    rows = psnr(a, b, peak=2.0)
+    rows = psnr(a, b)
     assert rows.shape == (5,)
-    assert rows.tolist() == [psnr(a[i], b[i], peak=2.0) for i in range(5)]
+    assert rows.tolist() == [psnr(a[i], b[i]) for i in range(5)]
     assert rows[2] == PSNR_EXACT_SENTINEL
 
 
@@ -102,27 +97,22 @@ def test_exact_flags_and_count():
 
 def test_iip_basics():
     truth = RngStream(66, 0).normal((6, 8))
-    pairs = [(i, i) for i in range(6)]
-    assert iip_pixel(truth, truth, pairs) == 1.0
+    assert score(truth, truth).iip == 1.0
     pool = RngStream(66, 1).normal((20, 8))
-    assert iip_pixel(truth, truth, pairs, pool=pool) == 1.0  # exact copies keep winning
+    assert score(truth, truth, pool=pool).iip == 1.0  # exact copies keep winning
     # distractors that ARE the candidates steal every hit
-    assert iip_pixel(truth + 0.01, truth, pairs, pool=truth + 0.01) == 0.0
-    assert iip_pixel(truth, truth, pairs, pool=truth) == 1.0  # truth wins a tie
-    assert iip_pixel(truth, truth, []) == 0.0  # unmatched candidates are misses
-    assert iip_pixel(np.zeros((0, 8)), truth, []) == 0.0
+    assert score(truth + 0.01, truth, pool=truth + 0.01).iip == 0.0
+    assert score(truth, truth, pool=truth).iip == 1.0  # truth wins a tie
 
 
 def test_iip_nonincreasing_in_nested_pools():
     for seed in range(20):
         truth = RngStream(67, seed).normal((6, 8))
         cands = truth + 0.3 * RngStream(68, seed).normal((6, 8))
-        pairs = match(cands, truth)
         pool = truth + 0.25 * RngStream(69, seed).normal((6, 8))
         big_pool = np.vstack([pool, truth + 0.2 * RngStream(70, seed).normal((6, 8))])
-        vals = [iip_pixel(cands, truth, pairs),
-                iip_pixel(cands, truth, pairs, pool=pool),
-                iip_pixel(cands, truth, pairs, pool=big_pool)]
+        vals = [score(cands, truth).iip, score(cands, truth, pool=pool).iip,
+                score(cands, truth, pool=big_pool).iip]
         assert vals[0] >= vals[1] >= vals[2]
 
 
@@ -152,9 +142,8 @@ def test_iip_exceeds_singleton_fraction_on_collisions():
         cands.append((w * truth[idx]).sum(axis=0) / w.sum())
         singles += len(idx) == 1
     cands = np.stack(cands)
-    pairs = match(cands, truth)
     frac = singles / cands.shape[0]
-    val = iip_pixel(cands, truth, pairs)
+    val = score(cands, truth).iip
     assert val >= frac - 0.02
     assert val > frac + 0.05  # the gap is real, not a tolerance artifact
     assert frac < 1.0

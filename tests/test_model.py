@@ -24,7 +24,7 @@ def test_logistic_single_example_gradient_identity():
     x = RngStream(1, 1).normal((1, 6))
     labels = np.array([2])
     _, grads = model.loss_and_grads(x, labels)
-    logits = model.logits(x)[0]
+    logits = (x @ model.params["head.weight"].T + model.params["head.bias"])[0]
     sm = np.exp(logits - logits.max())
     sm /= sm.sum()
     dlog = sm.copy()
@@ -122,15 +122,6 @@ def test_front_composition():
     out = front_apply(stages, x)
     ref = x.reshape(5, 4, 4).mean(axis=2)
     assert np.allclose(out, ref, rtol=1e-12, atol=0)
-
-
-def test_front_adjoint():
-    st = FrontStage("avg_pool", 4)
-    x = RngStream(6, 2).normal((3, 16))
-    y = RngStream(6, 3).normal((3, 4))
-    lhs = float((st.apply(x) * y).sum())
-    rhs = float((x * st.adjoint(y)).sum())
-    assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(lhs))
 
 
 def test_front_validation():

@@ -187,7 +187,7 @@ def test_param_delta_recovery_matches_gradient_route():
     labels = np.array([0, 1, 2, 3])
     _, grad_payload = fed_sgd(model, x, labels)
     ref = recover_bins(grad_payload, imp)
-    delta_payload = fed_avg(model, x, labels, steps=1, lr=2.0 ** -20)
+    delta_payload, _ = fed_avg(model, x, labels, steps=1, lr=2.0 ** -20)
     cands = recover_bins(delta_payload, imp)
     assert np.array_equal(cands.bins, ref.bins)
     for c, r in zip(cands.vectors, ref.vectors):
@@ -278,8 +278,7 @@ def test_missing_imprint_grads_error():
     relu = build_relu(make_layout(Normal(), 4), build_measurement("mean", 8, c0="auto"),
                       dtype=np.float64)
     from imprintlab.federation import UpdatePayload
-    bare = UpdatePayload(kind="gradient", tensors={"head.bias": np.ones(3)},
-                         batch_size=1)
+    bare = UpdatePayload(kind="gradient", tensors={"head.bias": np.ones(3)})
     with pytest.raises(ValueError, match="imprint gradients"):
         recover_bins(bare, relu)
     # a NaN would slip the |den| > floor mask; it is refused instead

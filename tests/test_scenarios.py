@@ -5,6 +5,7 @@ import pytest
 
 from imprintlab.dataio import canonical_json, write_csv
 from imprintlab.errors import ConfigError
+from imprintlab.numerics import RngStream
 from imprintlab.scenarios import (SWEEP_HEADER, bundled_config, check_bundled,
                                   run_scenario, sweep_scenario, validate_config)
 from imprintlab.theory import one_shot_success
@@ -52,6 +53,9 @@ def test_validate_fills_defaults():
     (lambda c: c["model"]["measurement"].update(freq=3), "model.measurement.freq"),
     (lambda c: c["model"].update(bridge_dim=2), "model.bridge_dim"),
     (lambda c: c.update(seed=-1), "config.seed"),
+    (lambda c: c.update(seed=1 << 64), "config.seed: must be <= 18446744073709551615"),
+    (lambda c: c.update(trials=1 << 20), "config.trials: must be <= 1048575"),
+    (lambda c: c["federation"].update(users=1 << 20), "federation.users: must be <= 1048575"),
     (lambda c: c.update(name=""), "name"),
     (lambda c: c["model"]["head"].update(kind="huge"), "model.head.kind"),
     (lambda c: c["model"]["head"].update(gain=1e39), "model.head.gain: must be finite"),
@@ -76,6 +80,20 @@ def test_validation_errors_name_the_field(mutate, path):
         validate_config(raw)
 
 
+def test_largest_valid_counts_still_have_child_streams():
+    # validation only: a run this size is never started
+    trial_cfg = bundled_config("oneshot")
+    trial_cfg["trials"] = (1 << 20) - 1
+    user_cfg = _small_cfg(federation={"protocol": "fed_sgd", "users": (1 << 20) - 1})
+    user_cfg["data"]["n"] = (1 << 20) - 1
+    seed_cfg = _small_cfg(seed=(1 << 64) - 1)
+    last_trial = validate_config(trial_cfg)["trials"] - 1
+    last_user = validate_config(user_cfg)["federation"]["users"] - 1
+    seed = validate_config(seed_cfg)["seed"]
+    for last in (last_trial, last_user):
+        RngStream(seed, 9).derive(last).derive(1)
+
+
 def test_validation_fed_avg_step_splitting():
     raw = _small_cfg(federation={"protocol": "fed_avg", "users": 2, "steps": 3,
                                  "lr": 1e-3})
@@ -87,7 +105,8 @@ def test_validation_fed_avg_step_splitting():
 
 def test_validation_one_shot_needs_known_n(tmp_path):
     path = str(tmp_path / "d.csv")
-    write_csv(path, ["a", "b"], [[0.1, 0.2], [0.3, 0.4]])
+    with open(path, "w") as fh:
+        fh.write("a,b\n0.1,0.2\n0.3,0.4\n")
     raw = _small_cfg(data={"kind": "csv", "path": path, "label_classes": 4},
                      model={"imprint": {"variant": "one_shot", "target_mass": "1/n"}})
     with pytest.raises(ConfigError, match="target_mass"):
@@ -189,7 +208,8 @@ def test_csv_scenario_end_to_end(tmp_path):
     path = str(tmp_path / "feats.csv")
     stream = np.random.default_rng(3)
     rows = [[float(v) for v in stream.normal(size=4)] for _ in range(12)]
-    write_csv(path, ["f0", "f1", "f2", "f3"], rows)
+    with open(path, "w", newline="") as fh:
+        write_csv(fh, ["f0", "f1", "f2", "f3"], rows)
     cfg = _small_cfg(data={"kind": "csv", "path": path, "label_classes": 4},
                      model={"imprint": {"variant": "relu", "k": 8},
                             "measurement": {"kind": "mean", "c0": "auto"},
