@@ -111,7 +111,7 @@ def _sweep_chart(axis, values, rows, reports):
                "success_rate": 10}[name]
         return [row[idx] if isinstance(row[idx], (int, float)) else None for row in rows]
 
-    if axis == "placement":
+    if axis == "mass":
         series = [("predicted success", values, col("one_shot")),
                   ("measured success", values, col("success_rate"))]
         y = "success probability"

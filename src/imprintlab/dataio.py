@@ -65,8 +65,8 @@ def load_synthetic_gaussian(n: int, m: int, *, label_classes: int, stream: RngSt
 
 
 def load_csv(path: str, *, dtype=np.float32, normalization: str = "none") -> Batch:
-    """CSV with a header row; every column is a float feature except an
-    optional integer column named "label"."""
+    """CSV with a header row: one or more float feature columns, plus an
+    optional column named "label" of integers >= 0."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -75,6 +75,8 @@ def load_csv(path: str, *, dtype=np.float32, normalization: str = "none") -> Bat
             raise ValueError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
         label_idx = header.index("label") if "label" in header else None
+        if len(header) - (label_idx is not None) < 1:
+            raise ValueError(f"{path}:1: no feature columns")
         rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -85,10 +87,13 @@ def load_csv(path: str, *, dtype=np.float32, normalization: str = "none") -> Bat
             for col, cell in enumerate(row):
                 if col == label_idx:
                     try:
-                        labels.append(int(cell))
+                        label = int(cell)
                     except ValueError:
+                        label = -1
+                    if label < 0:
                         raise ValueError(f"{path}:{lineno}: column {header[col]!r}: "
-                                         f"bad label {cell!r}") from None
+                                         f"bad label {cell!r} (expected an integer >= 0)")
+                    labels.append(label)
                 else:
                     try:
                         value = float(cell)

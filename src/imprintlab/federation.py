@@ -37,18 +37,20 @@ class UpdatePayload:
         return replace(self.scaled(1.0 / self.users), users=1)
 
 
-def fed_sgd(model: ModelGraph, x: np.ndarray, labels: np.ndarray) -> tuple[float, UpdatePayload]:
+def fed_sgd(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *,
+            stats: dict | None = None) -> tuple[float, UpdatePayload]:
     """One full-batch gradient; the payload is exactly the mean gradient."""
-    loss, grads = model.loss_and_grads(x, labels)
+    loss, grads = model.loss_and_grads(x, labels, stats=stats)
     payload = UpdatePayload(kind="gradient", tensors=grads)
     return loss, payload
 
 
 def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
             lr: float) -> tuple[UpdatePayload, list]:
-    """Sequential local SGD over an equal split of the batch; returns the
-    parameter delta and a per-step log (loss plus the model's drift-bound
-    stats) used to bound parameter drift. The caller's model is untouched.
+    """Sequential local SGD of an imprint model over an equal split of the
+    batch; returns the parameter delta and a per-step log: the loss, the step
+    pass's active mask and the drift-bound stats (max per-row absolute
+    activation-gradient mass, max input norm). The caller's model is untouched.
     """
     n = len(labels)
     if steps < 1:
@@ -67,7 +69,10 @@ def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
         for key, g in grads.items():
             g *= g.dtype.type(lr)  # each step's gradients are fresh arrays
             local.params[key] -= g
-        log.append({"step": s, "loss": loss, **stats})
+        log.append({"step": s, "loss": loss, "active": stats["active"],
+                    "da_abs_sum_max": float(np.abs(stats["da"]).sum(axis=0).max()),
+                    "x_norm_max": float(np.sqrt((stats["feats"].astype(np.float64) ** 2)
+                                                .sum(axis=1).max()))})
     # model.copy() copied the params, so the caller's are still the start point
     delta = {k: local.params[k] - model.params[k] for k in local.params}
     payload = UpdatePayload(kind="param_delta", tensors=delta, steps=steps, lr=lr)

@@ -9,7 +9,7 @@ are decoys) so recovery can undo the row permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,8 +23,9 @@ DEFAULT_P_MIN = 1e-6
 class BinLayout:
     """k bin boundaries at quantiles of an assumed scalar distribution.
 
-    Bin i is the interval (boundaries[i], boundaries[i+1]); the top bin is
-    open-ended. Mass below boundaries[0] is never recoverable.
+    Bin i is the interval (boundaries[i], boundaries[i+1]). The top bin is
+    open-ended for ReLU rows but ends one interior width up for hard-threshold
+    rows; mass outside the bins is never recoverable.
     """
 
     boundaries: np.ndarray  # float64, shape (k,), strictly increasing
@@ -32,11 +33,6 @@ class BinLayout:
     @property
     def k(self) -> int:
         return self.boundaries.shape[0]
-
-    def bin_of(self, values: np.ndarray) -> np.ndarray:
-        """Bin index for each measurement value; -1 for the uncovered bottom tail."""
-        v = np.asarray(values, dtype=np.float64)
-        return np.searchsorted(self.boundaries, v, side="right") - 1
 
 
 def make_layout(distribution, k: int, *, p_min: float = DEFAULT_P_MIN) -> BinLayout:
@@ -65,7 +61,6 @@ class ImprintModule:
     weight: np.ndarray       # (K, m)
     bias: np.ndarray         # (K,)
     layout: BinLayout
-    measurement: Measurement
     row_of_bin: np.ndarray   # int64, (k,)
     decoy_rows: np.ndarray   # int64, (K - k,)
     fused_mass: float | None = None  # set by fuse_one_shot
@@ -110,7 +105,7 @@ def build_relu(layout: BinLayout, measurement: Measurement, *, decoys: int = 0,
         weight[perm[k:]] = decoy_stream.derive(0).normal((decoys, m), sd=m ** -0.25)
         bias[perm[k:]] = -decoy_stream.derive(1).uniform(decoys, low=lo, high=hi)
     return ImprintModule(
-        variant="relu", weight=weight, bias=bias, layout=layout, measurement=measurement,
+        variant="relu", weight=weight, bias=bias, layout=layout,
         row_of_bin=np.asarray(perm[:k], dtype=np.int64),
         decoy_rows=np.asarray(np.sort(perm[k:]), dtype=np.int64),
     )
@@ -139,7 +134,7 @@ def build_hard_threshold(layout: BinLayout, measurement: Measurement, *,
     bias[perm] = -bounds / deltas
     return ImprintModule(
         variant="hard_threshold", weight=weight, bias=bias, layout=layout,
-        measurement=measurement, row_of_bin=np.asarray(perm, dtype=np.int64),
+        row_of_bin=np.asarray(perm, dtype=np.int64),
         decoy_rows=np.zeros(0, dtype=np.int64),
     )
 
@@ -159,16 +154,6 @@ def fuse_one_shot(distribution, measurement: Measurement, target_mass: float, *,
     if not (0.0 < q and q + p < 1.0):
         raise ValueError(f"placement {q} with mass {p} leaves the interval outside (0, 1)")
     bounds = np.array([distribution.quantile(q), distribution.quantile(q + p)])
-    layout = BinLayout(boundaries=bounds)
-    weight = np.empty((2, measurement.m), dtype=dtype)
-    bias = np.empty(2, dtype=dtype)
-    row = measurement.row()
-    weight[0] = row
-    weight[1] = row
-    bias[0] = -bounds[0]
-    bias[1] = -bounds[1]
-    return ImprintModule(
-        variant="relu", weight=weight, bias=bias, layout=layout, measurement=measurement,
-        row_of_bin=np.array([0, 1], dtype=np.int64), decoy_rows=np.zeros(0, dtype=np.int64),
-        fused_mass=p,
-    )
+    # a two-bin ReLU imprint whose bin 0 is the interval
+    return replace(build_relu(BinLayout(boundaries=bounds), measurement, dtype=dtype),
+                   fused_mass=p)

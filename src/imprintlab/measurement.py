@@ -29,14 +29,11 @@ class Measurement:
         return self.weights.shape[0]
 
     def measure(self, x: np.ndarray) -> np.ndarray:
-        """h(x) = c0 * <weights, x> along the last axis."""
-        x = np.asarray(x)
-        if not np.issubdtype(x.dtype, np.floating):
-            x = x.astype(np.float64)
+        """h(x) = c0 * <weights, x> along the last axis, in float64."""
+        x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.m:
             raise ValueError(f"feature dimension {x.shape[-1]} != measurement dimension {self.m}")
-        w = self.weights.astype(x.dtype) if x.dtype != np.float64 else self.weights
-        return x.dtype.type(self.c0) * (x @ w)
+        return self.c0 * (x @ self.weights)
 
     def row(self) -> np.ndarray:
         """The measurement materialized as a float64 weight row: c0 * weights."""

@@ -125,11 +125,13 @@ class ModelGraph:
         cache = {"feats": feats}
         if self.imprint is not None:
             pre = matmul(feats, self.params["imprint.weight"].T) + self.params["imprint.bias"]
+            active = pre > 0  # ReLU: strictly above the kink; hard threshold: in (0, 1)
             if self.imprint.variant == "relu":
-                act = np.where(pre > 0, pre, self.dtype.type(0))
+                act = np.where(active, pre, self.dtype.type(0))
             else:
+                active &= pre < 1
                 act = np.clip(pre, 0.0, 1.0)
-            cache["pre"] = pre
+            cache["active"] = active
             cache["act"] = act
             if self.bridge == "sum":
                 z = act.sum(axis=1, keepdims=True)
@@ -144,8 +146,9 @@ class ModelGraph:
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray, *, stats: dict | None = None):
         """Mean cross-entropy and gradients for every parameter.
 
-        Pass a dict as `stats` to collect drift-bound ingredients: the max
-        per-row absolute activation-gradient mass and the max input norm.
+        A dict passed as `stats` receives, uncomputed, the imprint rows' (n,
+        rows) active mask ("active"), the activation gradient ("da") and the
+        features ("feats").
         """
         labels = np.asarray(labels)
         if labels.ndim != 1 or labels.shape[0] != np.asarray(x).shape[0]:
@@ -170,18 +173,11 @@ class ModelGraph:
         else:
             grads["bridge.weight"] = matmul(dz.T, act)
             da = matmul(dz, self.params["bridge.weight"])
-        pre = cache["pre"]
-        if self.imprint.variant == "relu":
-            mask = pre > 0  # active strictly above the kink
-        else:
-            mask = (pre > 0) & (pre < 1)
-        dpre = np.where(mask, da, self.dtype.type(0))
+        dpre = np.where(cache["active"], da, self.dtype.type(0))
         grads["imprint.weight"] = matmul(dpre.T, cache["feats"])
         grads["imprint.bias"] = dpre.sum(axis=0)
         if stats is not None:
-            stats["da_abs_sum_max"] = float(np.abs(da).sum(axis=0).max())
-            stats["x_norm_max"] = float(np.sqrt((cache["feats"].astype(np.float64) ** 2)
-                                                .sum(axis=1).max()))
+            stats.update(active=cache["active"], da=da, feats=cache["feats"])
         return loss, grads
 
 

@@ -55,29 +55,39 @@ def _read_rows(num: np.ndarray, den: np.ndarray, floor: float) -> Readout:
                    confidences=confidences)
 
 
+def _by_bin(rows: np.ndarray, imprint: ImprintModule, dtype, axis: int = 0) -> np.ndarray:
+    """Per-row arrays regrouped per bin along `axis`, as `dtype`: a hard-threshold
+    row is its own bin; a ReLU row sees all above its boundary, so bin i is row
+    i minus row i+1 and the top bin its row alone. `rows` is never written."""
+    out = np.take(rows, imprint.row_of_bin, axis=axis).astype(dtype, copy=False)
+    if imprint.variant == "relu":
+        bins = np.moveaxis(out, axis, 0)  # a view: the differences land in `out`
+        bins[:-1] -= bins[1:]
+    return out
+
+
 def recover_bins(payload: UpdatePayload, imprint: ImprintModule) -> Readout:
     """One candidate per bin that captured mass, in bin order (ascending
-    measurement value).
-
-    A hard-threshold row already isolates its own bin. A ReLU row sees every
-    example above its boundary, so bin i reads row i minus row i+1 and
-    the top bin reads the last row alone. Denominators at or below
-    TAU0 * max|bias grad| are suppressed. The payload is left untouched.
+    measurement value): the bin's weight over its bias gradient, by
+    `_by_bin`. Denominators at or below TAU0 * max|bias grad| are
+    suppressed. The payload is left untouched.
     """
     g = to_gradient_form(payload.mean_payload()).tensors
     try:
         gw, gb = g["imprint.weight"], g["imprint.bias"]
     except KeyError as exc:
         raise ValueError("payload has no imprint gradients") from exc
-    order = imprint.row_of_bin
-    # the fancy index copies, so the differences below never reach the payload
-    gw = gw[order].astype(np.float64, copy=False)
-    gb = gb[order].astype(np.float64, copy=False)
-    floor = TAU0 * float(np.abs(gb).max(initial=0.0))
-    if imprint.variant == "relu":
-        gw[:-1] -= gw[1:]
-        gb[:-1] -= gb[1:]
-    return _read_rows(gw, gb, floor)
+    floor = TAU0 * float(np.abs(gb[imprint.row_of_bin]).max(initial=0.0))
+    return _read_rows(_by_bin(gw, imprint, np.float64), _by_bin(gb, imprint, np.float64),
+                      floor)
+
+
+def bin_members(active: np.ndarray, imprint: ImprintModule) -> tuple[np.ndarray, np.ndarray]:
+    """(examples, bins): in example order, each (example, bin) pair of an example
+    in the average the bin reads out, by `_by_bin` on the (n, rows) active
+    mask of the pass behind the payload; an example in no bin is in no pair."""
+    members = _by_bin(active, imprint, np.int8, axis=1) != 0
+    return np.divmod(np.flatnonzero(members), imprint.k)
 
 
 def select_candidates(readout: Readout, n: int) -> Readout:

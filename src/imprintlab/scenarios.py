@@ -30,8 +30,8 @@ from .measurement import assumed_distribution, build_measurement
 from .metrics import score
 from .model import FrontStage, make_imprint_model
 from .numerics import _DERIVE_SPAN, RngStream
-from .recovery import (Readout, decoding_verified, recover_bins, select_candidates,
-                       token_lookup)
+from .recovery import (Readout, bin_members, decoding_verified, recover_bins,
+                       select_candidates, token_lookup)
 
 # fixed subsystem stream ids: every draw a scenario makes descends from
 # (master seed, one of these), so subsystems stay independent and reordering
@@ -46,7 +46,7 @@ STREAM_POOL = 7
 STREAM_SURROGATE = 8
 STREAM_TRIALS = 9
 
-SWEEP_AXES = ("bins", "batch", "sigma", "placement")
+SWEEP_AXES = ("bins", "batch", "sigma", "mass")
 
 # trials and users each index a child stream (derive), which must stay below
 # _DERIVE_SPAN - 1
@@ -281,8 +281,11 @@ def _front_dim(m, front):
     return m
 
 
-def _check_batch(cfg, n):
-    """Users split a batch of n evenly, and fed-AVG steps split each user's shard."""
+def _check_shape(cfg, n, m_feat):
+    """The checks that need the batch size n and the feature width m_feat."""
+    meas = cfg["model"]["measurement"]
+    if meas["kind"] == "dct" and meas["freq"] >= m_feat:
+        _fail("model.measurement.freq", f"must be < feature width {m_feat}")
     fed = cfg["federation"]
     if n % fed["users"] != 0:
         _fail("federation.users", f"{fed['users']} does not divide the batch size {n}")
@@ -320,18 +323,10 @@ def validate_config(raw: dict) -> dict:
         if model["head"].get(key, 0.0) > top:
             _fail(f"model.head.{key}", f"must be finite in {cfg['dtype']} (at most "
                   f"{top:g}), got {model['head'][key]:g}")
-    if data["kind"] == "synthetic_gaussian":
-        m_feat = _front_dim(data["m"], model["front"])
-    elif data["kind"] == "token_sequences":
-        m_feat = _front_dim(data["seq_len"] * data["embed_dim"], model["front"])
-    else:
-        m_feat = None  # a CSV's width is known only once it is loaded
-    if m_feat is not None and model["measurement"]["kind"] == "dct" \
-            and model["measurement"]["freq"] >= m_feat:
-        _fail("model.measurement.freq", f"must be < feature width {m_feat}")
     n = data.get("n", data.get("n_seq"))
-    if n is not None:
-        _check_batch(cfg, n)
+    if data["kind"] != "csv":  # a CSV's shape is known only once it is loaded
+        m = data["m"] if "m" in data else data["seq_len"] * data["embed_dim"]
+        _check_shape(cfg, n, _front_dim(m, model["front"]))
     imprint = model["imprint"]
     if imprint["variant"] == "one_shot":
         mass = imprint["target_mass"]
@@ -425,47 +420,54 @@ def _build_attack(cfg, m_feat, n, dtype):
     return imp, model
 
 
-def _federate(cfg, model, x, labels, defense_base: RngStream):
-    """Per-user payloads -> defense -> secure aggregation."""
+def _federate(cfg, model, imp, batch, defense_base: RngStream):
+    """Per-user payloads -> defense -> secure aggregation, and the (examples,
+    bins) membership from each pass behind the aggregate: one per user shard
+    under fed-SGD, one per local step under fed-AVG."""
     fed = cfg["federation"]
-    users = fed["users"]
-    shard = x.shape[0] // users
+    shard = batch.n // fed["users"]
     dconf = DefenseConfig(clip=cfg["defense"]["clip"], noise=cfg["defense"]["noise"],
                           sigma=cfg["defense"]["sigma"])
-    payloads, losses, logs = [], [], []
-    for u in range(users):
-        sl = slice(u * shard, (u + 1) * shard)
+    payloads, losses, logs, members = [], [], [], []
+    for u in range(fed["users"]):
+        x, labels = batch.x[u * shard:(u + 1) * shard], batch.labels[u * shard:(u + 1) * shard]
+        # each pass's mask is reduced at once; none lives on into recovery
         if fed["protocol"] == "fed_sgd":
-            loss, payload = fed_sgd(model, x[sl], labels[sl])
+            stats = {}
+            loss, payload = fed_sgd(model, x, labels, stats=stats)
             losses.append(loss)
+            members.append(bin_members(stats.pop("active"), imp))
         else:
-            payload, log = fed_avg(model, x[sl], labels[sl], steps=fed["steps"],
-                                   lr=fed["lr"])
+            payload, log = fed_avg(model, x, labels, steps=fed["steps"], lr=fed["lr"])
             logs.append(log)
             losses.extend(entry["loss"] for entry in log)
+            members += [bin_members(entry.pop("active"), imp) for entry in log]
         payloads.append(apply_defense(payload, dconf, defense_base.derive(u)))
-    return secure_aggregate(payloads), losses, logs
+    chunk = batch.n // len(members)  # the passes cover equal, consecutive slices
+    examples = np.concatenate([ex + i * chunk for i, (ex, _) in enumerate(members)])
+    bins = np.concatenate([b for _, b in members])
+    return secure_aggregate(payloads), losses, logs, examples, bins
 
 
 @dataclass(eq=False)
 class _Round:
-    """One batch through the attack: what the imprint layer saw, where the
-    examples fell, and what the server read back from the update."""
+    """One batch through the attack: what the imprint layer saw, which
+    examples each bin holds, and what the server read back from the update."""
 
     feats: np.ndarray
-    bins: np.ndarray    # bin of each example by its measurement; -1 below range
-    counts: np.ndarray  # examples per bin
+    examples: np.ndarray  # example of each (example, bin) pair, by bin_members
+    bins: np.ndarray      # bin of each pair
+    counts: np.ndarray    # examples per bin
     readout: Readout
     losses: list
-    logs: list          # per-user fed-AVG step logs; empty under fed-SGD
+    logs: list            # per-user fed-AVG step logs; empty under fed-SGD
 
 
 def _round(cfg, imp, model, batch, defense_base: RngStream) -> _Round:
     feats = model.forward_features(batch.x)
-    bins = imp.layout.bin_of(imp.measurement.measure(feats))
-    counts = np.bincount(bins[bins >= 0], minlength=imp.k)
-    agg, losses, logs = _federate(cfg, model, batch.x, batch.labels, defense_base)
-    return _Round(feats, bins, counts, recover_bins(agg, imp), losses, logs)
+    agg, losses, logs, examples, bins = _federate(cfg, model, imp, batch, defense_base)
+    counts = np.bincount(bins, minlength=imp.k)
+    return _Round(feats, examples, bins, counts, recover_bins(agg, imp), losses, logs)
 
 
 def _theory_block(imp, model, n, m_feat):
@@ -496,7 +498,7 @@ def _unit_transform(feats64):
 
 def _round_report(cfg, model, batch, rnd: _Round) -> dict:
     """Occupancy, federation and recovery blocks (plus tokens) of a plain run."""
-    counts, bins = rnd.counts, rnd.bins
+    counts = rnd.counts
     singleton_bins = [int(b) for b in np.flatnonzero(counts == 1)]
     selected = select_candidates(rnd.readout, cfg["metrics"]["select"] or batch.n)
 
@@ -523,7 +525,7 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
             "empty": int((counts == 0).sum()),
             "collisions": int((counts >= 2).sum()),
             "max_count": int(counts.max()),
-            "below_range": int((bins < 0).sum()),
+            "below_range": batch.n - len(np.unique(rnd.examples)),
         },
         "federation": fed_block,
         "recovery": {
@@ -600,7 +602,7 @@ def _trial_record(t, rnd: _Round, rel_tol):
     members to within rel_tol."""
     readout = rnd.readout
     read_out = bool(len(readout) and readout.bins[0] == 0)  # bins ascend
-    members = np.asarray(rnd.feats[rnd.bins == 0], dtype=np.float64)
+    members = np.asarray(rnd.feats[rnd.examples[rnd.bins == 0]], dtype=np.float64)
     rel_err = None
     if read_out and len(members):
         dist2 = ((members - readout.vectors[0]) ** 2).sum(axis=1)
@@ -647,11 +649,11 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None,
     trials = cfg["trials"]
     if trials is None:
         batch = _load_batch(cfg, dtype, RngStream(seed, STREAM_DATA))
-        _check_batch(cfg, batch.n)
         n, m = batch.n, batch.m
     else:
         n, m = cfg["data"]["n"], cfg["data"]["m"]
     m_feat = _front_dim(m, cfg["model"]["front"])
+    _check_shape(cfg, n, m_feat)
     imp, model = _build_attack(cfg, m_feat, n, dtype)
     theory_block = _theory_block(imp, model, n, m_feat)
     report = {"config": cfg, "n": n, "m_features": m_feat}
@@ -694,9 +696,9 @@ def _sweep_config(cfg, axis, value):
         out["defense"]["sigma"] = float(value)
         if out["defense"]["noise"] is None:
             out["defense"]["noise"] = "laplace"
-    elif axis == "placement":
+    elif axis == "mass":
         if out["model"]["imprint"]["variant"] != "one_shot":
-            raise ConfigError("sweep.axis: placement sweep needs the one_shot imprint")
+            raise ConfigError("sweep.axis: mass sweep needs the one_shot imprint")
         out["model"]["imprint"]["target_mass"] = float(value)
     else:
         raise ConfigError(f"sweep.axis: unknown axis {axis!r}")

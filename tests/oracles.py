@@ -178,7 +178,8 @@ def loop_select(rows, n):
 
 def loop_fed_avg(model, x, labels, *, steps, lr):
     """Textbook local SGD: copy the params, step with params -= lr * g, and
-    take the delta against the start copy. Returns (delta, per-step log)."""
+    take the delta against the start copy. Returns (delta, per-step log of
+    the loss, the pass's active mask and the drift-bound ingredients)."""
     local = model.copy()
     start = {k: v.copy() for k, v in local.params.items()}
     chunk = len(labels) // steps
@@ -189,5 +190,8 @@ def loop_fed_avg(model, x, labels, *, steps, lr):
         loss, grads = local.loss_and_grads(x[sl], labels[sl], stats=stats)
         for key, g in grads.items():
             local.params[key] = local.params[key] - lr * g
-        log.append({"loss": loss, **stats})
+        norms = np.sqrt((stats["feats"].astype(np.float64) ** 2).sum(axis=1))
+        log.append({"loss": loss, "active": stats["active"],
+                    "da_abs_sum_max": float(np.abs(stats["da"]).sum(axis=0).max()),
+                    "x_norm_max": float(norms.max())})
     return {k: local.params[k] - start[k] for k in start}, log

@@ -127,6 +127,25 @@ def test_non_finite_csv_cell_is_a_config_error(tmp_path, capsys):
     assert "data.path:" in err and "nan.csv:3: column 'b': non-finite value 'nan'" in err
 
 
+@pytest.mark.parametrize("text, measurement, expected", [
+    ("a,label\n0.1,1\n0.3,-1\n", None,
+     "data.path: {path}:3: column 'label': bad label '-1'"),
+    ("label\n1\n0\n", None, "data.path: {path}:1: no feature columns"),
+    # the feature width of a CSV is known only once it is loaded
+    ("a,b\n0.1,0.2\n0.3,0.4\n", {"kind": "dct", "freq": 5},
+     "model.measurement.freq: must be < feature width 2"),
+])
+def test_csv_contents_are_config_errors(tmp_path, capsys, text, measurement, expected):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    model = {"measurement": measurement or {"kind": "mean"},
+             "imprint": {"variant": "relu", "k": 4}}
+    cfg = _small_cfg_file(tmp_path, data={"kind": "csv", "path": str(path),
+                                          "label_classes": 4}, model=model)
+    assert main(["run", "--config", cfg]) == 2
+    assert expected.format(path=path) in capsys.readouterr().err
+
+
 def test_plan_one_shot(capsys):
     assert main(["plan", "--n", "4096", "--p", "0.000244140625", "--m", "32"]) == 0
     out = capsys.readouterr().out
@@ -241,5 +260,9 @@ def test_argparse_rejects_unknown_command():
         main(["frobnicate"])
     with pytest.raises(SystemExit):
         main(["sweep", "--axis", "bins"])  # missing required --values
+    # the trap-mass axis is named for the field it sets
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--scenario", "oneshot", "--axis", "placement", "--values", "0.001"])
+    assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])

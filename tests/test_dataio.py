@@ -63,6 +63,14 @@ def test_csv_errors_name_row_and_column(tmp_path):
     with pytest.raises(ValueError, match="bad label 'x'"):
         load_csv(path)
     with open(path, "w") as fh:
+        fh.write("a,label\n1.0,0\n2.0,-1\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:3: column 'label': bad label '-1'"):
+        load_csv(path)
+    with open(path, "w") as fh:
+        fh.write("label\n1\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:1: no feature columns"):
+        load_csv(path)
+    with open(path, "w") as fh:
         fh.write("a,b\n1.0\n")
     with pytest.raises(ValueError, match="expected 2 fields, got 1"):
         load_csv(path)

@@ -135,6 +135,7 @@ def test_fed_avg_matches_reference_local_sgd(dtype):
     for entry, ref in zip(log, ref_log, strict=True):
         for key in ("loss", "da_abs_sum_max", "x_norm_max"):
             assert entry[key] == ref[key], key
+        assert np.array_equal(entry["active"], ref["active"])
 
 
 def test_fed_avg_is_deterministic():

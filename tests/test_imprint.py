@@ -66,13 +66,6 @@ def test_layout_other_distributions():
         assert np.all(np.diff(lay.boundaries) > 0)
 
 
-def test_bin_of():
-    lay = make_layout(Normal(), 4)
-    b = lay.boundaries
-    vals = np.array([b[0] - 1.0, b[0] + 1e-9, 0.5 * (b[1] + b[2]), b[3] + 5.0])
-    assert lay.bin_of(vals).tolist() == [-1, 0, 1, 3]
-
-
 def test_relu_direct_construction():
     lay = make_layout(Normal(), 2)
     h = build_measurement("mean", 3, c0=1.0)

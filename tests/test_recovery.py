@@ -9,7 +9,7 @@ from imprintlab.imprint import build_hard_threshold, build_relu, make_layout
 from imprintlab.measurement import build_measurement
 from imprintlab.model import make_imprint_model, make_logistic_model
 from imprintlab.numerics import RngStream
-from imprintlab.recovery import (NoActiveRow, Readout, decoding_verified,
+from imprintlab.recovery import (NoActiveRow, Readout, bin_members, decoding_verified,
                                  recover_bins, recover_unique_labels,
                                  select_candidates, token_lookup)
 from oracles import loop_readout, loop_select
@@ -272,6 +272,68 @@ def test_recover_bins_properties(variant, shard, users, k, m, permute, decoys, s
         for b in np.flatnonzero(members.sum(axis=0) == 1):
             xe = x[members[:, b]][0]
             assert np.linalg.norm(by_bin[int(b)] - xe) <= 1e-8 * np.linalg.norm(xe)
+
+
+def test_bin_members_apply_the_readout_rule():
+    lay = make_layout(Normal(), 3)
+    h = build_measurement("mean", 4, c0="auto")
+    relu = build_relu(lay, h, decoys=1, perm_stream=RngStream(44, 0),
+                      decoy_stream=RngStream(44, 1), dtype=np.float64)
+    # rows in bin order, then the decoy: example 0 is above every boundary,
+    # 1 sits in bin 0, 2 below range, 3 in bin 1; the decoy row is ignored
+    by_bin = np.array([[1, 1, 1, 0], [1, 0, 0, 1], [0, 0, 0, 1], [1, 1, 0, 0]], dtype=bool)
+    active = np.empty_like(by_bin)
+    active[:, relu.row_of_bin] = by_bin[:, :3]
+    active[:, relu.decoy_rows] = by_bin[:, 3:]
+    examples, bins = bin_members(active, relu)
+    assert examples.tolist() == [0, 1, 3] and bins.tolist() == [2, 0, 1]
+    # a hard-threshold row stands alone: an example in two linear regions is
+    # a member of both bins, one in none is in no bin
+    hard = build_hard_threshold(lay, h, perm_stream=RngStream(44, 2), dtype=np.float64)
+    active = np.zeros((3, 3), dtype=bool)
+    active[0, hard.row_of_bin[[1, 2]]] = True
+    active[2, hard.row_of_bin[2]] = True
+    examples, bins = bin_members(active, hard)
+    assert examples.tolist() == [0, 0, 2] and bins.tolist() == [1, 2, 2]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(["relu", "hard_threshold"]), shard=st.integers(1, 12),
+       users=st.sampled_from([1, 2, 4]), k=st.integers(2, 24), m=st.integers(2, 12),
+       permute=st.booleans(), decoys=st.integers(0, 4), seed=st.integers(0, 2 ** 16),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_every_bin_reads_the_mean_of_its_members(variant, shard, users, k, m, permute,
+                                                 decoys, seed, dtype):
+    n = shard * users
+    lay = make_layout(Normal(), k)
+    h = build_measurement("mean", m, c0="auto")
+    kw = {"perm_stream": RngStream(seed, 2)} if permute else {}
+    if variant == "relu":
+        imp = build_relu(lay, h, decoys=decoys, decoy_stream=RngStream(seed, 3),
+                         dtype=dtype, **kw)
+    else:
+        imp = build_hard_threshold(lay, h, dtype=dtype, **kw)
+    model = make_imprint_model(imp, label_classes=4, gain=8.0, dtype=dtype)
+    x = RngStream(seed, 0).normal((n, m)).astype(dtype)
+    labels = RngStream(seed, 1).integers(n, low=0, high=4)
+    payloads, members = [], np.zeros((n, k), dtype=bool)
+    for u in range(users):
+        sl = slice(u * shard, (u + 1) * shard)
+        stats = {}
+        payloads.append(fed_sgd(model, x[sl], labels[sl], stats=stats)[1])
+        examples, bins = bin_members(stats["active"], imp)
+        members[examples + u * shard, bins] = True
+        # the same rule restated on pre-activations computed outside the model
+        assert np.array_equal(members[sl], _model_members(model, imp, x[sl]))
+    readout = recover_bins(secure_aggregate(payloads), imp)
+    counts = members.sum(axis=0)
+    assert readout.bins.tolist() == np.flatnonzero(counts > 0).tolist()
+    tol = 1e4 * np.finfo(dtype).eps
+    x64 = x.astype(np.float64)
+    for b, v in zip(readout.bins, readout.vectors):
+        inside = x64[members[:, b]]
+        err = np.linalg.norm(v - inside.mean(axis=0))
+        assert err <= tol * np.linalg.norm(inside, axis=1).max()
 
 
 def test_missing_imprint_grads_error():

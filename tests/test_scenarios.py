@@ -136,6 +136,17 @@ def test_fullbatch_report_structure():
     assert len(res.artifacts["candidates"]) == rec["n_candidates"]
 
 
+@pytest.mark.parametrize("federation", [
+    {"protocol": "fed_sgd", "users": 4},
+    {"protocol": "fed_avg", "users": 2, "steps": 4, "lr": 1e-4},
+])
+def test_occupancy_counts_every_example_once_across_users_and_steps(federation):
+    res = run_scenario(_small_cfg(dtype="float64", federation=federation))
+    occ, rec = res.report["occupancy"], res.report["recovery"]
+    assert res.artifacts["occupancy_counts"].sum() + occ["below_range"] == res.report["n"]
+    assert rec["singleton_match"]
+
+
 def test_reports_byte_identical_across_runs():
     a = run_scenario(_small_cfg())
     b = run_scenario(_small_cfg())
@@ -175,8 +186,8 @@ def test_sweep_axis_validation():
                                              "target_mass": 0.1}})
     with pytest.raises(ConfigError, match="bins sweep"):
         sweep_scenario(one_shot, "bins", [4])
-    with pytest.raises(ConfigError, match="placement sweep"):
-        sweep_scenario(_small_cfg(), "placement", [0.1])
+    with pytest.raises(ConfigError, match="mass sweep"):
+        sweep_scenario(_small_cfg(), "mass", [0.1])
 
 
 def test_one_shot_trials_block():
@@ -198,9 +209,10 @@ def test_one_shot_trials_block():
     # successes are singleton trap hits read out essentially exactly
     if tr["successes"]:
         assert tr["max_success_rel_err"] <= 1e-4
-    # sweep over trap placement reports the success-rate column
-    header, rows, _ = sweep_scenario(cfg, "placement", [1.0 / 64, 2.0 / 64])
+    # sweep over trap mass reports the success-rate column
+    header, rows, _ = sweep_scenario(cfg, "mass", [1.0 / 64, 2.0 / 64])
     rate_col = header.index("success_rate")
+    assert [r[0] for r in rows] == ["mass", "mass"]
     assert all(isinstance(r[rate_col], float) for r in rows)
 
 
@@ -238,6 +250,28 @@ def test_check_bundled_fullbatch64_passes():
     assert all(ok for _, ok, _ in checks)
     labels = [c[0] for c in checks]
     assert "exact set == singleton bins" in labels
+
+
+def test_float32_example_next_to_a_boundary_is_counted_where_the_model_put_it():
+    # in float32 one example lies next to a bin boundary; it counts in the bin
+    # whose rows saw it, which is the bin that reads it out
+    cfg = bundled_config("fullbatch64")
+    cfg["data"]["n"] = 512
+    cfg["model"]["imprint"]["k"] = 4096
+    cfg["metrics"]["pool"] = 0
+    rec = run_scenario(cfg, seed=15).report["recovery"]
+    assert rec["singleton_match"] and rec["exact_count"] == 444
+
+
+def test_example_above_a_hard_threshold_top_row_is_in_no_bin():
+    # the top row's linear region ends one interior width above its boundary;
+    # an example beyond it reaches no row, so it is no singleton
+    cfg = bundled_config("fullbatch64")
+    cfg["dtype"] = "float64"
+    cfg["model"]["imprint"] = {"variant": "hard_threshold", "k": 128, "permute": False}
+    rep = run_scenario(cfg, seed=6).report
+    assert rep["recovery"]["singleton_match"]
+    assert rep["occupancy"]["below_range"] == 1
 
 
 def test_front_stage_reduces_features():
