@@ -72,11 +72,9 @@ def _parse_values(text: str, axis: str):
         if not tok:
             continue
         try:
-            vals.append(int(tok) if axis in ("bins", "batch") else float(tok))
+            vals.append(SWEEP_AXES[axis].type(tok))
         except ValueError:
             raise ConfigError(f"sweep.values: bad value {tok!r} for axis {axis}") from None
-    if not vals:
-        raise ConfigError("sweep.values: need at least one value")
     return vals
 
 
@@ -87,7 +85,7 @@ def _cmd_sweep(args) -> int:
     values = _parse_values(args.values, args.axis)
     header, rows, reports = sweep_scenario(cfg, args.axis, values, jobs=args.jobs,
                                            seed=args.seed, use_float64=args.f64)
-    name = cfg.get("name", "sweep")
+    name = reports[0]["config"]["name"]
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         csv_path = os.path.join(args.out, f"{name}_{args.axis}_sweep.csv")
@@ -111,11 +109,12 @@ def _sweep_chart(axis, values, rows, reports):
                "success_rate": 10}[name]
         return [row[idx] if isinstance(row[idx], (int, float)) else None for row in rows]
 
-    if axis == "mass":
+    leaf = SWEEP_AXES[axis]
+    if leaf.when == ("variant", "one_shot"):  # the trap's own leaves move its success
         series = [("predicted success", values, col("one_shot")),
                   ("measured success", values, col("success_rate"))]
         y = "success probability"
-    elif axis == "sigma":
+    elif leaf.path == "defense.sigma":
         series = [("measured exact fraction", values, col("exact_fraction"))]
         y = "exact fraction"
     else:
@@ -204,7 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a scenario across an axis of values")
     _add_common(p_sweep)
-    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
+    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES, metavar="AXIS",
+                         help="bins, batch, sigma, mass or a numeric config leaf path "
+                         "such as model.imprint.placement")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values, e.g. 8,16,32")
     p_sweep.add_argument("--jobs", type=int, default=1,

@@ -46,229 +46,168 @@ STREAM_POOL = 7
 STREAM_SURROGATE = 8
 STREAM_TRIALS = 9
 
-SWEEP_AXES = ("bins", "batch", "sigma", "mass")
-
 # trials and users each index a child stream (derive), which must stay below
 # _DERIVE_SPAN - 1
 _MAX_CHILDREN = _DERIVE_SPAN - 1
 
-_TOP_KEYS = ("name", "seed", "dtype", "data", "model", "federation", "defense",
-             "metrics", "trials")
+
+# -- config schema ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Leaf:
+    """One config leaf. `type` is int, float, bool, str or a tuple of choices;
+    `default` is ... when the leaf is required; `bounds` are comparisons such as
+    "> 0, < 1"; `also` holds literal values accepted as they are; `when` is
+    (sibling key, *values): the leaf exists only while that sibling holds one
+    of the values."""
+
+    path: str
+    type: object
+    default: object = ...
+    bounds: str = ""
+    also: tuple = ()
+    when: tuple = ()
 
 
-# -- config validation ----------------------------------------------------------
+_BINNED = ("variant", "relu", "hard_threshold")
+_ONE_SHOT = ("variant", "one_shot")
+
+CONFIG_LEAVES = (
+    Leaf("name", str, "custom"),
+    Leaf("seed", int, 0, f">= 0, <= {(1 << 64) - 1}"),
+    Leaf("dtype", ("float32", "float64"), "float32"),
+    Leaf("data.kind", ("synthetic_gaussian", "token_sequences", "csv")),
+    Leaf("data.n", int, ..., ">= 1", when=("kind", "synthetic_gaussian")),
+    Leaf("data.m", int, ..., ">= 1", when=("kind", "synthetic_gaussian")),
+    Leaf("data.n_seq", int, ..., ">= 1", when=("kind", "token_sequences")),
+    Leaf("data.seq_len", int, ..., ">= 1", when=("kind", "token_sequences")),
+    Leaf("data.vocab", int, ..., ">= 2", when=("kind", "token_sequences")),
+    Leaf("data.embed_dim", int, ..., ">= 1", when=("kind", "token_sequences")),
+    Leaf("data.path", str, when=("kind", "csv")),
+    Leaf("data.normalization", ("none", "standardize", "unit_interval"), "none",
+         when=("kind", "csv")),
+    Leaf("data.label_classes", int, 10, ">= 1"),
+    Leaf("model.front[].kind", ("identity", "avg_pool")),
+    Leaf("model.front[].factor", int, 1, ">= 1"),
+    Leaf("model.measurement.kind", ("mean", "dct", "random_gaussian"), "mean"),
+    Leaf("model.measurement.c0", float, "auto", "!= 0", also=("auto",)),
+    Leaf("model.measurement.freq", int, ..., ">= 0", when=("kind", "dct")),
+    Leaf("model.assumed.kind", ("normal", "laplace", "empirical"), "normal"),
+    Leaf("model.assumed.mean", float, 0.0, when=("kind", "normal", "laplace")),
+    Leaf("model.assumed.sd", float, 1.0, "> 0", when=("kind", "normal")),
+    Leaf("model.assumed.scale", float, 1.0 / math.sqrt(2.0), "> 0",
+         when=("kind", "laplace")),
+    Leaf("model.assumed.surrogate_n", int, 4096, ">= 2", when=("kind", "empirical")),
+    Leaf("model.imprint.variant", ("relu", "hard_threshold", "one_shot")),
+    Leaf("model.imprint.target_mass", float, ..., "> 0, < 1", also=("1/n",), when=_ONE_SHOT),
+    Leaf("model.imprint.placement", float, None, "> 0, < 1", also=(None,), when=_ONE_SHOT),
+    Leaf("model.imprint.k", int, ..., ">= 2", when=_BINNED),
+    Leaf("model.imprint.p_min", float, DEFAULT_P_MIN, "> 0", when=_BINNED),
+    Leaf("model.imprint.permute", bool, False, when=_BINNED),
+    Leaf("model.imprint.decoys", int, 0, ">= 0", when=("variant", "relu")),
+    Leaf("model.bridge", ("sum", "identical_row_linear"), "sum"),
+    Leaf("model.bridge_dim", int, 1, ">= 1", when=("bridge", "identical_row_linear")),
+    Leaf("model.head.kind", ("pinned", "random"), "pinned"),
+    Leaf("model.head.gain", float, 1.0, "> 0", when=("kind", "pinned")),
+    Leaf("model.head.scale", float, 1e-2, "> 0", when=("kind", "random")),
+    Leaf("federation.protocol", ("fed_sgd", "fed_avg"), "fed_sgd"),
+    Leaf("federation.users", int, 1, f">= 1, <= {_MAX_CHILDREN}"),
+    Leaf("federation.steps", int, ..., ">= 1", when=("protocol", "fed_avg")),
+    Leaf("federation.lr", float, ..., "> 0", when=("protocol", "fed_avg")),
+    Leaf("defense.clip", float, None, "> 0", also=(None,)),
+    Leaf("defense.noise", ("gaussian", "laplace"), None, also=(None,)),
+    Leaf("defense.sigma", float, 0.0, ">= 0"),
+    Leaf("metrics.pool", int, 1000, ">= 0"),
+    Leaf("metrics.rel_tol", float, 1e-4, "> 0"),
+    Leaf("metrics.select", int, None, ">= 1", also=(None,)),
+    Leaf("metrics.verify_rel_tol", float, 1e-2, "> 0"),
+    Leaf("trials", int, None, f">= 1, <= {_MAX_CHILDREN}", also=(None,)),
+)
+
+
+def _nest(leaves) -> dict:
+    """The leaves as nested objects. A "name[]" section is a list of objects:
+    a one-element list holds the node that each item is checked against."""
+    root: dict = {}
+    for leaf in leaves:
+        node = root
+        *sections, key = leaf.path.split(".")
+        for s in sections:
+            node = node.setdefault(s[:-2], [{}])[0] if s.endswith("[]") else \
+                node.setdefault(s, {})
+        node[key] = leaf
+    return root
+
+
+_SCHEMA = _nest(CONFIG_LEAVES)
+
+# a sweep axis is a numeric leaf outside lists, by its path or by an alias
+_NUMERIC = {lf.path: lf for lf in CONFIG_LEAVES
+            if lf.type in (int, float) and "[]" not in lf.path}
+SWEEP_AXES = {"bins": _NUMERIC["model.imprint.k"], "batch": _NUMERIC["data.n"],
+              "sigma": _NUMERIC["defense.sigma"],
+              "mass": _NUMERIC["model.imprint.target_mass"], **_NUMERIC}
+
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false",
+             str: "a nonempty string"}
+
 
 def _fail(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}")
 
 
-def _section(raw, path, allowed):
+def _leaf_value(v, leaf: Leaf, path: str):
+    """One leaf's canonical value, or a ConfigError naming its path."""
+    if v is ...:
+        _fail(path, "required")
+    if v in leaf.also:
+        return v
+    t = leaf.type
+    if isinstance(t, tuple):
+        ok = v in t
+    elif t in (bool, str):
+        ok = type(v) is t and v != ""
+    else:
+        ok = isinstance(v, (int, float) if t is float else int) and not isinstance(v, bool)
+    if not ok:
+        what = ["null" if a is None else f'"{a}"' for a in leaf.also]
+        what.append(f"one of {list(t)}" if isinstance(t, tuple) else _EXPECTED[t])
+        _fail(path, f"expected {' or '.join(what)}, got {v!r}")
+    if t is float:  # an integer past the float range reads as inf, not OverflowError
+        v = float(v) if abs(v) <= float(np.finfo(np.float64).max) else math.inf
+        if not math.isfinite(v):
+            _fail(path, f"must be finite, got {v}")
+    for term in filter(None, leaf.bounds.split(", ")):
+        op, bound = term.split()
+        bound = t(bound)
+        if not {">": v > bound, ">=": v >= bound, "<": v < bound, "<=": v <= bound,
+                "!=": v != bound}[op]:
+            _fail(path, f"must be {op} {bound}, got {v}")
+    return v
+
+
+def _walk(raw, node: dict, where: str) -> dict:
+    """Check one config object against its node of the schema; returns it
+    canonical. A key whose leaf does not exist under its siblings is unknown."""
     if not isinstance(raw, dict):
-        _fail(path, f"expected an object, got {type(raw).__name__}")
+        _fail(where, f"expected an object, got {type(raw).__name__}")
+    out = {}
+    for key, spec in node.items():
+        path = f"{where}.{key}"
+        if isinstance(spec, Leaf):
+            if not spec.when or out[spec.when[0]] in spec.when[1:]:
+                out[key] = _leaf_value(raw.get(key, spec.default), spec, path)
+        elif isinstance(spec, dict):  # a section is named from the root
+            out[key] = _walk(raw.get(key, {}), spec, path.removeprefix("config."))
+        else:
+            items = raw.get(key, [])
+            if not isinstance(items, list):
+                _fail(path, f"expected a list, got {type(items).__name__}")
+            out[key] = [_walk(item, spec[0], f"{path}[{i}]") for i, item in enumerate(items)]
     for key in raw:
-        if key not in allowed:
-            _fail(f"{path}.{key}", f"unknown key (allowed: {', '.join(allowed)})")
-    return raw
-
-
-def _get_int(raw, key, path, default=None, *, lo=None, hi=None):
-    v = raw.get(key, default)
-    if v is None:
-        _fail(f"{path}.{key}", "required")
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{path}.{key}", f"expected an integer, got {v!r}")
-    if lo is not None and v < lo:
-        _fail(f"{path}.{key}", f"must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        _fail(f"{path}.{key}", f"must be <= {hi}, got {v}")
-    return v
-
-
-def _get_float(raw, key, path, default=None, *, lo=None, lo_open=False):
-    v = raw.get(key, default)
-    if v is None:
-        _fail(f"{path}.{key}", "required")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {v!r}")
-    v = float(v)
-    if not math.isfinite(v):
-        _fail(f"{path}.{key}", f"must be finite, got {v}")
-    if lo is not None and (v <= lo if lo_open else v < lo):
-        _fail(f"{path}.{key}", f"must be {'>' if lo_open else '>='} {lo}, got {v}")
-    return v
-
-
-def _get_choice(raw, key, path, choices, default=None):
-    v = raw.get(key, default)
-    if v not in choices:
-        _fail(f"{path}.{key}", f"expected one of {list(choices)}, got {v!r}")
-    return v
-
-
-def _validate_data(raw):
-    kind = _get_choice(raw, "kind", "data",
-                       ("synthetic_gaussian", "token_sequences", "csv"))
-    if kind == "synthetic_gaussian":
-        _section(raw, "data", ("kind", "n", "m", "label_classes"))
-        return {"kind": kind,
-                "n": _get_int(raw, "n", "data", lo=1),
-                "m": _get_int(raw, "m", "data", lo=1),
-                "label_classes": _get_int(raw, "label_classes", "data", 10, lo=1)}
-    if kind == "token_sequences":
-        _section(raw, "data", ("kind", "n_seq", "seq_len", "vocab", "embed_dim",
-                               "label_classes"))
-        return {"kind": kind,
-                "n_seq": _get_int(raw, "n_seq", "data", lo=1),
-                "seq_len": _get_int(raw, "seq_len", "data", lo=1),
-                "vocab": _get_int(raw, "vocab", "data", lo=2),
-                "embed_dim": _get_int(raw, "embed_dim", "data", lo=1),
-                "label_classes": _get_int(raw, "label_classes", "data", 10, lo=1)}
-    _section(raw, "data", ("kind", "path", "normalization", "label_classes"))
-    path = raw.get("path")
-    if not isinstance(path, str) or not path:
-        _fail("data.path", "required (string path to a CSV file)")
-    return {"kind": kind, "path": path,
-            "normalization": _get_choice(raw, "normalization", "data",
-                                         ("none", "standardize", "unit_interval"), "none"),
-            "label_classes": _get_int(raw, "label_classes", "data", 10, lo=1)}
-
-
-def _validate_model(raw):
-    raw = _section(raw, "model", ("front", "measurement", "assumed", "imprint",
-                                  "bridge", "bridge_dim", "head"))
-    front_raw = raw.get("front", [])
-    if not isinstance(front_raw, list):
-        _fail("model.front", "expected a list of stages")
-    front = []
-    for i, st in enumerate(front_raw):
-        p = f"model.front[{i}]"
-        _section(st, p, ("kind", "factor"))
-        kind = _get_choice(st, "kind", p, ("identity", "avg_pool"))
-        factor = _get_int(st, "factor", p, 1, lo=1)
-        front.append({"kind": kind, "factor": factor})
-
-    meas_raw = _section(raw.get("measurement", {}), "model.measurement",
-                        ("kind", "c0", "freq"))
-    meas = {"kind": _get_choice(meas_raw, "kind", "model.measurement",
-                                ("mean", "dct", "random_gaussian"), "mean")}
-    c0 = meas_raw.get("c0", "auto")
-    if c0 != "auto":
-        if isinstance(c0, bool) or not isinstance(c0, (int, float)) \
-                or not math.isfinite(float(c0)) or float(c0) == 0.0:
-            _fail("model.measurement.c0", f'expected "auto" or a nonzero number, got {c0!r}')
-        c0 = float(c0)
-    meas["c0"] = c0
-    if meas["kind"] == "dct":
-        meas["freq"] = _get_int(meas_raw, "freq", "model.measurement", lo=0)
-    elif "freq" in meas_raw:
-        _fail("model.measurement.freq", "only valid for the dct measurement")
-
-    assumed_raw = _section(raw.get("assumed", {}), "model.assumed",
-                           ("kind", "mean", "sd", "scale", "surrogate_n"))
-    akind = _get_choice(assumed_raw, "kind", "model.assumed",
-                        ("normal", "laplace", "empirical"), "normal")
-    assumed = {"kind": akind}
-    if akind == "normal":
-        assumed["mean"] = _get_float(assumed_raw, "mean", "model.assumed", 0.0)
-        assumed["sd"] = _get_float(assumed_raw, "sd", "model.assumed", 1.0, lo=0.0, lo_open=True)
-    elif akind == "laplace":
-        assumed["mean"] = _get_float(assumed_raw, "mean", "model.assumed", 0.0)
-        assumed["scale"] = _get_float(assumed_raw, "scale", "model.assumed",
-                                      1.0 / math.sqrt(2.0), lo=0.0, lo_open=True)
-    else:
-        assumed["surrogate_n"] = _get_int(assumed_raw, "surrogate_n", "model.assumed",
-                                          4096, lo=2)
-
-    imp_raw = raw.get("imprint", {})
-    variant = _get_choice(imp_raw, "variant", "model.imprint",
-                          ("relu", "hard_threshold", "one_shot"))
-    if variant == "one_shot":
-        _section(imp_raw, "model.imprint", ("variant", "target_mass", "placement"))
-        mass = imp_raw.get("target_mass")
-        if mass != "1/n":
-            mass = _get_float(imp_raw, "target_mass", "model.imprint")
-            if not (0.0 < mass < 1.0):
-                _fail("model.imprint.target_mass", f"must lie in (0, 1), got {mass}")
-        placement = imp_raw.get("placement")
-        if placement is not None:
-            placement = _get_float(imp_raw, "placement", "model.imprint")
-            if not (0.0 < placement < 1.0):
-                _fail("model.imprint.placement", f"must lie in (0, 1), got {placement}")
-        imprint = {"variant": variant, "target_mass": mass, "placement": placement}
-    else:
-        allowed = ("variant", "k", "p_min", "permute")
-        if variant == "relu":
-            allowed += ("decoys",)
-        _section(imp_raw, "model.imprint", allowed)
-        imprint = {"variant": variant,
-                   "k": _get_int(imp_raw, "k", "model.imprint", lo=2),
-                   "p_min": _get_float(imp_raw, "p_min", "model.imprint",
-                                       DEFAULT_P_MIN, lo=0.0, lo_open=True),
-                   "permute": imp_raw.get("permute", False)}
-        if not isinstance(imprint["permute"], bool):
-            _fail("model.imprint.permute", f"expected true or false, got {imprint['permute']!r}")
-        if variant == "relu":
-            imprint["decoys"] = _get_int(imp_raw, "decoys", "model.imprint", 0, lo=0)
-        if imprint["p_min"] >= 1.0 / imprint["k"]:
-            _fail("model.imprint.p_min", f"must be < 1/k, got {imprint['p_min']}")
-
-    head_raw = _section(raw.get("head", {}), "model.head", ("kind", "gain", "scale"))
-    hkind = _get_choice(head_raw, "kind", "model.head", ("pinned", "random"), "pinned")
-    head = {"kind": hkind}
-    if hkind == "pinned":
-        head["gain"] = _get_float(head_raw, "gain", "model.head", 1.0, lo=0.0, lo_open=True)
-    else:
-        head["scale"] = _get_float(head_raw, "scale", "model.head", 1e-2, lo=0.0, lo_open=True)
-
-    bridge = _get_choice(raw, "bridge", "model", ("sum", "identical_row_linear"), "sum")
-    out = {"front": front, "measurement": meas, "assumed": assumed, "imprint": imprint,
-           "bridge": bridge, "head": head}
-    if bridge == "identical_row_linear":
-        out["bridge_dim"] = _get_int(raw, "bridge_dim", "model", 1, lo=1)
-    elif "bridge_dim" in raw:
-        _fail("model.bridge_dim", "only valid for the identical_row_linear bridge")
+        if key not in out:
+            _fail(f"{where}.{key}", f"unknown key (allowed: {', '.join(out)})")
     return out
-
-
-def _validate_federation(raw):
-    raw = _section(raw, "federation", ("protocol", "users", "steps", "lr"))
-    protocol = _get_choice(raw, "protocol", "federation", ("fed_sgd", "fed_avg"), "fed_sgd")
-    out = {"protocol": protocol,
-           "users": _get_int(raw, "users", "federation", 1, lo=1, hi=_MAX_CHILDREN)}
-    if protocol == "fed_avg":
-        out["steps"] = _get_int(raw, "steps", "federation", lo=1)
-        out["lr"] = _get_float(raw, "lr", "federation", lo=0.0, lo_open=True)
-    else:
-        for key in ("steps", "lr"):
-            if raw.get(key) is not None:
-                _fail(f"federation.{key}", "only valid for the fed_avg protocol")
-    return out
-
-
-def _validate_defense(raw):
-    raw = _section(raw, "defense", ("clip", "noise", "sigma"))
-    clip = raw.get("clip")
-    if clip is not None:
-        clip = _get_float(raw, "clip", "defense", lo=0.0, lo_open=True)
-    noise = raw.get("noise")
-    if noise not in (None, "gaussian", "laplace"):
-        _fail("defense.noise", f"expected gaussian, laplace or null, got {noise!r}")
-    sigma = _get_float(raw, "sigma", "defense", 0.0, lo=0.0)
-    if sigma > 0 and noise is None:
-        _fail("defense.sigma", "sigma without a noise kind")
-    return {"clip": clip, "noise": noise, "sigma": sigma}
-
-
-def _validate_metrics(raw):
-    raw = _section(raw, "metrics", ("pool", "rel_tol", "select", "verify_rel_tol"))
-    select = raw.get("select")
-    if select is not None:
-        select = _get_int(raw, "select", "metrics", lo=1)
-    return {"pool": _get_int(raw, "pool", "metrics", 1000, lo=0),
-            "rel_tol": _get_float(raw, "rel_tol", "metrics", 1e-4, lo=0.0, lo_open=True),
-            "select": select,
-            "verify_rel_tol": _get_float(raw, "verify_rel_tol", "metrics", 1e-2,
-                                         lo=0.0, lo_open=True)}
 
 
 def _front_dim(m, front):
@@ -296,38 +235,24 @@ def _check_shape(cfg, n, m_feat):
 
 def validate_config(raw: dict) -> dict:
     """Full validation; returns the canonical config with defaults filled in."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a JSON object")
-    _section(raw, "config", _TOP_KEYS)
-    name = raw.get("name", "custom")
-    if not isinstance(name, str) or not name:
-        _fail("name", f"expected a nonempty string, got {name!r}")
-    cfg = {
-        "name": name,
-        "seed": _get_int(raw, "seed", "config", 0, lo=0, hi=(1 << 64) - 1),
-        "dtype": _get_choice(raw, "dtype", "config", ("float32", "float64"), "float32"),
-        "data": _validate_data(raw.get("data", {"kind": None})),
-        "model": _validate_model(raw.get("model", {})),
-        "federation": _validate_federation(raw.get("federation", {})),
-        "defense": _validate_defense(raw.get("defense", {})),
-        "metrics": _validate_metrics(raw.get("metrics", {})),
-    }
-    trials = raw.get("trials")
-    cfg["trials"] = None if trials is None else _get_int(raw, "trials", "config", lo=1,
-                                                         hi=_MAX_CHILDREN)
+    cfg = _walk(raw, _SCHEMA, "config")
 
     # cross-field consistency
     data, model, fed = cfg["data"], cfg["model"], cfg["federation"]
+    imprint = model["imprint"]
+    if "p_min" in imprint and imprint["p_min"] >= 1.0 / imprint["k"]:
+        _fail("model.imprint.p_min", f"must be < 1/k, got {imprint['p_min']}")
     top = float(np.finfo(cfg["dtype"]).max)
     for key in ("gain", "scale"):
         if model["head"].get(key, 0.0) > top:
             _fail(f"model.head.{key}", f"must be finite in {cfg['dtype']} (at most "
                   f"{top:g}), got {model['head'][key]:g}")
+    if cfg["defense"]["sigma"] > 0 and cfg["defense"]["noise"] is None:
+        _fail("defense.sigma", "sigma without a noise kind")
     n = data.get("n", data.get("n_seq"))
     if data["kind"] != "csv":  # a CSV's shape is known only once it is loaded
         m = data["m"] if "m" in data else data["seq_len"] * data["embed_dim"]
         _check_shape(cfg, n, _front_dim(m, model["front"]))
-    imprint = model["imprint"]
     if imprint["variant"] == "one_shot":
         mass = imprint["target_mass"]
         if mass == "1/n":
@@ -629,6 +554,16 @@ def _trials_block(records, imp, expected_success):
     }
 
 
+def _resolve(raw_cfg: dict, seed: int | None, use_float64: bool) -> dict:
+    """The validated config under the --seed and --f64 overrides."""
+    raw_cfg = dict(raw_cfg)
+    if seed is not None:
+        raw_cfg["seed"] = seed
+    if use_float64:
+        raw_cfg["dtype"] = "float64"
+    return validate_config(raw_cfg)
+
+
 def run_scenario(raw_cfg: dict, *, seed: int | None = None,
                  use_float64: bool = False) -> ScenarioResult:
     """Validate, run, and score one scenario end to end.
@@ -638,12 +573,7 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None,
     each reduced to its trial record.
     """
     t0 = time.perf_counter()
-    raw_cfg = dict(raw_cfg)
-    if seed is not None:
-        raw_cfg["seed"] = seed
-    if use_float64:
-        raw_cfg["dtype"] = "float64"
-    cfg = validate_config(raw_cfg)
+    cfg = _resolve(raw_cfg, seed, use_float64)
     seed = cfg["seed"]
     dtype = np.dtype(cfg["dtype"])
     trials = cfg["trials"]
@@ -683,26 +613,21 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None,
 # -- sweeps ----------------------------------------------------------------------
 
 def _sweep_config(cfg, axis, value):
+    """The validated config with the axis's leaf set to value."""
+    leaf = SWEEP_AXES[axis]
+    *sections, key = leaf.path.split(".")
     out = copy.deepcopy(cfg)
-    if axis == "bins":
-        if out["model"]["imprint"]["variant"] == "one_shot":
-            raise ConfigError("sweep.axis: bins sweep needs a binned imprint variant")
-        out["model"]["imprint"]["k"] = int(value)
-    elif axis == "batch":
-        if out["data"]["kind"] != "synthetic_gaussian":
-            raise ConfigError("sweep.axis: batch sweep needs synthetic_gaussian data")
-        out["data"]["n"] = int(value)
-    elif axis == "sigma":
-        out["defense"]["sigma"] = float(value)
-        if out["defense"]["noise"] is None:
-            out["defense"]["noise"] = "laplace"
-    elif axis == "mass":
-        if out["model"]["imprint"]["variant"] != "one_shot":
-            raise ConfigError("sweep.axis: mass sweep needs the one_shot imprint")
-        out["model"]["imprint"]["target_mass"] = float(value)
-    else:
-        raise ConfigError(f"sweep.axis: unknown axis {axis!r}")
-    return out
+    node = out
+    for section in sections:
+        node = node[section]
+    if leaf.when and node[leaf.when[0]] not in leaf.when[1:]:
+        raise ConfigError(f"sweep.axis: {axis} sweep needs "
+                          f"{'.'.join([*sections, leaf.when[0]])} "
+                          f"{' or '.join(leaf.when[1:])}, got {node[leaf.when[0]]}")
+    node[key] = value
+    if leaf.path == "defense.sigma" and node["noise"] is None:
+        node["noise"] = "laplace"  # a noiseless config is swept under Laplace noise
+    return validate_config(out)
 
 
 SWEEP_HEADER = ["axis", "value", "prop1_expected", "iid_expected", "model_gap",
@@ -737,12 +662,12 @@ def sweep_scenario(raw_cfg: dict, axis: str, values, *, jobs: int = 1,
     the points, so the CSV is reproducible for any --jobs.
     """
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep.axis: expected one of {list(SWEEP_AXES)}, got {axis!r}")
+        raise ConfigError(f"sweep.axis: expected bins, batch, sigma, mass or a numeric "
+                          f"leaf path, got {axis!r}")
     values = list(values)
     if not values:
         raise ConfigError("sweep.values: need at least one value")
-    base = validate_config(dict(raw_cfg, **({"seed": seed} if seed is not None else {}),
-                                **({"dtype": "float64"} if use_float64 else {})))
+    base = _resolve(raw_cfg, seed, use_float64)
     configs = [_sweep_config(base, axis, v) for v in values]
 
     if jobs > 1:

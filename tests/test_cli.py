@@ -101,6 +101,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "model.head.gain: must be finite in float32" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over, expected", [
+    ({"data": 3}, "config error: data: expected an object, got int"),
+    ({"model": {"imprint": [1]}}, "config error: model.imprint: expected an object, got list"),
+])
+def test_non_object_section_exits_2(tmp_path, capsys, over, expected):
+    assert main(["run", "--config", _small_cfg_file(tmp_path, **over)]) == 2
+    assert expected in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_3(tmp_path, capsys):
     cfg = _small_cfg_file(tmp_path, data={"kind": "csv", "path": str(tmp_path / "no.csv"),
                                           "label_classes": 4})
@@ -232,6 +241,33 @@ def test_sweep_stdout_mode(tmp_path, capsys):
     capsys.readouterr()
     with open(tmp_path / "fullbatch64_bins_sweep.csv", newline="") as fh:
         assert fh.read() == text
+
+
+def test_sweep_by_leaf_path(tmp_path, capsys):
+    one_shot = {"imprint": {"variant": "one_shot", "target_mass": "1/n"},
+                "head": {"kind": "pinned", "gain": 1.0}}
+    cfg = _small_cfg_file(tmp_path, model=one_shot, trials=4, dtype="float64")
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--axis", "model.imprint.placement",
+                 "--values", "0.25,0.5", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    lines = (out_dir / "cli_small_model.imprint.placement_sweep.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["model.imprint.placement", "0.25"], ["model.imprint.placement", "0.5"]]
+    # a leaf that does not exist under the config's variant
+    assert main(["sweep", "--config", cfg, "--axis", "model.imprint.k", "--values", "4"]) == 2
+    assert "sweep.axis: model.imprint.k sweep needs model.imprint.variant relu or " \
+        "hard_threshold, got one_shot" in capsys.readouterr().err
+
+
+def test_sweep_files_take_the_validated_name(tmp_path, capsys):
+    cfg = bundled_config("fullbatch64")
+    del cfg["name"]
+    path = tmp_path / "unnamed.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(path), "--axis", "bins", "--values", "64",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "custom_bins_sweep.csv" in capsys.readouterr().out
 
 
 def test_sweep_bad_values(tmp_path, capsys):

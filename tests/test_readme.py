@@ -1,7 +1,10 @@
+import json
 import re
 from pathlib import Path
 
 import numpy as np
+
+from imprintlab.scenarios import CONFIG_LEAVES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +22,12 @@ def test_readme_library_sketch_runs():
     examples, bins = namespace["examples"], namespace["bins"]
     for b, v in zip(readout.bins, readout.vectors):
         assert np.allclose(v, x[examples[bins == b]].mean(axis=0), rtol=1e-12, atol=1e-12)
+
+
+def test_readme_config_reference_lists_every_leaf_and_its_default():
+    text = README.read_text()
+    section = text[text.index("## Config reference"):text.index("## Library sketch")]
+    rows = re.findall(r"^\| `([^`]+)` \| [^|]+ \| ([^|]+) \|", section, re.M)
+    assert rows == [(leaf.path, "required" if leaf.default is ... else
+                     f"`{json.dumps(leaf.default)}`") for leaf in CONFIG_LEAVES]
+    assert len(rows) == 47

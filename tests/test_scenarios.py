@@ -2,12 +2,15 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imprintlab.dataio import canonical_json, write_csv
 from imprintlab.errors import ConfigError
 from imprintlab.numerics import RngStream
-from imprintlab.scenarios import (SWEEP_HEADER, bundled_config, check_bundled,
-                                  run_scenario, sweep_scenario, validate_config)
+from imprintlab.scenarios import (CONFIG_LEAVES, SWEEP_HEADER, bundled_config,
+                                  check_bundled, run_scenario, sweep_scenario,
+                                  validate_config)
 from imprintlab.theory import one_shot_success
 
 
@@ -71,6 +74,16 @@ def test_validate_fills_defaults():
                                           "placement": 0.9}), "model.imprint.placement"),
     (lambda c: c["model"].update(imprint={"variant": "one_shot", "target_mass": "1/n",
                                           "placement": 0.95}), "model.imprint.placement"),
+    (lambda c: c["defense"].update(clip=10 ** 400), "defense.clip: must be finite, got inf"),
+    (lambda c: c.update(data=3), "data: expected an object, got int"),
+    (lambda c: c["model"].update(imprint=[1]), "model.imprint: expected an object, got list"),
+    # a leaf of another variant is an unknown key, with the allowed list
+    (lambda c: c["model"]["head"].update(scale=-7),
+     r"model.head.scale: unknown key \(allowed: kind, gain\)"),
+    (lambda c: c["model"].update(head={"kind": "random", "gain": 2.0}),
+     r"model.head.gain: unknown key \(allowed: kind, scale\)"),
+    (lambda c: c["model"].update(assumed={"kind": "empirical", "sd": -1}),
+     r"model.assumed.sd: unknown key \(allowed: kind, surrogate_n\)"),
 ])
 def test_validation_errors_name_the_field(mutate, path):
     raw = _small_cfg(federation={"protocol": "fed_sgd", "users": 2},
@@ -113,6 +126,111 @@ def test_validation_one_shot_needs_known_n(tmp_path):
         validate_config(raw)
     raw["model"]["imprint"]["target_mass"] = 0.25
     assert validate_config(raw)["model"]["imprint"]["target_mass"] == 0.25
+
+
+_BY_PATH = {leaf.path: leaf for leaf in CONFIG_LEAVES}
+# leaves that a cross-field check ties to others, drawn where every tie holds
+_TIED = {
+    "federation.users": st.just(1),
+    "federation.steps": st.just(1),
+    "model.measurement.freq": st.just(0),
+    "model.front[].factor": st.just(1),
+    "model.imprint.p_min": st.floats(1e-12, 1e-3),
+    "model.imprint.target_mass": st.just("1/n") | st.floats(1e-6, 0.5),
+    "model.imprint.placement": st.none() | st.floats(1e-6, 0.49),
+}
+
+
+def _values(leaf):
+    """Values the leaf's own row accepts: its choices, literals and bounds."""
+    if leaf.path in _TIED:
+        return _TIED[leaf.path]
+    t = leaf.type
+    if isinstance(t, tuple):
+        values = st.sampled_from(t)
+    elif t is bool:
+        values = st.booleans()
+    elif t is str:
+        values = st.text(min_size=1, max_size=6)
+    else:
+        kw = {"min_value": -1e6}
+        for term in filter(None, leaf.bounds.split(", ")):
+            op, bound = term.split()
+            if op != "!=":
+                side = "min" if op[0] == ">" else "max"
+                kw[f"{side}_value"] = t(bound)
+                kw[f"exclude_{side}"] = len(op) == 1
+        lo = kw["min_value"]
+        if t is int:  # small sizes keep every draw cheap to check
+            values = st.integers(lo, min(kw.get("max_value", lo + 64), lo + 64))
+        else:
+            kw.setdefault("max_value", lo + 2e6)
+            values = st.floats(**kw).filter(lambda v: "!=" not in leaf.bounds or v != 0)
+    return st.sampled_from(leaf.also) | values if leaf.also else values
+
+
+@st.composite
+def _configs(draw):
+    """A valid raw config, drawn leaf by leaf from the schema; a leaf with a
+    default is left out half the time."""
+    raw = {}
+    stages = [{} for _ in range(draw(st.integers(0, 2)))]
+    for leaf in CONFIG_LEAVES:
+        *sections, key = leaf.path.split(".")
+        nodes = [raw]
+        for section in sections:
+            if section.endswith("[]"):
+                nodes[0][section[:-2]] = stages
+                nodes = stages
+            else:
+                nodes = [node.setdefault(section, {}) for node in nodes]
+        for node in nodes:
+            if leaf.when:
+                sibling = _BY_PATH[".".join([*sections, leaf.when[0]])]
+                if node.get(leaf.when[0], sibling.default) not in leaf.when[1:]:
+                    continue
+            if leaf.default is ... or draw(st.booleans()):
+                node[key] = draw(_values(leaf))
+    # the remaining ties span sections
+    data, imprint, defense = raw["data"], raw["model"]["imprint"], raw["defense"]
+    if data["kind"] == "csv" and imprint.get("target_mass") == "1/n":
+        imprint["target_mass"] = 0.25
+    if defense.get("noise") is None:
+        defense.pop("sigma", None)
+    if imprint["variant"] != "one_shot" or data["kind"] != "synthetic_gaussian":
+        raw.pop("trials", None)
+    return raw
+
+
+def _out_of_row(leaf):
+    """A value of the wrong type, and the first value past each bound."""
+    bad = [[]]
+    for term in filter(None, leaf.bounds.split(", ")):
+        op, bound = term.split()
+        bound = leaf.type(bound)
+        bad.append({">=": bound - 1, ">": bound, "<=": bound + 1, "<": bound,
+                    "!=": bound}[op])
+    return bad
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(raw=_configs(), data=st.data())
+def test_schema_is_idempotent_and_names_every_bad_leaf(raw, data):
+    cfg = validate_config(raw)
+    assert validate_config(copy.deepcopy(cfg)) == cfg
+    for leaf in CONFIG_LEAVES:
+        bad = copy.deepcopy(cfg)
+        node = bad
+        *sections, key = leaf.path.split(".")
+        for section in sections:  # a list leaf is tried on the first stage
+            node = (node[section[:-2]] or [{}])[0] if section.endswith("[]") else node[section]
+        if key not in node:
+            continue  # the leaf does not exist in this config
+        node[key] = data.draw(st.sampled_from(_out_of_row(leaf)), label=leaf.path)
+        with pytest.raises(ConfigError) as exc:
+            validate_config(bad)
+        where = leaf.path.replace("[]", "[0]") if sections else f"config.{key}"
+        assert str(exc.value).startswith(f"{where}: "), str(exc.value)
 
 
 def test_fullbatch_report_structure():
@@ -188,6 +306,19 @@ def test_sweep_axis_validation():
         sweep_scenario(one_shot, "bins", [4])
     with pytest.raises(ConfigError, match="mass sweep"):
         sweep_scenario(_small_cfg(), "mass", [0.1])
+
+
+def test_sweep_by_leaf_path_matches_its_alias():
+    _, by_alias, _ = sweep_scenario(_small_cfg(), "bins", [8, 16])
+    _, by_path, _ = sweep_scenario(_small_cfg(), "model.imprint.k", [8, 16])
+    assert [r[0] for r in by_path] == ["model.imprint.k"] * 2
+    assert [r[1:] for r in by_path] == [r[1:] for r in by_alias]
+    # sigma keeps its Laplace default under either name
+    _, _, reports = sweep_scenario(_small_cfg(), "defense.sigma", [0.0])
+    assert reports[0]["config"]["defense"]["noise"] == "laplace"
+    with pytest.raises(ConfigError, match="sweep.axis: model.imprint.placement sweep needs "
+                       "model.imprint.variant one_shot, got relu"):
+        sweep_scenario(_small_cfg(), "model.imprint.placement", [0.5])
 
 
 def test_one_shot_trials_block():
