@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from . import distributions, numerics
 from .numerics import RngStream
 
 KINDS = ("mean", "dct", "random_gaussian")
@@ -82,8 +82,6 @@ def assumed_distribution(h: Measurement, data_model: dict | None = None, *,
     empirical kind takes the measurements of `surrogate`, an (s, m) block of
     surrogate vectors.
     """
-    from . import distributions  # late import: avoids cycle at module load
-
     cfg = dict(data_model or {})
     kind = cfg.pop("kind", "normal")
     if kind == "normal":

@@ -1,11 +1,11 @@
 """Scoring recovered candidates against ground truth.
 
-Matching is an optimal assignment under squared Euclidean distance, so scores
-never depend on the order candidates came out in. PSNR uses a fixed sentinel
-(300 dB) for exact-zero error; identification accuracy asks whether each
-candidate's nearest neighbor in truth-plus-distractors is its matched row.
-`score` computes the candidate-truth distances once and reads the matching,
-exactness, PSNR and identification off them as per-candidate arrays.
+A candidate is paired with its nearest own member (the server knows which
+examples its bin averages), so no assignment is solved; a candidate with no
+member is spurious, paired with its nearest truth row for PSNR, and never
+exact or an identification hit. PSNR uses a fixed sentinel (300 dB) for
+exact-zero error. `score` computes the candidate-truth distances once and
+reads the pairing, exactness, PSNR and identification off them as arrays.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
 
 
-def _iip(dists, cols, candidates, pool) -> float:
-    """Fraction of candidates whose nearest row among truth plus pool is their
-    matched truth row cols[i]. Truth wins a tie with the pool,
-    as the first minimum over [truth; pool] would."""
-    hits = np.argmin(dists, axis=1) == cols
+def _iip(dists, cols, spurious, candidates, pool) -> float:
+    """Fraction of candidates, spurious ones never, whose nearest row among
+    truth plus pool is their paired truth row cols[i]. Truth wins a tie with
+    the pool, as the first minimum over [truth; pool] would."""
+    hits = (np.argmin(dists, axis=1) == cols) & ~spurious
     if pool is not None and len(pool):
         nearest_pool = _pairwise_sq(candidates, _rows(pool)).min(axis=1)
         hits &= dists[np.arange(len(cols)), cols] <= nearest_pool
@@ -82,10 +82,11 @@ def exact_flags(candidates, truth, *, rel_tol: float = EXACT_REL_TOL) -> np.ndar
 class ScoreReport:
     """Per-candidate scores, indexed like the candidates that were scored."""
 
-    truth_row: np.ndarray  # matched truth row
+    truth_row: np.ndarray  # paired truth row
     exact: np.ndarray      # reproduces its truth row to rel_tol
     psnr: np.ndarray       # dB, in the psnr_transform space
     iip: float
+    spurious: np.ndarray   # has no member
 
     @property
     def n_candidates(self) -> int:
@@ -100,25 +101,30 @@ class ScoreReport:
         return float(np.mean(self.psnr)) if len(self.psnr) else float("nan")
 
 
-def score(candidates, truth, *, pool=None, rel_tol: float = EXACT_REL_TOL,
+def score(candidates, truth, members, *, pool=None, rel_tol: float = EXACT_REL_TOL,
           psnr_transform=None) -> ScoreReport:
-    """One-stop scoring: match, exactness, PSNR over matched pairs,
-    and image identification precision (IIP) against truth plus `pool`.
-
-    psnr_transform optionally maps vectors into the space PSNR is quoted in
-    (e.g. [0,1] scaling); matching, exactness, and IIP always use the raw
-    vectors.
+    """Pairing, exactness, PSNR over paired rows, and image identification
+    precision (IIP) against truth plus `pool`. `members` is a pair of index
+    arrays (candidate, truth row), one entry per member of each candidate's
+    bin. psnr_transform optionally maps vectors into the space PSNR is quoted
+    in (e.g. [0,1] scaling); pairing, exactness and IIP use the raw vectors.
     """
     candidates = _rows(candidates)
     truth = _rows(truth)
     dists = _pairwise_sq(candidates, truth)
-    cols = assignment(dists)  # matched truth row of each candidate
-    iip = _iip(dists, cols, candidates, pool)
+    cand, row = (np.asarray(a, dtype=np.int64) for a in members)
+    order = np.lexsort((row, dists[cand, row], cand))  # nearest member first, low row on a tie
+    cand, row = cand[order], row[order]
+    first = np.flatnonzero(np.diff(cand, prepend=-1))
+    cols = np.argmin(dists, axis=1)  # a spurious candidate keeps its nearest truth row
+    cols[cand[first]] = row[first]
+    spurious = np.bincount(cand, minlength=len(cols)) == 0
+    iip = _iip(dists, cols, spurious, candidates, pool)
     matched = truth[cols]
-    exact = exact_flags(candidates, matched, rel_tol=rel_tol)
+    exact = exact_flags(candidates, matched, rel_tol=rel_tol) & ~spurious
     if psnr_transform is not None:
         # rebinding drops each raw copy as soon as its transform exists
         candidates = psnr_transform(candidates)
         matched = psnr_transform(matched)
     return ScoreReport(truth_row=cols, exact=exact,
-                       psnr=psnr(candidates, matched), iip=iip)
+                       psnr=psnr(candidates, matched), iip=iip, spurious=spurious)

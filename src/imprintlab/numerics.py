@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 DEFAULT_DTYPE = np.float32
 
@@ -100,6 +99,7 @@ def assignment(cost: np.ndarray) -> np.ndarray:
     Returns an int array `cols` of length r: row i is paired with cols[i],
     all distinct, minimizing the summed cost.
     """
+    from scipy.optimize import linear_sum_assignment  # here: no run solves an assignment
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost must be 2-d, got shape {cost.shape}")

@@ -397,7 +397,8 @@ def _round(cfg, imp, model, batch, defense_base: RngStream) -> _Round:
 
 def _theory_block(imp, model, n, m_feat):
     k = imp.k
-    block = {"iid_expected": theory.iid_expected(n, k)}
+    # the one-shot trap's two bins are not equiprobable: one_shot_success predicts it
+    block = {"iid_expected": None if imp.fused_mass else theory.iid_expected(n, k)}
     try:
         block["prop1_expected"] = theory.prop1_closed_form(n, k)
     except ValueError:
@@ -430,7 +431,11 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
     feats64 = np.asarray(rnd.feats, dtype=np.float64)
     pool = _draw_pool(cfg, model, batch)
     tf, lo, hi = _unit_transform(feats64)
-    rep = score(selected.vectors, feats64, pool=pool, rel_tol=cfg["metrics"]["rel_tol"],
+    cand = np.full(len(counts), -1)
+    cand[selected.bins] = np.arange(len(selected))
+    cand = cand[rnd.bins]  # candidate of each (example, bin) pair; -1: bin not selected
+    rep = score(selected.vectors, feats64, (cand[cand >= 0], rnd.examples[cand >= 0]),
+                pool=pool, rel_tol=cfg["metrics"]["rel_tol"],
                 psnr_transform=tf) if selected else None
     exact_bins = [] if rep is None else sorted(selected.bins[rep.exact].tolist())
 
@@ -460,6 +465,7 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
             "exact_fraction": len(exact_bins) / batch.n,
             "exact_bins": exact_bins,
             "singleton_match": exact_bins == singleton_bins,
+            "spurious": int(rep.spurious.sum()) if rep else 0,
             "mean_psnr": rep.mean_psnr if rep else None,
             "mean_psnr_exact": float(np.mean(rep.psnr[rep.exact])) if exact_bins else None,
             "iip": rep.iip if rep else 0.0,

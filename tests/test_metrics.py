@@ -12,6 +12,12 @@ def _sqdist(a, b):
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
 
 
+def _own(n):
+    """Member pairs of n candidates whose bins each hold the truth row of
+    the same index."""
+    return np.arange(n), np.arange(n)
+
+
 def test_match_inverts_a_shuffle():
     truth = RngStream(60, 0).normal((8, 5))
     perm = RngStream(60, 1).permutation(8)
@@ -83,7 +89,7 @@ def test_exact_flags_and_count():
     assert exact_flags(truth.copy(), truth).tolist() == [True] * 5
     cands2 = truth.copy()
     cands2[2] = 0.5 * (truth[2] + truth[3])  # collision blend
-    assert score(cands2, truth).exact_count == 4
+    assert score(cands2, truth, _own(5)).exact_count == 4
     assert exact_flags(cands2, truth).tolist() == [True, True, False, True, True]
     # tolerance boundary: relative l2 exactly at rel_tol passes
     c = truth[0] * (1 + 1e-5)
@@ -97,12 +103,12 @@ def test_exact_flags_and_count():
 
 def test_iip_basics():
     truth = RngStream(66, 0).normal((6, 8))
-    assert score(truth, truth).iip == 1.0
+    assert score(truth, truth, _own(6)).iip == 1.0
     pool = RngStream(66, 1).normal((20, 8))
-    assert score(truth, truth, pool=pool).iip == 1.0  # exact copies keep winning
+    assert score(truth, truth, _own(6), pool=pool).iip == 1.0  # exact copies keep winning
     # distractors that ARE the candidates steal every hit
-    assert score(truth + 0.01, truth, pool=truth + 0.01).iip == 0.0
-    assert score(truth, truth, pool=truth).iip == 1.0  # truth wins a tie
+    assert score(truth + 0.01, truth, _own(6), pool=truth + 0.01).iip == 0.0
+    assert score(truth, truth, _own(6), pool=truth).iip == 1.0  # truth wins a tie
 
 
 def test_iip_nonincreasing_in_nested_pools():
@@ -111,8 +117,8 @@ def test_iip_nonincreasing_in_nested_pools():
         cands = truth + 0.3 * RngStream(68, seed).normal((6, 8))
         pool = truth + 0.25 * RngStream(69, seed).normal((6, 8))
         big_pool = np.vstack([pool, truth + 0.2 * RngStream(70, seed).normal((6, 8))])
-        vals = [score(cands, truth).iip, score(cands, truth, pool=pool).iip,
-                score(cands, truth, pool=big_pool).iip]
+        vals = [score(cands, truth, _own(6)).iip, score(cands, truth, _own(6), pool=pool).iip,
+                score(cands, truth, _own(6), pool=big_pool).iip]
         assert vals[0] >= vals[1] >= vals[2]
 
 
@@ -122,7 +128,7 @@ def test_score_iip_equals_nearest_in_stacked_gallery():
         truth = RngStream(75, seed).normal((12, 6))
         cands = truth[:9] + 0.4 * RngStream(76, seed).normal((9, 6))
         pool = truth + 0.3 * RngStream(77, seed).normal((12, 6))
-        rep = score(cands, truth, pool=pool)
+        rep = score(cands, truth, _own(9), pool=pool)
         nearest = _sqdist(cands, np.vstack([truth, pool])).argmin(axis=1)
         assert rep.iip == float(np.mean(nearest == rep.truth_row))
 
@@ -135,15 +141,17 @@ def test_iip_exceeds_singleton_fraction_on_collisions():
     truth = stream.derive(0).normal((64, 16))
     bins = stream.derive(1).integers(64, low=0, high=128)
     wts = 1.0 + 0.2 * stream.derive(2).uniform((64,))
-    cands, singles = [], 0
+    cands, singles, members = [], 0, ([], [])
     for b in sorted(set(bins.tolist())):
         idx = np.flatnonzero(bins == b)
         w = wts[idx][:, None]
+        members[0].extend([len(cands)] * len(idx))
+        members[1].extend(idx.tolist())
         cands.append((w * truth[idx]).sum(axis=0) / w.sum())
         singles += len(idx) == 1
     cands = np.stack(cands)
     frac = singles / cands.shape[0]
-    val = score(cands, truth).iip
+    val = score(cands, truth, members).iip
     assert val >= frac - 0.02
     assert val > frac + 0.05  # the gap is real, not a tolerance artifact
     assert frac < 1.0
@@ -153,8 +161,8 @@ def test_score_is_order_invariant():
     truth = RngStream(72, 0).normal((7, 9))
     cands = truth + 0.05 * RngStream(72, 1).normal((7, 9))
     perm = RngStream(72, 2).permutation(7)
-    a = score(cands, truth)
-    b = score(cands[perm], truth)
+    a = score(cands, truth, _own(7))
+    b = score(cands[perm], truth, (np.arange(7), perm))
     assert a.exact_count == b.exact_count
     assert abs(a.mean_psnr - b.mean_psnr) < 1e-12
     assert a.iip == b.iip
@@ -169,8 +177,8 @@ def test_score_psnr_transform_changes_only_psnr():
     truth = RngStream(73, 0).normal((4, 6))
     cands = truth + 0.05
     tf = lambda v: (v + 4.0) / 8.0  # map roughly into [0, 1]
-    plain = score(cands, truth)
-    scaled = score(cands, truth, psnr_transform=tf)
+    plain = score(cands, truth, _own(4))
+    scaled = score(cands, truth, _own(4), psnr_transform=tf)
     assert scaled.exact_count == plain.exact_count
     assert scaled.iip == plain.iip
     assert np.array_equal(scaled.truth_row, plain.truth_row)
@@ -181,9 +189,46 @@ def test_score_psnr_transform_changes_only_psnr():
 
 def test_score_empty_candidates():
     truth = RngStream(74, 0).normal((3, 5))
-    rep = score(np.zeros((0, 5)), truth)
+    rep = score(np.zeros((0, 5)), truth, _own(0))
     assert rep.n_candidates == 0
     assert rep.exact_count == 0
     assert rep.iip == 0.0
     assert np.isnan(rep.mean_psnr)
     assert rep.truth_row.tolist() == []
+
+
+def test_score_pairs_each_candidate_with_its_nearest_own_member():
+    truth = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
+    cands = np.array([[1.0, 0.0], [0.4, 0.0]])  # read-outs of bins {1} and {0, 2}
+    rep = score(cands, truth, (np.array([1, 0, 1]), np.array([2, 1, 0])))
+    assert rep.truth_row.tolist() == [1, 0]
+    assert rep.exact.tolist() == [True, False]
+    assert rep.spurious.tolist() == [False, False]
+    # equal distance to two members: the lower truth row wins
+    tie = score(np.array([[0.5, 0.0]]), truth, (np.array([0, 0]), np.array([1, 0])))
+    assert tie.truth_row.tolist() == [0]
+
+
+def test_score_keeps_an_exact_copy_the_assignment_gives_away():
+    # the blend of rows 1 and 2 lands next to row 0; minimizing the summed
+    # squared distance pairs it with row 0 and the exact copy of row 0 with
+    # row 1, and only the member pairing counts the copy exact
+    truth = np.array([[0.0, 0.0], [1.0, 0.0], [-1.2, 0.0]])
+    cands = np.array([[0.0, 0.0], [-0.1, 0.0]])  # bins {0} and {1, 2}
+    assert match(cands, truth) == [(0, 1), (1, 0)]
+    rep = score(cands, truth, (np.array([0, 1, 1]), np.array([0, 1, 2])))
+    assert rep.truth_row.tolist() == [0, 1]
+    assert rep.exact.tolist() == [True, False]
+
+
+def test_score_spurious_candidate_is_never_exact_nor_an_iip_hit():
+    truth = RngStream(78, 0).normal((4, 6))
+    cands = truth[[0, 2, 3]].copy()  # candidate 1 copies truth row 2 but holds nobody
+    rep = score(cands, truth, (np.array([0, 2]), np.array([0, 3])))
+    assert rep.spurious.tolist() == [False, True, False]
+    assert rep.truth_row.tolist() == [0, 2, 3]  # paired with its nearest row for PSNR
+    assert rep.exact.tolist() == [True, False, True]
+    assert rep.psnr[1] == PSNR_EXACT_SENTINEL
+    assert rep.iip == 2 / 3
+    nobody = score(cands, truth, (np.zeros(0, int), np.zeros(0, int)))
+    assert nobody.spurious.all() and nobody.exact_count == 0 and nobody.iip == 0.0

@@ -414,3 +414,84 @@ def test_front_stage_reduces_features():
     cfg["model"]["front"] = [{"kind": "avg_pool", "factor": 5}]
     with pytest.raises(ConfigError, match=r"front\[0\]"):
         run_scenario(cfg)
+
+
+def _narrow_cfg(m):
+    """16 examples of m features in 32 ReLU bins, float64, no pool."""
+    cfg = bundled_config("fullbatch64")
+    cfg["dtype"] = "float64"
+    cfg["data"].update(n=16, m=m)
+    cfg["model"]["imprint"]["k"] = 32
+    cfg["metrics"]["pool"] = 0
+    return cfg
+
+
+def test_exact_singleton_read_out_pairs_with_its_own_member():
+    # bin 16's read-out equals its one member; an optimal candidate-truth
+    # assignment paired it with another truth row
+    rep = run_scenario(_narrow_cfg(2), seed=0).report
+    assert 16 in rep["occupancy"]["singleton_bins"]
+    assert 16 in rep["recovery"]["exact_bins"]
+    assert rep["recovery"]["singleton_match"]
+
+
+def test_singleton_match_holds_at_narrow_feature_widths():
+    # the optimal assignment mispaired 36 of these 160 runs
+    failed = [(m, seed) for m in (2, 3, 4, 6) for seed in range(40)
+              if not run_scenario(_narrow_cfg(m), seed=seed).report["recovery"]["singleton_match"]]
+    assert failed == []
+
+
+@st.composite
+def _noise_free_fed_sgd(draw):
+    users = draw(st.sampled_from([1, 2, 4]))
+    n = users * draw(st.integers(1, 12))
+    variant = draw(st.sampled_from(["relu", "hard_threshold"]))
+    imprint = {"variant": variant, "k": draw(st.integers(2, 96)),
+               "permute": draw(st.booleans())}
+    if variant == "relu":
+        imprint["decoys"] = draw(st.integers(0, 3))
+    return _small_cfg(
+        dtype="float64", seed=draw(st.integers(0, 10_000)),
+        data={"kind": "synthetic_gaussian", "n": n, "m": draw(st.integers(1, 8)),
+              "label_classes": 4},
+        model={"measurement": {"kind": draw(st.sampled_from(["mean", "random_gaussian"]))},
+               "imprint": imprint, "head": {"kind": "pinned", "gain": float(n)}},
+        federation={"protocol": "fed_sgd", "users": users},
+        metrics={"pool": 0, "rel_tol": 1e-4})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cfg=_noise_free_fed_sgd())
+def test_exact_bins_are_the_singleton_bins_without_noise(cfg):
+    res = run_scenario(cfg)
+    occ, rec = res.report["occupancy"], res.report["recovery"]
+    assert rec["spurious"] == 0
+    if cfg["data"]["m"] >= 2:
+        assert rec["exact_bins"] == occ["singleton_bins"]
+        return
+    # m = 1: a bin is an interval of the one feature, so a collision's members
+    # can agree with their average to rel_tol; that read-out counts as exact
+    # (it reproduces a member), so every singleton is exact and each other
+    # exact bin is a collision
+    extra = set(rec["exact_bins"]) - set(occ["singleton_bins"])
+    assert set(occ["singleton_bins"]) <= set(rec["exact_bins"])
+    assert all(res.artifacts["occupancy_counts"][b] >= 2 for b in extra)
+
+
+def test_one_shot_theory_leaves_the_iid_model_empty():
+    # the trap's two bins hold mass 1/n and 1 - 1/n, so the equal-bin iid model
+    # does not describe it; one_shot_success is its prediction
+    cfg = _small_cfg(
+        dtype="float64",
+        data={"kind": "synthetic_gaussian", "n": 64, "m": 8, "label_classes": 4},
+        model={"imprint": {"variant": "one_shot", "target_mass": "1/n"},
+               "head": {"kind": "pinned", "gain": 1.0}},
+        trials=2)
+    theory = run_scenario(cfg).report["theory"]
+    assert theory["iid_expected"] is None
+    assert theory["one_shot_success"] == one_shot_success(64, 1.0 / 64)
+    header, rows, _ = sweep_scenario(cfg, "mass", [1.0 / 64])
+    assert rows[0][header.index("iid_expected")] == ""
+    assert rows[0][header.index("model_gap")] == ""
+    assert rows[0][header.index("one_shot_expected")] == theory["one_shot_success"]
