@@ -64,9 +64,26 @@ def load_synthetic_gaussian(n: int, m: int, *, label_classes: int, stream: RngSt
     return Batch(x=x, labels=labels)
 
 
+def _bad_cell(path: str, lineno: int, header: list, label_idx, row: list) -> ValueError:
+    """The error for the leftmost bad cell of a row that failed to convert."""
+    for col, cell in enumerate(row):
+        where = f"{path}:{lineno}: column {header[col]!r}: "
+        try:
+            value = int(cell) if col == label_idx else float(cell)
+        except ValueError:
+            value = None
+        if col == label_idx:
+            if value is None or value < 0:
+                return ValueError(where + f"bad label {cell!r} (expected an integer >= 0)")
+        elif value is None:
+            return ValueError(where + f"bad float {cell!r}")
+        elif not math.isfinite(value):
+            return ValueError(where + f"non-finite value {cell!r}")
+
+
 def load_csv(path: str, *, dtype=np.float32, normalization: str = "none") -> Batch:
-    """CSV with a header row: one or more float feature columns, plus an
-    optional column named "label" of integers >= 0."""
+    """CSV with a header row: float feature columns and an optional "label"
+    column of integers >= 0. Rows convert whole; a failed row is searched cell by cell."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -83,31 +100,19 @@ def load_csv(path: str, *, dtype=np.float32, normalization: str = "none") -> Bat
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            feats = []
-            for col, cell in enumerate(row):
-                if col == label_idx:
-                    try:
-                        label = int(cell)
-                    except ValueError:
-                        label = -1
-                    if label < 0:
-                        raise ValueError(f"{path}:{lineno}: column {header[col]!r}: "
-                                         f"bad label {cell!r} (expected an integer >= 0)")
-                    labels.append(label)
-                else:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise ValueError(f"{path}:{lineno}: column {header[col]!r}: "
-                                         f"bad float {cell!r}") from None
-                    if not math.isfinite(value):
-                        raise ValueError(f"{path}:{lineno}: column {header[col]!r}: "
-                                         f"non-finite value {cell!r}")
-                    feats.append(value)
-            rows.append(feats)
+            feats = row if label_idx is None else row[:label_idx] + row[label_idx + 1:]
+            try:
+                label = 0 if label_idx is None else int(row[label_idx])
+                values = np.fromiter(map(float, feats), np.float64)
+            except ValueError:
+                label = -1
+            if label < 0 or not np.isfinite(values).all():
+                raise _bad_cell(path, lineno, header, label_idx, row)
+            rows.append(values)
+            labels.append(label)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    x = normalize(np.asarray(rows, dtype=dtype), normalization)
+    x = normalize(np.array(rows, dtype=dtype), normalization)
     lab = np.asarray(labels, dtype=np.int64) if label_idx is not None else None
     return Batch(x=x, labels=lab)
 

@@ -6,6 +6,8 @@ member is spurious, paired with its nearest truth row for PSNR, and never
 exact or an identification hit. PSNR uses a fixed sentinel (300 dB) for
 exact-zero error. `score` computes the candidate-truth distances once and
 reads the pairing, exactness, PSNR and identification off them as arrays.
+Only the distance matrices are full size; everything else runs BLOCK_ROWS
+candidate rows at a time, with every value bit-identical to whole arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import assignment
+from .numerics import BLOCK_ROWS, assignment
 
 PSNR_EXACT_SENTINEL = 300.0
 EXACT_REL_TOL = 1e-4
@@ -25,12 +27,22 @@ def _rows(a) -> np.ndarray:
 
 
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between the float64 rows of a and of b."""
+    """Squared distances between the float64 rows of a and of b, as
+    max(aa + bb - 2 ab, 0) in that order. The product is one call, since a row
+    block of it can differ in the last bit; the rest runs a block of rows at a time."""
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+    bb = np.empty(len(b))
+    for lo in range(0, len(b), BLOCK_ROWS):
+        bb[lo:lo + BLOCK_ROWS] = np.sum(b[lo:lo + BLOCK_ROWS] ** 2, axis=1)
+    out = a @ b.T
+    out *= 2.0
+    for lo in range(0, len(a), BLOCK_ROWS):
+        rows = out[lo:lo + BLOCK_ROWS]
+        aa = np.sum(a[lo:lo + BLOCK_ROWS] ** 2, axis=1)[:, None]
+        np.subtract(aa + bb, rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
+    return out
 
 
 def _iip(dists, cols, spurious, candidates, pool) -> float:
@@ -51,6 +63,16 @@ def match(candidates: np.ndarray, truth: np.ndarray) -> list[tuple[int, int]]:
     return list(enumerate(cols.tolist()))
 
 
+def _psnr_of_diff(diff: np.ndarray) -> np.ndarray:
+    """PSNR along the last axis from row differences, squared in place."""
+    diff **= 2
+    mse = np.atleast_1d(np.mean(diff, axis=-1))
+    out = np.full(mse.shape, PSNR_EXACT_SENTINEL)
+    nonzero = mse != 0.0
+    out[nonzero] = 10.0 * np.log10(1.0 / mse[nonzero])
+    return out
+
+
 def psnr(a: np.ndarray, b: np.ndarray):
     """Peak signal-to-noise ratio in dB for peak 1 along the last axis (a
     float for vectors, an array for stacks of rows); exact match maps to the
@@ -59,12 +81,7 @@ def psnr(a: np.ndarray, b: np.ndarray):
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    diff **= 2
-    mse = np.atleast_1d(np.mean(diff, axis=-1))
-    out = np.full(mse.shape, PSNR_EXACT_SENTINEL)
-    nonzero = mse != 0.0
-    out[nonzero] = 10.0 * np.log10(1.0 / mse[nonzero])
+    out = _psnr_of_diff(a - b)
     return float(out[0]) if a.ndim == 1 else out
 
 
@@ -73,8 +90,9 @@ def exact_flags(candidates, truth, *, rel_tol: float = EXACT_REL_TOL) -> np.ndar
     position to rel_tol (relative l2); a zero truth row needs an exact zero."""
     c = np.asarray(candidates, dtype=np.float64)
     t = np.asarray(truth, dtype=np.float64)
-    denom = np.linalg.norm(t, axis=-1)
-    err = np.linalg.norm(c - t, axis=-1)
+    denom = np.sqrt(np.sum(t * t, axis=-1))
+    diff = c - t
+    err = np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=-1))
     return np.where(denom > 0, err <= rel_tol * denom, err == 0.0)
 
 
@@ -120,11 +138,12 @@ def score(candidates, truth, members, *, pool=None, rel_tol: float = EXACT_REL_T
     cols[cand[first]] = row[first]
     spurious = np.bincount(cand, minlength=len(cols)) == 0
     iip = _iip(dists, cols, spurious, candidates, pool)
-    matched = truth[cols]
-    exact = exact_flags(candidates, matched, rel_tol=rel_tol) & ~spurious
-    if psnr_transform is not None:
-        # rebinding drops each raw copy as soon as its transform exists
-        candidates = psnr_transform(candidates)
-        matched = psnr_transform(matched)
-    return ScoreReport(truth_row=cols, exact=exact,
-                       psnr=psnr(candidates, matched), iip=iip, spurious=spurious)
+    tf = psnr_transform or (lambda v: v)
+    exact, psnrs = np.empty(len(cols), dtype=bool), np.empty(len(cols))
+    for blk in (slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(cols), BLOCK_ROWS)):
+        c, t = candidates[blk], truth[cols[blk]]  # t is a fresh copy, c a view
+        exact[blk] = exact_flags(c, t, rel_tol=rel_tol)
+        t = tf(t)  # rebinding drops the raw copy before c's transform exists
+        psnrs[blk] = _psnr_of_diff(np.subtract(tf(c), t, out=t))
+    return ScoreReport(truth_row=cols, exact=exact & ~spurious, psnr=psnrs, iip=iip,
+                       spurious=spurious)

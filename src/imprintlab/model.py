@@ -4,7 +4,8 @@ Architecture: front stages (parameter-free) -> optional imprint layer ->
 bridge -> linear head -> softmax cross-entropy, mean over the batch. The
 backward pass is written out explicitly so gradients depend on nothing but
 this file (checked against finite differences and a per-example oracle in
-the tests).
+the tests). One float (n, rows) buffer holds the imprint pre-activation, its
+activation, then its gradient.
 
 Heads come in two flavors. A "random" head is an ordinary small-init
 classifier. A "pinned" head appends one extra class whose logit is
@@ -120,29 +121,6 @@ class ModelGraph:
             raise ValueError(f"expected a batch (n, features), got shape {x.shape}")
         return front_apply(self.stages, x)
 
-    def _forward(self, x: np.ndarray):
-        feats = self.forward_features(x)
-        cache = {"feats": feats}
-        if self.imprint is not None:
-            pre = matmul(feats, self.params["imprint.weight"].T) + self.params["imprint.bias"]
-            active = pre > 0  # ReLU: strictly above the kink; hard threshold: in (0, 1)
-            if self.imprint.variant == "relu":
-                act = np.where(active, pre, self.dtype.type(0))
-            else:
-                active &= pre < 1
-                act = np.clip(pre, 0.0, 1.0)
-            cache["active"] = active
-            cache["act"] = act
-            if self.bridge == "sum":
-                z = act.sum(axis=1, keepdims=True)
-            else:
-                z = matmul(act, self.params["bridge.weight"].T)
-        else:
-            z = feats
-        cache["z"] = z
-        logits = matmul(z, self.params["head.weight"].T) + self.params["head.bias"]
-        return logits, cache
-
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray, *, stats: dict | None = None):
         """Mean cross-entropy and gradients for every parameter.
 
@@ -156,28 +134,43 @@ class ModelGraph:
         if labels.min() < 0 or labels.max() >= self.n_classes:
             raise ValueError(f"labels must lie in [0, {self.n_classes}), got "
                              f"[{labels.min()}, {labels.max()}]")
-        logits, cache = self._forward(x)
+        feats = z = self.forward_features(x)
+        if self.imprint is not None:
+            act = matmul(feats, self.params["imprint.weight"].T)  # the pre-activation, for now
+            act += self.params["imprint.bias"]
+            active = act > 0  # ReLU: strictly above the kink; hard threshold: in (0, 1)
+            if self.imprint.variant == "relu":
+                np.copyto(act, 0, where=~active)  # +0.0, as np.where(active, pre, 0) gives
+            else:
+                active &= act < 1
+                np.clip(act, 0.0, 1.0, out=act)
+            if self.bridge == "sum":
+                z = act.sum(axis=1, keepdims=True)
+            else:
+                z = matmul(act, self.params["bridge.weight"].T)
+        logits = matmul(z, self.params["head.weight"].T) + self.params["head.bias"]
         loss, dlogits = _softmax_ce(logits, labels)
 
         grads = {
-            "head.weight": matmul(dlogits.T, cache["z"]),
+            "head.weight": matmul(dlogits.T, z),
             "head.bias": dlogits.sum(axis=0),
         }
         if self.imprint is None:
             return loss, grads
 
         dz = matmul(dlogits, self.params["head.weight"])
-        act = cache["act"]
         if self.bridge == "sum":
             da = np.broadcast_to(dz, act.shape)
         else:
             grads["bridge.weight"] = matmul(dz.T, act)
             da = matmul(dz, self.params["bridge.weight"])
-        dpre = np.where(cache["active"], da, self.dtype.type(0))
-        grads["imprint.weight"] = matmul(dpre.T, cache["feats"])
+        dpre = act  # the activation was read for the last time above
+        np.copyto(dpre, da)
+        np.copyto(dpre, 0, where=~active)
+        grads["imprint.weight"] = matmul(dpre.T, feats)
         grads["imprint.bias"] = dpre.sum(axis=0)
         if stats is not None:
-            stats.update(active=cache["active"], da=da, feats=cache["feats"])
+            stats.update(active=active, da=da, feats=feats)
         return loss, grads
 
 

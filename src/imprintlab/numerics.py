@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+BLOCK_ROWS = 256  # rows per block where the read-out and scoring stream row blocks
 
 # Children are packed into disjoint bit ranges of the 64-bit stream id, so a
 # (master_seed, stream_id) pair never collides across the derivation tree as

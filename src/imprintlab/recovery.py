@@ -9,7 +9,8 @@ adjacent ReLU rows narrows "saw" down to one bin. `recover_bins` is the one
 read-out for binned imprints (ReLU and hard-threshold); it and
 `recover_unique_labels` divide rows through the same `_read_rows` and return
 one `Readout`: parallel arrays of bins, vectors, denominators and confidences,
-which `select_candidates` ranks and scoring takes as they are.
+which `select_candidates` ranks and scoring takes as they are. The read-out
+casts and differences BLOCK_ROWS bins at a time and keeps only live rows.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .federation import UpdatePayload, to_gradient_form
 from .imprint import ImprintModule
+from .numerics import BLOCK_ROWS
 
 TAU0 = 1e-9  # relative floor under which a denominator counts as inactive
 
@@ -41,36 +43,43 @@ class Readout:
         return len(self.bins)
 
 
-def _read_rows(num: np.ndarray, den: np.ndarray, floor: float) -> Readout:
-    """Row i reads num[i] / den[i]; rows whose |den| is at or below floor are
-    suppressed as numerically dead. A non-finite gradient is an error: it
-    would otherwise reach scoring as garbage (or, as NaN, slip the floor)."""
-    if not (np.isfinite(den).all() and np.isfinite(num).all()):
-        raise ValueError("non-finite gradient in the payload; no row can be read out")
+def _read_rows(num_rows, den: np.ndarray, floor: float, width: int) -> Readout:
+    """Row i reads num[i] / den[i], num_rows(lo, hi) giving num's float64 rows
+    lo to hi a block at a time; only rows with |den| above floor are kept. A
+    non-finite gradient in any row is an error: it would otherwise reach
+    scoring as garbage (or, as NaN, slip the floor)."""
     live = np.flatnonzero(np.abs(den) > floor)
-    vectors = num[live]
-    confidences = np.abs(vectors).mean(axis=1)
-    vectors /= den[live, None]
-    return Readout(bins=live, vectors=vectors, denominators=den[live],
-                   confidences=confidences)
+    vectors, confidences = np.empty((len(live), width)), np.empty(len(live))
+    for lo in range(0, len(den), BLOCK_ROWS):
+        block = num_rows(lo, lo + BLOCK_ROWS)
+        if not (np.isfinite(block).all() and np.isfinite(den[lo:lo + BLOCK_ROWS]).all()):
+            raise ValueError("non-finite gradient in the payload; no row can be read out")
+        i, j = np.searchsorted(live, (lo, lo + BLOCK_ROWS))
+        vectors[i:j] = block[live[i:j] - lo]
+        del block  # freed before the next block is built
+        confidences[i:j] = np.abs(vectors[i:j]).mean(axis=1)
+        vectors[i:j] /= den[live[i:j], None]
+    return Readout(bins=live, vectors=vectors, denominators=den[live], confidences=confidences)
 
 
-def _by_bin(rows: np.ndarray, imprint: ImprintModule, dtype, axis: int = 0) -> np.ndarray:
-    """Per-row arrays regrouped per bin along `axis`, as `dtype`: a hard-threshold
-    row is its own bin; a ReLU row sees all above its boundary, so bin i is row
-    i minus row i+1 and the top bin its row alone. `rows` is never written."""
-    out = np.take(rows, imprint.row_of_bin, axis=axis).astype(dtype, copy=False)
-    if imprint.variant == "relu":
-        bins = np.moveaxis(out, axis, 0)  # a view: the differences land in `out`
-        bins[:-1] -= bins[1:]
-    return out
+def _by_bin(rows: np.ndarray, imprint: ImprintModule, dtype, axis=0, lo=0, hi=None):
+    """Rows regrouped per bin along `axis` as `dtype`, bins lo to hi (default
+    all): a hard-threshold row is its own bin; a ReLU row sees all above its
+    boundary, so bin i is row i minus row i+1, the top bin its row alone."""
+    hi = imprint.k if hi is None else hi
+    relu = imprint.variant == "relu"
+    picked = np.moveaxis(np.take(rows, imprint.row_of_bin[lo:hi + relu], axis=axis), axis, 0)
+    out = picked[:hi - lo].astype(dtype)
+    if relu:
+        out[:len(picked) - 1] -= picked[1:]
+    return np.moveaxis(out, 0, axis)
 
 
 def recover_bins(payload: UpdatePayload, imprint: ImprintModule) -> Readout:
     """One candidate per bin that captured mass, in bin order (ascending
     measurement value): the bin's weight over its bias gradient, by
-    `_by_bin`. Denominators at or below TAU0 * max|bias grad| are
-    suppressed. The payload is left untouched.
+    `_by_bin`, read BLOCK_ROWS bins at a time. Denominators at or below
+    TAU0 * max|bias grad| are suppressed. The payload is left untouched.
     """
     g = to_gradient_form(payload.mean_payload()).tensors
     try:
@@ -78,8 +87,8 @@ def recover_bins(payload: UpdatePayload, imprint: ImprintModule) -> Readout:
     except KeyError as exc:
         raise ValueError("payload has no imprint gradients") from exc
     floor = TAU0 * float(np.abs(gb[imprint.row_of_bin]).max(initial=0.0))
-    return _read_rows(_by_bin(gw, imprint, np.float64), _by_bin(gb, imprint, np.float64),
-                      floor)
+    return _read_rows(lambda lo, hi: _by_bin(gw, imprint, np.float64, lo=lo, hi=hi),
+                      _by_bin(gb, imprint, np.float64), floor, gw.shape[1])
 
 
 def bin_members(active: np.ndarray, imprint: ImprintModule) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +117,8 @@ def recover_unique_labels(grad_w: np.ndarray, grad_b: np.ndarray) -> Readout:
     """
     gb = np.asarray(grad_b, dtype=np.float64)
     floor = TAU0 * float(np.abs(gb).max(initial=0.0))
-    out = _read_rows(np.asarray(grad_w, dtype=np.float64), gb, floor)
+    gw = np.asarray(grad_w)
+    out = _read_rows(lambda lo, hi: gw[lo:hi].astype(np.float64), gb, floor, gw.shape[1])
     if not out:
         raise NoActiveRow("no class row carries signal")
     return out

@@ -195,3 +195,92 @@ def loop_fed_avg(model, x, labels, *, steps, lr):
                     "da_abs_sum_max": float(np.abs(stats["da"]).sum(axis=0).max()),
                     "x_norm_max": float(norms.max())})
     return {k: local.params[k] - start[k] for k in start}, log
+
+
+def unblocked_pairwise_sq(a, b):
+    """Squared distances between the rows of a and of b as one whole-array
+    expression: every row norm and the full product at once."""
+    aa = np.sum(a * a, axis=1)[:, None]
+    bb = np.sum(b * b, axis=1)[None, :]
+    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+
+
+def unblocked_exact_psnr(candidates, truth, cols, *, rel_tol, psnr_transform=None):
+    """Exactness (relative l2 through np.linalg.norm) and PSNR of every
+    candidate against truth[cols], each over the whole candidate array."""
+    matched = truth[cols]
+    denom = np.linalg.norm(matched, axis=-1)
+    err = np.linalg.norm(candidates - matched, axis=-1)
+    exact = np.where(denom > 0, err <= rel_tol * denom, err == 0.0)
+    if psnr_transform is not None:
+        candidates, matched = psnr_transform(candidates), psnr_transform(matched)
+    mse = np.mean((candidates - matched) ** 2, axis=-1)
+    with np.errstate(divide="ignore"):
+        return exact, np.where(mse != 0.0, 10.0 * np.log10(1.0 / mse), 300.0)
+
+
+def unblocked_imprint_pass(model, x, labels):
+    """Loss, gradients, active mask and activation gradient of an imprint
+    model, with a fresh array for the pre-activation, the activation and the
+    pre-activation gradient, and np.where for every mask."""
+    from imprintlab.model import _softmax_ce
+    p, zero = model.params, model.dtype.type(0)
+    feats = model.forward_features(x)
+    pre = feats @ p["imprint.weight"].T + p["imprint.bias"]
+    active = pre > 0
+    if model.imprint.variant == "relu":
+        act = np.where(active, pre, zero)
+    else:
+        active &= pre < 1
+        act = np.clip(pre, 0.0, 1.0)
+    z = act.sum(axis=1, keepdims=True) if model.bridge == "sum" else act @ p["bridge.weight"].T
+    loss, dlogits = _softmax_ce(z @ p["head.weight"].T + p["head.bias"], labels)
+    grads = {"head.weight": dlogits.T @ z, "head.bias": dlogits.sum(axis=0)}
+    dz = dlogits @ p["head.weight"]
+    if model.bridge == "sum":
+        da = np.broadcast_to(dz, act.shape)
+    else:
+        grads["bridge.weight"] = dz.T @ act
+        da = dz @ p["bridge.weight"]
+    dpre = np.where(active, da, zero)
+    grads["imprint.weight"] = dpre.T @ feats
+    grads["imprint.bias"] = dpre.sum(axis=0)
+    return loss, grads, active, da
+
+
+def loop_load_csv(path, *, dtype=np.float32):
+    """A CSV read one cell at a time: float() per feature cell, int() per
+    label cell, each checked as it is read. Returns (x, labels or None)."""
+    import csv
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        label_idx = header.index("label") if "label" in header else None
+        rows, labels = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            feats = []
+            for col, cell in enumerate(row):
+                where = f"{path}:{lineno}: column {header[col]!r}: "
+                if col == label_idx:
+                    try:
+                        label = int(cell)
+                    except ValueError:
+                        label = -1
+                    if label < 0:
+                        raise ValueError(where + f"bad label {cell!r} (expected an integer >= 0)")
+                    labels.append(label)
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(where + f"bad float {cell!r}") from None
+                if not math.isfinite(value):
+                    raise ValueError(where + f"non-finite value {cell!r}")
+                feats.append(value)
+            rows.append(feats)
+    x = np.asarray(rows, dtype=dtype)
+    return x, (np.asarray(labels, dtype=np.int64) if label_idx is not None else None)

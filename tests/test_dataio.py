@@ -7,6 +7,7 @@ from imprintlab.dataio import (canonical_json, load_csv, load_synthetic_gaussian
                                load_token_sequences, normalize, to_jsonable, write_csv,
                                write_report)
 from imprintlab.numerics import RngStream
+from oracles import loop_load_csv
 
 
 def _write_csv(path, header, rows):
@@ -82,6 +83,43 @@ def test_csv_errors_name_row_and_column(tmp_path):
         fh.write("a,b\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("text", [
+    "a, label ,b\n 1.5 ,3, 2e3\n1_0, 1_0 ,-0.0\n\n+7,0,.5e-3\n-1E-310,2,1e38\n",
+    "a,b\n0.1,0.2\n0.30000000000000004,  -7\n",
+])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_csv_values_match_the_per_cell_reader(tmp_path, text, dtype):
+    path = tmp_path / "ok.csv"
+    path.write_text(text)
+    x, labels = loop_load_csv(str(path), dtype=dtype)
+    batch = load_csv(str(path), dtype=dtype)
+    assert batch.x.dtype == x.dtype and batch.x.tobytes() == x.tobytes()
+    assert (batch.labels is None) == (labels is None)
+    if labels is not None:
+        assert batch.labels.tolist() == labels.tolist()
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n1,2\n3,inf\n", "a,b\n1, nan \n", "a,b\n1e400,2\n", "a,b\n-1e400,2\n",
+    "a,b\n1,x\n", "a,b\n1,1__0\n", "a,label\n1,1.0\n", "a,label\n1,-1\n",
+    "a,label\n1, \n", "a,b\n1,2,3\n",
+    "a,label,b\n1,-1,x\n",   # the leftmost bad cell of a row is named
+    "a,label,b\nx,-1,1\n",
+    "a,label,b\n1,x,inf\n",
+    "a,b\n1,inf\n2,x\n",    # and the first bad row
+    "a,b\n1,x\n2,3,4\n",
+    "a,b\n1,2\n\n3\n",
+])
+def test_csv_errors_match_the_per_cell_reader(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as want:
+        loop_load_csv(str(path))
+    with pytest.raises(ValueError) as got:
+        load_csv(str(path))
+    assert str(got.value) == str(want.value)
 
 
 def test_normalize_standardize_and_inverse():
