@@ -92,7 +92,7 @@ def _cmd_sweep(args) -> int:
         with open(csv_path, "w", newline="") as fh:
             write_csv(fh, header, rows)
         print(f"sweep written to {csv_path}")
-        svg = _sweep_chart(args.axis, values, rows, reports)
+        svg = _sweep_chart(args.axis, values, header, rows, reports)
         if svg is not None:
             svg_path = os.path.join(args.out, f"{name}_{args.axis}_sweep.svg")
             with open(svg_path, "w") as fh:
@@ -103,15 +103,14 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sweep_chart(axis, values, rows, reports):
+def _sweep_chart(axis, values, header, rows, reports):
     def col(name):
-        idx = {"prop1": 2, "iid": 3, "one_shot": 5, "exact_fraction": 7,
-               "success_rate": 10}[name]
-        return [row[idx] if isinstance(row[idx], (int, float)) else None for row in rows]
+        i = header.index(name)
+        return [row[i] if isinstance(row[i], (int, float)) else None for row in rows]
 
     leaf = SWEEP_AXES[axis]
     if leaf.when == ("variant", "one_shot"):  # the trap's own leaves move its success
-        series = [("predicted success", values, col("one_shot")),
+        series = [("predicted success", values, col("one_shot_expected")),
                   ("measured success", values, col("success_rate"))]
         y = "success probability"
     elif leaf.path == "defense.sigma":
@@ -125,8 +124,8 @@ def _sweep_chart(axis, values, rows, reports):
             return [p / n if p is not None else None for p, n in zip(col(name), ns)]
 
         series = [("measured exact fraction", values, col("exact_fraction")),
-                  ("composition model", values, fractions("prop1")),
-                  ("iid model", values, fractions("iid"))]
+                  ("composition model", values, fractions("prop1_expected")),
+                  ("iid model", values, fractions("iid_expected"))]
         y = "exact fraction"
     try:
         return line_chart(series, title=f"{axis} sweep", x_label=axis, y_label=y)

@@ -133,25 +133,10 @@ def load_token_sequences(n_seq: int, seq_len: int, *, vocab: int, embed_dim: int
 
 # -- canonical serialization ---------------------------------------------------
 
-def to_jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json sees plain Python."""
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def canonical_json(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """obj as JSON with sorted keys, which must all be strings (int keys would
+    sort numerically); a numpy scalar or array is written as its .tolist()."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=lambda v: v.tolist()) + "\n"
 
 
 def write_report(report: dict, path: str) -> None:

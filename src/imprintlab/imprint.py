@@ -19,24 +19,14 @@ from .numerics import DEFAULT_DTYPE, RngStream
 DEFAULT_P_MIN = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class BinLayout:
-    """k bin boundaries at quantiles of an assumed scalar distribution.
+def make_layout(distribution, k: int, *, p_min: float = DEFAULT_P_MIN) -> np.ndarray:
+    """k equal-mass bin boundaries: boundaries[i] = quantile(max(i/k, p_min)),
+    float64 and strictly increasing.
 
     Bin i is the interval (boundaries[i], boundaries[i+1]). The top bin is
     open-ended for ReLU rows but ends one interior width up for hard-threshold
     rows; mass outside the bins is never recoverable.
     """
-
-    boundaries: np.ndarray  # float64, shape (k,), strictly increasing
-
-    @property
-    def k(self) -> int:
-        return self.boundaries.shape[0]
-
-
-def make_layout(distribution, k: int, *, p_min: float = DEFAULT_P_MIN) -> BinLayout:
-    """Equal-mass bins: boundaries[i] = quantile(max(i/k, p_min))."""
     if k < 2:
         raise ValueError(f"need at least 2 bins, got {k}")
     if not (0.0 < p_min < 1.0 / k):
@@ -45,29 +35,29 @@ def make_layout(distribution, k: int, *, p_min: float = DEFAULT_P_MIN) -> BinLay
     boundaries = distribution.quantile(probs)
     if not np.all(np.diff(boundaries) > 0):
         raise ValueError("bin boundaries are not strictly increasing; distribution too degenerate")
-    return BinLayout(boundaries=boundaries)
+    return boundaries
 
 
 @dataclass(frozen=True, eq=False)
 class ImprintModule:
     """Constructed imprint parameters plus the server-side metadata.
 
-    weight/bias are the initial layer parameters (physical row order, i.e.
-    after permutation). row_of_bin[i] is the physical row that serves logical
-    bin i, in ascending boundary order.
+    weight/bias are the initial layer parameters in physical row order (after
+    permutation); row_of_bin[i] is the physical row serving logical bin i, the
+    bin above boundaries[i] (make_layout's, or the one-shot trap's two ends).
     """
 
     variant: str
     weight: np.ndarray       # (K, m)
     bias: np.ndarray         # (K,)
-    layout: BinLayout
+    boundaries: np.ndarray   # float64, (k,)
     row_of_bin: np.ndarray   # int64, (k,)
     decoy_rows: np.ndarray   # int64, (K - k,)
     fused_mass: float | None = None  # set by fuse_one_shot
 
     @property
     def k(self) -> int:
-        return self.layout.k
+        return len(self.boundaries)
 
     @property
     def n_rows(self) -> int:
@@ -81,7 +71,7 @@ def _permute(k: int, decoys: int, perm_stream: RngStream | None) -> np.ndarray:
     return perm_stream.permutation(total)
 
 
-def build_relu(layout: BinLayout, measurement: Measurement, *, decoys: int = 0,
+def build_relu(boundaries: np.ndarray, measurement: Measurement, *, decoys: int = 0,
                perm_stream: RngStream | None = None, decoy_stream: RngStream | None = None,
                dtype=DEFAULT_DTYPE) -> ImprintModule:
     """ReLU imprint: k identical measurement rows, biases at -boundary.
@@ -94,24 +84,24 @@ def build_relu(layout: BinLayout, measurement: Measurement, *, decoys: int = 0,
         raise ValueError(f"decoys must be >= 0, got {decoys}")
     if (decoys > 0) and (decoy_stream is None):
         raise ValueError("decoys requested but no decoy_stream given")
-    k, m = layout.k, measurement.m
+    k, m = len(boundaries), measurement.m
     perm = _permute(k, decoys, perm_stream)
     weight = np.empty((k + decoys, m), dtype=dtype)
     bias = np.empty(k + decoys, dtype=dtype)
     weight[perm[:k]] = measurement.row()
-    bias[perm[:k]] = -layout.boundaries
+    bias[perm[:k]] = -boundaries
     if decoys:
-        lo, hi = layout.boundaries[0], layout.boundaries[-1]
+        lo, hi = boundaries[0], boundaries[-1]
         weight[perm[k:]] = decoy_stream.derive(0).normal((decoys, m), sd=m ** -0.25)
         bias[perm[k:]] = -decoy_stream.derive(1).uniform(decoys, low=lo, high=hi)
     return ImprintModule(
-        variant="relu", weight=weight, bias=bias, layout=layout,
+        variant="relu", weight=weight, bias=bias, boundaries=boundaries,
         row_of_bin=np.asarray(perm[:k], dtype=np.int64),
         decoy_rows=np.asarray(np.sort(perm[k:]), dtype=np.int64),
     )
 
 
-def build_hard_threshold(layout: BinLayout, measurement: Measurement, *,
+def build_hard_threshold(boundaries: np.ndarray, measurement: Measurement, *,
                          perm_stream: RngStream | None = None,
                          dtype=DEFAULT_DTYPE) -> ImprintModule:
     """Hard-threshold imprint: g(t) = clamp(t, 0, 1) with per-row scaling.
@@ -122,18 +112,17 @@ def build_hard_threshold(layout: BinLayout, measurement: Measurement, *,
     on its own (no differencing) -- and the 1/delta_i scaling stiffens the
     row against parameter drift during multi-step local training.
     """
-    k, m = layout.k, measurement.m
-    bounds = layout.boundaries
+    k, m = len(boundaries), measurement.m
     deltas = np.empty(k, dtype=np.float64)
-    deltas[:-1] = np.diff(bounds)
+    deltas[:-1] = np.diff(boundaries)
     deltas[-1] = deltas[-2]  # top bin is open; reuse the last interior width
     perm = _permute(k, 0, perm_stream)
     weight = np.empty((k, m), dtype=dtype)
     bias = np.empty(k, dtype=dtype)
     weight[perm] = measurement.row() / deltas[:, None]
-    bias[perm] = -bounds / deltas
+    bias[perm] = -boundaries / deltas
     return ImprintModule(
-        variant="hard_threshold", weight=weight, bias=bias, layout=layout,
+        variant="hard_threshold", weight=weight, bias=bias, boundaries=boundaries,
         row_of_bin=np.asarray(perm, dtype=np.int64),
         decoy_rows=np.zeros(0, dtype=np.int64),
     )
@@ -155,5 +144,4 @@ def fuse_one_shot(distribution, measurement: Measurement, target_mass: float, *,
         raise ValueError(f"placement {q} with mass {p} leaves the interval outside (0, 1)")
     bounds = np.array([distribution.quantile(q), distribution.quantile(q + p)])
     # a two-bin ReLU imprint whose bin 0 is the interval
-    return replace(build_relu(BinLayout(boundaries=bounds), measurement, dtype=dtype),
-                   fused_mass=p)
+    return replace(build_relu(bounds, measurement, dtype=dtype), fused_mass=p)

@@ -77,18 +77,17 @@ def assumed_distribution(h: Measurement, data_model: dict | None = None, *,
                          surrogate=None):
     """The scalar distribution the attacker bins the measurement against.
 
-    data_model: {"kind": "normal"|"laplace"|"empirical", ...params}. Defaults:
-    Normal(0,1); Laplace defaults to scale 1/sqrt(2) (unit variance). The
-    empirical kind takes the measurements of `surrogate`, an (s, m) block of
-    surrogate vectors.
+    data_model: {"kind": "normal"|"laplace"|"empirical", ...params}, params
+    being Normal's or Laplace's fields (defaults: N(0, 1), unit-variance
+    Laplace). The empirical kind takes the measurements of `surrogate`, an
+    (s, m) block of surrogate vectors.
     """
     cfg = dict(data_model or {})
     kind = cfg.pop("kind", "normal")
     if kind == "normal":
-        return distributions.Normal(mean=cfg.pop("mean", 0.0), sd=cfg.pop("sd", 1.0))
+        return distributions.Normal(**cfg)
     if kind == "laplace":
-        return distributions.Laplace(mean=cfg.pop("mean", 0.0),
-                                     scale=cfg.pop("scale", 1.0 / math.sqrt(2.0)))
+        return distributions.Laplace(**cfg)
     if kind == "empirical":
         if surrogate is None:
             raise ValueError("empirical assumed distribution needs surrogate data")

@@ -57,12 +57,6 @@ class FrontStage:
         return x.reshape(n, w // self.factor, self.factor).mean(axis=2)
 
 
-def front_apply(stages, x: np.ndarray) -> np.ndarray:
-    for st in stages:
-        x = st.apply(x)
-    return x
-
-
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
     """Stable softmax cross-entropy, mean over the batch. Returns (loss, dlogits)
     with the 1/n already folded into dlogits."""
@@ -119,7 +113,9 @@ class ModelGraph:
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 2:
             raise ValueError(f"expected a batch (n, features), got shape {x.shape}")
-        return front_apply(self.stages, x)
+        for st in self.stages:
+            x = st.apply(x)
+        return x
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray, *, stats: dict | None = None):
         """Mean cross-entropy and gradients for every parameter.

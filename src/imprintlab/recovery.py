@@ -125,20 +125,18 @@ def recover_unique_labels(grad_w: np.ndarray, grad_b: np.ndarray) -> Readout:
 
 
 def token_lookup(vector: np.ndarray, table: np.ndarray, seq_len: int, *,
-                 table_sq: np.ndarray | None = None) -> np.ndarray:
+                 table_sq: np.ndarray) -> np.ndarray:
     """Map one recovered embedding concatenation back to its seq_len token ids.
 
     Splits the vector into seq_len blocks of the embedding width and takes
     the nearest table row (Euclidean) per block. `table_sq` is the table's
-    per-row squared norm; a caller decoding many vectors against one table
-    passes it (with a float64 table) so it is computed once, not per call.
+    per-row squared norm, (table * table).sum(axis=1): a caller decoding many
+    vectors against one table (float64, so no call converts it) computes it once.
     """
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2:
         raise ValueError(f"embedding table must be 2-d, got {table.shape}")
-    if table_sq is None:
-        table_sq = (table * table).sum(axis=1)
-    elif np.shape(table_sq) != (table.shape[0],):
+    if np.shape(table_sq) != (table.shape[0],):
         raise ValueError(f"table_sq shape {np.shape(table_sq)} != ({table.shape[0]},)")
     vec = np.asarray(vector, dtype=np.float64).ravel()
     d = table.shape[1]

@@ -256,8 +256,8 @@ def validate_config(raw: dict) -> dict:
     if imprint["variant"] == "one_shot":
         mass = imprint["target_mass"]
         if mass == "1/n":
-            if n is None:
-                _fail("model.imprint.target_mass", '"1/n" needs a known batch size')
+            if n is None or n == 1:  # 1/1 is past the leaf's bound "< 1"
+                _fail("model.imprint.target_mass", '"1/n" needs a known batch size above 1')
             mass = 1.0 / n
         if imprint["placement"] is not None and imprint["placement"] + mass >= 1.0:
             _fail("model.imprint.placement", f"{imprint['placement']} plus target_mass "
@@ -327,21 +327,21 @@ def _build_attack(cfg, m_feat, n, dtype):
             mass = 1.0 / n
         imp = fuse_one_shot(dist, h, mass, placement=imp_cfg["placement"], dtype=dtype)
     else:
-        layout = make_layout(dist, imp_cfg["k"], p_min=imp_cfg["p_min"])
+        bounds = make_layout(dist, imp_cfg["k"], p_min=imp_cfg["p_min"])
         perm_stream = RngStream(seed, STREAM_IMPRINT_PERM) if imp_cfg["permute"] else None
         if imp_cfg["variant"] == "relu":
-            imp = build_relu(layout, h, decoys=imp_cfg["decoys"], perm_stream=perm_stream,
+            imp = build_relu(bounds, h, decoys=imp_cfg["decoys"], perm_stream=perm_stream,
                              decoy_stream=RngStream(seed, STREAM_DECOYS), dtype=dtype)
         else:
-            imp = build_hard_threshold(layout, h, perm_stream=perm_stream, dtype=dtype)
+            imp = build_hard_threshold(bounds, h, perm_stream=perm_stream, dtype=dtype)
 
     stages = tuple(FrontStage(st["kind"], st["factor"]) for st in model_cfg["front"])
     head = model_cfg["head"]
     model = make_imprint_model(
         imp, label_classes=cfg["data"]["label_classes"], bridge=model_cfg["bridge"],
-        bridge_dim=model_cfg.get("bridge_dim", 1), head=head["kind"],
-        gain=head.get("gain", 1.0), head_stream=RngStream(seed, STREAM_HEAD),
-        head_scale=head.get("scale", 1e-2), stages=stages, dtype=dtype)
+        bridge_dim=model_cfg.get("bridge_dim"), head=head["kind"],
+        gain=head.get("gain"), head_stream=RngStream(seed, STREAM_HEAD),
+        head_scale=head.get("scale"), stages=stages, dtype=dtype)
     return imp, model
 
 
@@ -426,7 +426,9 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
     """Occupancy, federation and recovery blocks (plus tokens) of a plain run."""
     counts = rnd.counts
     singleton_bins = [int(b) for b in np.flatnonzero(counts == 1)]
-    selected = select_candidates(rnd.readout, cfg["metrics"]["select"] or batch.n)
+    n_candidates = len(rnd.readout)
+    # rebinding frees the live read-out before scoring builds its arrays
+    selected = rnd.readout = select_candidates(rnd.readout, cfg["metrics"]["select"] or batch.n)
 
     feats64 = np.asarray(rnd.feats, dtype=np.float64)
     pool = _draw_pool(cfg, model, batch)
@@ -435,9 +437,8 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
     cand[selected.bins] = np.arange(len(selected))
     cand = cand[rnd.bins]  # candidate of each (example, bin) pair; -1: bin not selected
     rep = score(selected.vectors, feats64, (cand[cand >= 0], rnd.examples[cand >= 0]),
-                pool=pool, rel_tol=cfg["metrics"]["rel_tol"],
-                psnr_transform=tf) if selected else None
-    exact_bins = [] if rep is None else sorted(selected.bins[rep.exact].tolist())
+                pool=pool, rel_tol=cfg["metrics"]["rel_tol"], psnr_transform=tf)
+    exact_bins = sorted(selected.bins[rep.exact].tolist())
 
     fed = cfg["federation"]
     fed_block = {"protocol": fed["protocol"], "users": fed["users"],
@@ -459,16 +460,16 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
         },
         "federation": fed_block,
         "recovery": {
-            "n_candidates": len(rnd.readout),
+            "n_candidates": n_candidates,
             "n_selected": len(selected),
             "exact_count": len(exact_bins),
             "exact_fraction": len(exact_bins) / batch.n,
             "exact_bins": exact_bins,
             "singleton_match": exact_bins == singleton_bins,
-            "spurious": int(rep.spurious.sum()) if rep else 0,
-            "mean_psnr": rep.mean_psnr if rep else None,
+            "spurious": int(rep.spurious.sum()),
+            "mean_psnr": rep.mean_psnr if selected else None,
             "mean_psnr_exact": float(np.mean(rep.psnr[rep.exact])) if exact_bins else None,
-            "iip": rep.iip if rep else 0.0,
+            "iip": rep.iip,
             "psnr_scale": {"lo": lo, "hi": hi},
         },
     }
@@ -513,13 +514,11 @@ def _token_block(cfg, batch, selected, rep):
     total = int(truth_ids.size)
     correct = 0
     verified = 0
-    if rep is not None:
-        for vector, row in zip(selected.vectors, rep.truth_row):
-            ids = token_lookup(vector, table, seq_len, table_sq=table_sq)
-            if decoding_verified(vector, ids, table,
-                                 rel_tol=cfg["metrics"]["verify_rel_tol"]):
-                verified += 1
-                correct += int((ids == truth_ids[row]).sum())
+    for vector, row in zip(selected.vectors, rep.truth_row):
+        ids = token_lookup(vector, table, seq_len, table_sq=table_sq)
+        if decoding_verified(vector, ids, table, rel_tol=cfg["metrics"]["verify_rel_tol"]):
+            verified += 1
+            correct += int((ids == truth_ids[row]).sum())
     return {
         "total_tokens": total,
         "correct_tokens": correct,

@@ -55,7 +55,8 @@ def test_criterion_02_batch64_bin156_anchor():
     took = time.perf_counter() - t0
     ok = v156 >= 32.0 and v128 < v156 < v256 and took < 1.0
     _verdict(2, "expected recovery at (64, 156) covers half the batch",
-             ok, f"value={v156:.4f}, ordering {v128:.2f} < {v156:.2f} < {v256:.2f}")
+             ok, f"value={v156:.4f}, ordering {v128:.2f} < {v156:.2f} < {v256:.2f}, "
+             f"{took:.3f}s")
 
 
 def test_criterion_03_exact_set_equals_singletons():
@@ -75,16 +76,15 @@ def test_criterion_03_exact_set_equals_singletons():
 
 
 def _two_per_bin_case(variant, seed):
-    lay = make_layout(Normal(), 16)
+    bounds = make_layout(Normal(), 16)
     h = build_measurement("mean", 32, c0="auto")
     build = build_relu if variant == "relu" else build_hard_threshold
-    imp = build(lay, h, dtype=np.float64)
+    imp = build(bounds, h, dtype=np.float64)
     # the softmax head weights colliding examples unevenly, so the averaging
     # claim is non-trivial here
     model = make_imprint_model(imp, label_classes=4, head="random",
                                head_stream=RngStream(212, seed), dtype=np.float64)
     w = h.row()
-    bounds = lay.boundaries
     stream = RngStream(210, seed)
     xs = []
     for j, b in enumerate([1, 4, 7, 10, 13]):

@@ -93,6 +93,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 2
     assert "model.imprint.placement" in capsys.readouterr().err
 
+    # "1/n" of a batch of 1 is a mass of 1: a config error, not a failed run
+    cfg = _small_cfg_file(tmp_path, data={"kind": "synthetic_gaussian", "n": 1, "m": 16},
+                          model={"imprint": {"variant": "one_shot", "target_mass": "1/n"}})
+    assert main(["run", "--config", cfg]) == 2
+    assert "model.imprint.target_mass" in capsys.readouterr().err
+
     # a head gain past the float32 range; the same gain is finite in float64
     cfg = bundled_config("fullbatch64")
     cfg["model"]["head"]["gain"] = 1e39

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from imprintlab.dataio import (canonical_json, load_csv, load_synthetic_gaussian,
-                               load_token_sequences, normalize, to_jsonable, write_csv,
+                               load_token_sequences, normalize, write_csv,
                                write_report)
 from imprintlab.numerics import RngStream
 from oracles import loop_load_csv
@@ -148,9 +148,13 @@ def test_canonical_json_is_stable_and_sorted():
     assert a == b
     assert a.endswith("\n")
     assert a.index('"a"') < a.index('"b"')
-    got = to_jsonable({"arr": np.arange(3), "f": np.float32(0.5)})
-    assert got == {"arr": [0, 1, 2], "f": 0.5}
-    assert all(isinstance(v, int) for v in got["arr"])
+    # numpy scalars and arrays, 0-d and nested, are written as plain values
+    arrays = {"f32": np.float32(0.5), "f64": np.float64(0.1), "i": np.int64(3),
+              "b": np.bool_(False), "zero_d": np.array(2.5),
+              "nested": [np.arange(3), {"grid": np.array([[1.5, 2.0], [3.0, 4.0]])}]}
+    plain = {"f32": 0.5, "f64": 0.1, "i": 3, "b": False, "zero_d": 2.5,
+             "nested": [[0, 1, 2], {"grid": [[1.5, 2.0], [3.0, 4.0]]}]}
+    assert canonical_json(arrays) == canonical_json(plain)
 
 
 def test_write_report_and_csv_format(tmp_path):

@@ -11,9 +11,9 @@ from oracles import bisect_quantile
 
 def test_layout_k2():
     lay = make_layout(Normal(), 2)
-    assert lay.k == 2
-    assert abs(lay.boundaries[0] - bisect_quantile(Normal().cdf, 1e-6)) < 1e-7
-    assert abs(lay.boundaries[1]) < 1e-12
+    assert len(lay) == 2 and lay.dtype == np.float64
+    assert abs(lay[0] - bisect_quantile(Normal().cdf, 1e-6)) < 1e-7
+    assert abs(lay[1]) < 1e-12
 
 
 def test_layout_k2048_matches_bisection():
@@ -21,21 +21,21 @@ def test_layout_k2048_matches_bisection():
     lay = make_layout(d, 2048)
     probs = np.maximum(np.arange(2048) / 2048, DEFAULT_P_MIN)
     expect = [bisect_quantile(d.cdf, p) for p in probs]
-    assert np.max(np.abs(lay.boundaries - expect)) <= 1e-12
+    assert np.max(np.abs(lay - expect)) <= 1e-12
 
 
 def test_layout_k4_boundaries():
     lay = make_layout(Normal(), 4)
     d = Normal()
     expect = [bisect_quantile(d.cdf, p) for p in (1e-6, 0.25, 0.5, 0.75)]
-    assert np.allclose(lay.boundaries, expect, rtol=0, atol=1e-7)
-    assert abs(lay.boundaries[1] + 0.6745) < 1e-4
+    assert np.allclose(lay, expect, rtol=0, atol=1e-7)
+    assert abs(lay[1] + 0.6745) < 1e-4
 
 
 def test_layout_interior_masses():
     d = Normal()
     lay = make_layout(d, 8, p_min=1e-12)
-    masses = np.diff([d.cdf(float(b)) for b in lay.boundaries])
+    masses = np.diff([d.cdf(float(b)) for b in lay])
     # with a vanishing bottom clamp every gap carries 1/k
     assert np.max(np.abs(masses - 1.0 / 8)) < 1e-9
 
@@ -43,7 +43,7 @@ def test_layout_interior_masses():
 def test_layout_bottom_clamp():
     d = Normal()
     lay = make_layout(d, 4)  # default p_min 1e-6
-    first = d.cdf(float(lay.boundaries[1])) - d.cdf(float(lay.boundaries[0]))
+    first = d.cdf(float(lay[1])) - d.cdf(float(lay[0]))
     assert abs(first - (0.25 - DEFAULT_P_MIN)) < 1e-9
 
 
@@ -63,7 +63,7 @@ def test_layout_validation():
 def test_layout_other_distributions():
     for d in (Laplace(), Empirical(RngStream(1, 0).normal(5000))):
         lay = make_layout(d, 16)
-        assert np.all(np.diff(lay.boundaries) > 0)
+        assert np.all(np.diff(lay) > 0)
 
 
 def test_relu_direct_construction():
@@ -72,7 +72,7 @@ def test_relu_direct_construction():
     imp = build_relu(lay, h, dtype=np.float64)
     assert imp.n_rows == 2 and imp.weight.shape == (2, 3)
     assert np.allclose(imp.weight, 1.0 / 3.0, rtol=0, atol=1e-15)
-    assert np.allclose(imp.bias, -lay.boundaries, rtol=0, atol=0)
+    assert np.allclose(imp.bias, -lay, rtol=0, atol=0)
     assert imp.row_of_bin.tolist() == [0, 1]
     assert imp.decoy_rows.size == 0
 
@@ -87,7 +87,7 @@ def test_relu_active_rows_follow_measurement():
     hv = h.measure(x)
     for t in range(32):
         active = {int(i) for i in range(8) if pre[t, imp.row_of_bin[i]] > 0}
-        assert active == {i for i in range(8) if hv[t] > lay.boundaries[i]}
+        assert active == {i for i in range(8) if hv[t] > lay[i]}
 
 
 def test_relu_decoys():
@@ -103,8 +103,8 @@ def test_relu_decoys():
     # genuine rows still carry the measurement; decoy biases stay in range
     for i, r in enumerate(imp.row_of_bin):
         assert np.allclose(imp.weight[r], h.row(), rtol=0, atol=0)
-        assert imp.bias[r] == -lay.boundaries[i]
-    lo, hi = lay.boundaries[0], lay.boundaries[-1]
+        assert imp.bias[r] == -lay[i]
+    lo, hi = lay[0], lay[-1]
     for r in imp.decoy_rows:
         assert -hi <= imp.bias[r] <= -lo
     with pytest.raises(ValueError):
@@ -126,11 +126,11 @@ def test_hard_threshold_deltas():
     h = build_measurement("mean", 8, c0=1.0)
     imp = build_hard_threshold(lay, h, dtype=np.float64)
     # row i spans bin i's width; the open top bin reuses the last interior gap
-    gaps = np.diff(lay.boundaries)
+    gaps = np.diff(lay)
     deltas = np.append(gaps, gaps[-1])
     for i in range(4):
         assert np.allclose(imp.weight[i], h.row() / deltas[i], rtol=1e-15, atol=0)
-        assert abs(imp.bias[i] + lay.boundaries[i] / deltas[i]) < 1e-12
+        assert abs(imp.bias[i] + lay[i] / deltas[i]) < 1e-12
 
 
 def test_hard_threshold_tiling():
@@ -141,7 +141,7 @@ def test_hard_threshold_tiling():
     imp = build_hard_threshold(lay, h, dtype=np.float64)
     w = h.row()  # h(x) == <w, x>
     for i in range(1, 5):  # interior bins
-        target = 0.5 * (lay.boundaries[i] + lay.boundaries[i + 1])
+        target = 0.5 * (lay[i] + lay[i + 1])
         x = RngStream(6, i).normal(8)
         x = x + (target - float(x @ w)) * w / float(w @ w)
         g = np.clip(x @ imp.weight.T + imp.bias, 0.0, 1.0)
@@ -171,12 +171,12 @@ def test_one_shot_interval_mass():
     h = build_measurement("mean", 32, c0="auto")
     p = 1.0 / 4096.0
     imp = fuse_one_shot(d, h, p, dtype=np.float64)
-    mass = d.cdf(float(imp.layout.boundaries[1])) - d.cdf(float(imp.layout.boundaries[0]))
+    mass = d.cdf(float(imp.boundaries[1])) - d.cdf(float(imp.boundaries[0]))
     assert abs(mass - p) < 1e-9
     assert imp.fused_mass == p
     assert imp.n_rows == 2
     # centered placement: equal tails on both sides
-    lo = d.cdf(float(imp.layout.boundaries[0]))
+    lo = d.cdf(float(imp.boundaries[0]))
     assert abs(lo - (1.0 - p) / 2.0) < 1e-9
 
 
@@ -190,7 +190,7 @@ def test_one_shot_placement():
     d = Normal()
     h = build_measurement("mean", 8, c0="auto")
     imp = fuse_one_shot(d, h, 0.01, placement=0.001)
-    assert abs(d.cdf(float(imp.layout.boundaries[0])) - 0.001) < 1e-9
+    assert abs(d.cdf(float(imp.boundaries[0])) - 0.001) < 1e-9
     with pytest.raises(ValueError):
         fuse_one_shot(d, h, 0.5, placement=0.7)  # interval spills past 1
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from imprintlab.distributions import Empirical, Normal
 from imprintlab.imprint import build_hard_threshold, build_relu, make_layout
 from imprintlab.measurement import build_measurement
-from imprintlab.model import (FrontStage, front_apply, make_imprint_model,
+from imprintlab.model import (FrontStage, ModelGraph, make_imprint_model,
                               make_logistic_model)
 from imprintlab.numerics import RngStream
 from oracles import fd_gradcheck
@@ -92,7 +92,7 @@ def test_hard_threshold_kinks_contribute_nothing():
     # boundaries [-0.25, 0.0], deltas 0.25, rows 4.0, biases [1.0, -0.0]
     lattice = Empirical(np.array([-0.5, 0.0, 0.5]))
     lay = make_layout(lattice, 2, p_min=0.25)
-    assert lay.boundaries.tolist() == [-0.25, 0.0]
+    assert lay.tolist() == [-0.25, 0.0]
     h = build_measurement("mean", 1, c0=1.0)
     imp = build_hard_threshold(lay, h, dtype=np.float64)
     model = make_imprint_model(imp, label_classes=2, dtype=np.float64)
@@ -119,7 +119,8 @@ def test_avg_pool_block_means():
 def test_front_composition():
     stages = (FrontStage("identity"), FrontStage("avg_pool", 2), FrontStage("avg_pool", 2))
     x = RngStream(6, 1).normal((5, 16))
-    out = front_apply(stages, x)
+    model = ModelGraph(stages=stages, n_classes=2, params={}, dtype=np.float64)
+    out = model.forward_features(x)
     ref = x.reshape(5, 4, 4).mean(axis=2)
     assert np.allclose(out, ref, rtol=1e-12, atol=0)
 

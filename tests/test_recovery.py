@@ -15,16 +15,15 @@ from imprintlab.recovery import (NoActiveRow, Readout, bin_members, decoding_ver
 from oracles import loop_readout, loop_select
 
 
-def _place_in_bins(layout, h, bins, stream):
+def _place_in_bins(bounds, h, bins, stream):
     """One point per requested bin, nudged along the row direction so the
     measurement lands mid-bin (top bin reuses the last interior width)."""
     w = h.row()
-    bounds = layout.boundaries
     top = bounds[-1] + (bounds[-1] - bounds[-2])
     xs = []
     for j, b in enumerate(bins):
         lo = bounds[b]
-        hi = bounds[b + 1] if b + 1 < layout.k else top
+        hi = bounds[b + 1] if b + 1 < len(bounds) else top
         target = 0.5 * (lo + hi)
         x = stream.derive(j).normal((w.size,))
         xs.append(x + (target - float(x @ w)) * w / float(w @ w))
@@ -378,18 +377,19 @@ def test_token_lookup_roundtrip_and_noise_margin():
     table = RngStream(41, 0).normal((7, 4))
     ids = np.array([2, 0, 5])
     vec = table[ids].ravel()
-    assert np.array_equal(token_lookup(vec, table, 3), ids)
+    sq = (table * table).sum(axis=1)
+    assert np.array_equal(token_lookup(vec, table, 3, table_sq=sq), ids)
     # stay within half the minimum pairwise row distance: still exact
     diffs = table[:, None, :] - table[None, :, :]
     d = np.sqrt((diffs ** 2).sum(-1))
     d_min = d[d > 0].min()
     noise = RngStream(41, 1).normal((3, 4))
     noise *= 0.45 * d_min / np.linalg.norm(noise, axis=1, keepdims=True)
-    assert np.array_equal(token_lookup(vec + noise.ravel(), table, 3), ids)
+    assert np.array_equal(token_lookup(vec + noise.ravel(), table, 3, table_sq=sq), ids)
     with pytest.raises(ValueError, match="length"):
-        token_lookup(vec[:-1], table, 3)
+        token_lookup(vec[:-1], table, 3, table_sq=sq)
     with pytest.raises(ValueError, match="2-d"):
-        token_lookup(vec, table.ravel(), 3)
+        token_lookup(vec, table.ravel(), 3, table_sq=sq)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -402,9 +402,8 @@ def test_token_lookup_with_precomputed_norms(vocab, d, seq_len, noise, seed, dty
     vec = table[ids].ravel() + RngStream(seed, 2).normal(seq_len * d, sd=noise)
     t64 = table.astype(np.float64)
     table_sq = (t64 * t64).sum(axis=1)
-    plain = token_lookup(vec, table, seq_len)
+    plain = token_lookup(vec, t64, seq_len, table_sq=table_sq)
     assert np.array_equal(token_lookup(vec, table, seq_len, table_sq=table_sq), plain)
-    assert np.array_equal(token_lookup(vec, t64, seq_len, table_sq=table_sq), plain)
     if noise == 0.0 and len(np.unique(table, axis=0)) == vocab:
         assert np.array_equal(plain, ids)
 
@@ -422,10 +421,11 @@ def test_decoding_verified_separates_mashups():
     table = RngStream(42, 0).normal((9, 5))
     ids = np.array([1, 7])
     vec = table[ids].ravel()
-    assert decoding_verified(vec, token_lookup(vec, table, 2), table)
+    sq = (table * table).sum(axis=1)
+    assert decoding_verified(vec, token_lookup(vec, table, 2, table_sq=sq), table)
     # a two-example average decodes to tokens but fails the round trip
     mash = 0.5 * (table[np.array([1, 7])] + table[np.array([4, 2])]).ravel()
-    mash_ids = token_lookup(mash, table, 2)
+    mash_ids = token_lookup(mash, table, 2, table_sq=sq)
     assert not decoding_verified(mash, mash_ids, table)
     # zero vector: nothing to verify against unless the rebuild is zero too
     assert not decoding_verified(np.zeros(10), mash_ids, table)

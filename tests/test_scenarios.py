@@ -1,13 +1,16 @@
 import copy
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imprintlab import scenarios
 from imprintlab.dataio import canonical_json, write_csv
 from imprintlab.errors import ConfigError
 from imprintlab.numerics import RngStream
+from imprintlab.recovery import Readout
 from imprintlab.scenarios import (CONFIG_LEAVES, SWEEP_HEADER, bundled_config,
                                   check_bundled, run_scenario, sweep_scenario,
                                   validate_config)
@@ -74,6 +77,18 @@ def test_validate_fills_defaults():
                                           "placement": 0.9}), "model.imprint.placement"),
     (lambda c: c["model"].update(imprint={"variant": "one_shot", "target_mass": "1/n",
                                           "placement": 0.95}), "model.imprint.placement"),
+    # "1/n" of a batch of 1 is a mass of 1, past the schema's own bound
+    (lambda c: (c["data"].update(n=1), c["federation"].update(users=1),
+                c["model"].update(imprint={"variant": "one_shot", "target_mass": "1/n"})),
+     "model.imprint.target_mass: \"1/n\" needs a known batch size above 1"),
+    (lambda c: (c["data"].update(n=1), c["federation"].update(users=1), c.update(trials=3),
+                c["model"].update(imprint={"variant": "one_shot", "target_mass": "1/n"})),
+     "model.imprint.target_mass"),
+    (lambda c: (c.update(data={"kind": "token_sequences", "n_seq": 1, "seq_len": 2,
+                               "vocab": 8, "embed_dim": 4}),
+                c["federation"].update(users=1),
+                c["model"].update(imprint={"variant": "one_shot", "target_mass": "1/n"})),
+     "model.imprint.target_mass"),
     (lambda c: c["defense"].update(clip=10 ** 400), "defense.clip: must be finite, got inf"),
     (lambda c: c.update(data=3), "data: expected an object, got int"),
     (lambda c: c["model"].update(imprint=[1]), "model.imprint: expected an object, got list"),
@@ -193,7 +208,7 @@ def _configs(draw):
                 node[key] = draw(_values(leaf))
     # the remaining ties span sections
     data, imprint, defense = raw["data"], raw["model"]["imprint"], raw["defense"]
-    if data["kind"] == "csv" and imprint.get("target_mass") == "1/n":
+    if data.get("n", data.get("n_seq")) in (None, 1) and imprint.get("target_mass") == "1/n":
         imprint["target_mass"] = 0.25
     if defense.get("noise") is None:
         defense.pop("sigma", None)
@@ -251,7 +266,42 @@ def test_fullbatch_report_structure():
     assert rep["config"] == validate_config(_small_cfg())
     # artifacts expose the live objects
     assert res.artifacts["model"].params["imprint.weight"].shape == (32, 16)
-    assert len(res.artifacts["candidates"]) == rec["n_candidates"]
+    assert len(res.artifacts["candidates"]) == rec["n_selected"]
+
+
+def test_live_readout_is_freed_before_scoring(monkeypatch):
+    live, scored = [], []
+    real_select, real_score = scenarios.select_candidates, scenarios.score
+
+    def select(readout, n):
+        live.append(weakref.ref(readout))
+        return real_select(readout, n)
+
+    def score(*args, **kwargs):
+        scored.append(live[0]() is None)
+        return real_score(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "select_candidates", select)
+    monkeypatch.setattr(scenarios, "score", score)
+    run_scenario(bundled_config("fullbatch64"))
+    assert scored == [True]
+
+
+@pytest.mark.parametrize("name", ["fullbatch64", "text128"])
+def test_empty_readout_scores_nothing(monkeypatch, name):
+    def recover_nothing(payload, imp):  # as a read-out with no live row returns
+        m = imp.weight.shape[1]
+        return Readout(bins=np.zeros(0, dtype=np.int64), vectors=np.zeros((0, m)),
+                       denominators=np.zeros(0), confidences=np.zeros(0))
+
+    monkeypatch.setattr(scenarios, "recover_bins", recover_nothing)
+    rep = run_scenario(bundled_config(name)).report
+    rec = rep["recovery"]
+    assert (rec["n_candidates"], rec["n_selected"], rec["exact_bins"]) == (0, 0, [])
+    assert (rec["spurious"], rec["iip"]) == (0, 0.0)
+    assert rec["mean_psnr"] is None and rec["mean_psnr_exact"] is None
+    if name == "text128":
+        assert rep["tokens"]["correct_tokens"] == rep["tokens"]["verified_candidates"] == 0
 
 
 @pytest.mark.parametrize("federation", [

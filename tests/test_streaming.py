@@ -13,8 +13,7 @@ from imprintlab.cli import main
 from imprintlab.dataio import canonical_json
 from imprintlab.distributions import Normal
 from imprintlab.federation import UpdatePayload
-from imprintlab.imprint import (BinLayout, ImprintModule, build_hard_threshold, build_relu,
-                                make_layout)
+from imprintlab.imprint import ImprintModule, build_hard_threshold, build_relu, make_layout
 from imprintlab.measurement import build_measurement
 from imprintlab.metrics import _pairwise_sq, score
 from imprintlab.model import make_imprint_model
@@ -33,7 +32,7 @@ def _imprint(variant, k, rng, decoys=1):
     perm = rng.permutation(k + decoys)
     return ImprintModule(variant=variant, weight=np.zeros((k + decoys, 1)),
                          bias=np.zeros(k + decoys),
-                         layout=BinLayout(boundaries=np.arange(k, dtype=np.float64)),
+                         boundaries=np.arange(k, dtype=np.float64),
                          row_of_bin=perm[:k], decoy_rows=np.sort(perm[k:]))
 
 
