@@ -48,9 +48,8 @@ def fed_sgd(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *,
 def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
             lr: float) -> tuple[UpdatePayload, list]:
     """Sequential local SGD of an imprint model over an equal split of the
-    batch; returns the parameter delta and a per-step log: the loss, the step
-    pass's active mask and the drift-bound stats (max per-row absolute
-    activation-gradient mass, max input norm). The caller's model is untouched.
+    batch; returns the parameter delta and a per-step log: the loss and the
+    step pass's active mask. The caller's model is untouched.
     """
     n = len(labels)
     if steps < 1:
@@ -69,10 +68,7 @@ def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
         for key, g in grads.items():
             g *= g.dtype.type(lr)  # each step's gradients are fresh arrays
             local.params[key] -= g
-        log.append({"step": s, "loss": loss, "active": stats["active"],
-                    "da_abs_sum_max": float(np.abs(stats["da"]).sum(axis=0).max()),
-                    "x_norm_max": float(np.sqrt((stats["feats"].astype(np.float64) ** 2)
-                                                .sum(axis=1).max()))})
+        log.append({"step": s, "loss": loss, "active": stats["active"]})
     # model.copy() copied the params, so the caller's are still the start point
     delta = {k: local.params[k] - model.params[k] for k in local.params}
     payload = UpdatePayload(kind="param_delta", tensors=delta, steps=steps, lr=lr)

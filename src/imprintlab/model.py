@@ -117,13 +117,19 @@ class ModelGraph:
             x = st.apply(x)
         return x
 
-    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray, *, stats: dict | None = None):
-        """Mean cross-entropy and gradients for every parameter.
+    def imprint_pre(self, feats: np.ndarray):
+        """The imprint rows' (n, rows) pre-activation on `feats` and its active
+        mask: a ReLU row is active above its kink, a hard-threshold row in (0, 1)."""
+        pre = matmul(feats, self.params["imprint.weight"].T)
+        pre += self.params["imprint.bias"]
+        active = pre > 0
+        if self.imprint.variant != "relu":
+            active &= pre < 1
+        return pre, active
 
-        A dict passed as `stats` receives, uncomputed, the imprint rows' (n,
-        rows) active mask ("active"), the activation gradient ("da") and the
-        features ("feats").
-        """
+    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray, *, stats: dict | None = None):
+        """Mean cross-entropy and gradients for every parameter. A dict passed
+        as `stats` receives the imprint rows' active mask from `imprint_pre`."""
         labels = np.asarray(labels)
         if labels.ndim != 1 or labels.shape[0] != np.asarray(x).shape[0]:
             raise ValueError("labels must be 1-d and match the batch size")
@@ -132,13 +138,10 @@ class ModelGraph:
                              f"[{labels.min()}, {labels.max()}]")
         feats = z = self.forward_features(x)
         if self.imprint is not None:
-            act = matmul(feats, self.params["imprint.weight"].T)  # the pre-activation, for now
-            act += self.params["imprint.bias"]
-            active = act > 0  # ReLU: strictly above the kink; hard threshold: in (0, 1)
+            act, active = self.imprint_pre(feats)  # the pre-activation, for now
             if self.imprint.variant == "relu":
                 np.copyto(act, 0, where=~active)  # +0.0, as np.where(active, pre, 0) gives
             else:
-                active &= act < 1
                 np.clip(act, 0.0, 1.0, out=act)
             if self.bridge == "sum":
                 z = act.sum(axis=1, keepdims=True)
@@ -166,7 +169,7 @@ class ModelGraph:
         grads["imprint.weight"] = matmul(dpre.T, feats)
         grads["imprint.bias"] = dpre.sum(axis=0)
         if stats is not None:
-            stats.update(active=active, da=da, feats=feats)
+            stats["active"] = active
         return loss, grads
 
 

@@ -242,7 +242,22 @@ def validate_config(raw: dict) -> dict:
     imprint = model["imprint"]
     if "p_min" in imprint and imprint["p_min"] >= 1.0 / imprint["k"]:
         _fail("model.imprint.p_min", f"must be < 1/k, got {imprint['p_min']}")
+    assumed = model["assumed"]
+    if "k" in imprint and assumed["kind"] != "empirical":  # a closed-form layout
+        leaf = "sd" if assumed["kind"] == "normal" else "scale"
+        try:
+            with np.errstate(all="ignore"):  # an overflow shows as an infinite boundary
+                ok = np.isfinite(make_layout(assumed_distribution(None, assumed), imprint["k"],
+                                             p_min=imprint["p_min"])).all()
+        except ValueError:  # the boundaries are not strictly increasing
+            ok = False
+        if not ok:
+            _fail(f"model.assumed.{leaf}", f"{assumed[leaf]:g} gives bin boundaries that are "
+                  "not finite and strictly increasing")
     top = float(np.finfo(cfg["dtype"]).max)
+    if fed["protocol"] == "fed_avg" and 1.0 / (fed["lr"] * fed["steps"]) > top:
+        _fail("federation.lr", f"1/(lr*steps) must be finite in {cfg['dtype']}, got lr "
+              f"{fed['lr']:g} over {fed['steps']} steps")
     for key in ("gain", "scale"):
         if model["head"].get(key, 0.0) > top:
             _fail(f"model.head.{key}", f"must be finite in {cfg['dtype']} (at most "
@@ -346,14 +361,14 @@ def _build_attack(cfg, m_feat, n, dtype):
 
 
 def _federate(cfg, model, imp, batch, defense_base: RngStream):
-    """Per-user payloads -> defense -> secure aggregation, and the (examples,
-    bins) membership from each pass behind the aggregate: one per user shard
-    under fed-SGD, one per local step under fed-AVG."""
+    """Per-user payloads -> defense -> secure aggregation, the (examples, bins)
+    membership from each pass behind the aggregate (one per user shard under
+    fed-SGD, one per local step under fed-AVG) and fed-AVG's `_drifted` count."""
     fed = cfg["federation"]
     shard = batch.n // fed["users"]
     dconf = DefenseConfig(clip=cfg["defense"]["clip"], noise=cfg["defense"]["noise"],
                           sigma=cfg["defense"]["sigma"])
-    payloads, losses, logs, members = [], [], [], []
+    payloads, losses, members, drifted = [], [], [], 0
     for u in range(fed["users"]):
         x, labels = batch.x[u * shard:(u + 1) * shard], batch.labels[u * shard:(u + 1) * shard]
         # each pass's mask is reduced at once; none lives on into recovery
@@ -364,14 +379,27 @@ def _federate(cfg, model, imp, batch, defense_base: RngStream):
             members.append(bin_members(stats.pop("active"), imp))
         else:
             payload, log = fed_avg(model, x, labels, steps=fed["steps"], lr=fed["lr"])
-            logs.append(log)
             losses.extend(entry["loss"] for entry in log)
-            members += [bin_members(entry.pop("active"), imp) for entry in log]
+            steps = [bin_members(entry.pop("active"), imp) for entry in log]
+            members += steps
+            drifted += _drifted(model, imp, x, steps)
         payloads.append(apply_defense(payload, dconf, defense_base.derive(u)))
     chunk = batch.n // len(members)  # the passes cover equal, consecutive slices
     examples = np.concatenate([ex + i * chunk for i, (ex, _) in enumerate(members)])
     bins = np.concatenate([b for _, b in members])
-    return secure_aggregate(payloads), losses, logs, examples, bins
+    return secure_aggregate(payloads), losses, drifted, examples, bins
+
+
+def _drifted(model, imp, x, steps) -> int:
+    """How many of one user's examples x sit in other bins at their own local
+    step (the steps' (examples, bins) pairs) than under the initial weights,
+    which step 0 ran at: one forward pass covers the later chunks."""
+    chunk = len(x) // len(steps)
+    # each (example, bin) pair coded example * k + bin; step 0's are dropped
+    at_step = np.concatenate([(ex + s * chunk) * imp.k + b for s, (ex, b) in enumerate(steps)])
+    ex, b = bin_members(model.imprint_pre(model.forward_features(x[chunk:]))[1], imp)
+    moved = np.setxor1d((ex + chunk) * imp.k + b, at_step[len(steps[0][0]):], assume_unique=True)
+    return len(np.unique(moved // imp.k))
 
 
 @dataclass(eq=False)
@@ -385,14 +413,14 @@ class _Round:
     counts: np.ndarray    # examples per bin
     readout: Readout
     losses: list
-    logs: list            # per-user fed-AVG step logs; empty under fed-SGD
+    drifted: int          # by `_drifted`; 0 under fed-SGD
 
 
 def _round(cfg, imp, model, batch, defense_base: RngStream) -> _Round:
     feats = model.forward_features(batch.x)
-    agg, losses, logs, examples, bins = _federate(cfg, model, imp, batch, defense_base)
+    agg, losses, drifted, examples, bins = _federate(cfg, model, imp, batch, defense_base)
     counts = np.bincount(bins, minlength=imp.k)
-    return _Round(feats, examples, bins, counts, recover_bins(agg, imp), losses, logs)
+    return _Round(feats, examples, bins, counts, recover_bins(agg, imp), losses, drifted)
 
 
 def _theory_block(imp, model, n, m_feat):
@@ -441,12 +469,9 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
     exact_bins = sorted(selected.bins[rep.exact].tolist())
 
     fed = cfg["federation"]
-    fed_block = {"protocol": fed["protocol"], "users": fed["users"],
-                 "mean_loss": float(np.mean(rnd.losses))}
-    if rnd.logs:
-        fed_block["steps"] = fed["steps"]
-        fed_block["lr"] = fed["lr"]
-        fed_block["drift_pre_bound"] = _drift_bound(fed["lr"], rnd.logs)
+    fed_block = dict(fed, mean_loss=float(np.mean(rnd.losses)))  # steps and lr under fed-AVG
+    if fed["protocol"] == "fed_avg":
+        fed_block["drifted"] = rnd.drifted
 
     blocks = {
         "occupancy": {
@@ -476,17 +501,6 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
     if batch.meta.get("table") is not None:
         blocks["tokens"] = _token_block(cfg, batch, selected, rep)
     return blocks
-
-
-def _drift_bound(lr, logs):
-    """Upper bound on how far any pre-activation can drift over local training:
-    lr * sum_steps ||dL/da||_1,max * (||x||_max^2 + 1), from the logged stats."""
-    worst = 0.0
-    for log in logs:
-        x_max = max((e["x_norm_max"] for e in log), default=0.0)
-        bound = lr * sum(e["da_abs_sum_max"] * (e["x_norm_max"] * x_max + 1.0) for e in log)
-        worst = max(worst, bound)
-    return worst
 
 
 def _draw_pool(cfg, model, batch):

@@ -179,7 +179,7 @@ def loop_select(rows, n):
 def loop_fed_avg(model, x, labels, *, steps, lr):
     """Textbook local SGD: copy the params, step with params -= lr * g, and
     take the delta against the start copy. Returns (delta, per-step log of
-    the loss, the pass's active mask and the drift-bound ingredients)."""
+    the loss and the pass's active mask)."""
     local = model.copy()
     start = {k: v.copy() for k, v in local.params.items()}
     chunk = len(labels) // steps
@@ -190,11 +190,29 @@ def loop_fed_avg(model, x, labels, *, steps, lr):
         loss, grads = local.loss_and_grads(x[sl], labels[sl], stats=stats)
         for key, g in grads.items():
             local.params[key] = local.params[key] - lr * g
-        norms = np.sqrt((stats["feats"].astype(np.float64) ** 2).sum(axis=1))
-        log.append({"loss": loss, "active": stats["active"],
-                    "da_abs_sum_max": float(np.abs(stats["da"]).sum(axis=0).max()),
-                    "x_norm_max": float(norms.max())})
+        log.append({"loss": loss, "active": stats["active"]})
     return {k: local.params[k] - start[k] for k in start}, log
+
+
+def loop_drifted(model, x, labels, *, steps, lr):
+    """How many of one user's examples x have other bins at their own local
+    step (loop_fed_avg's masks) than under the initial weights (the mask of
+    unblocked_imprint_pass over all of x), one example and one bin at a
+    time. An example is in a hard-threshold bin when the bin's row is active,
+    and in a ReLU bin when exactly one of the bin's row and the next bin's row
+    is: the read-out differences the two (the top bin reads its row alone)."""
+    imp, chunk = model.imprint, len(labels) // steps
+    _, log = loop_fed_avg(model, x, labels, steps=steps, lr=lr)
+    start = unblocked_imprint_pass(model, x, labels)[2]
+
+    def bins(active):
+        seen = [bool(active[r]) for r in imp.row_of_bin]
+        if imp.variant == "relu":
+            seen = [a != b for a, b in zip(seen, seen[1:] + [False])]
+        return [i for i, s in enumerate(seen) if s]
+
+    return sum(bins(log[i // chunk]["active"][i % chunk]) != bins(start[i])
+               for i in range(len(labels)))
 
 
 def unblocked_pairwise_sq(a, b):

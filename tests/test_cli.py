@@ -106,6 +106,23 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 2
     assert "model.head.gain: must be finite in float32" in capsys.readouterr().err
 
+    # a fed-AVG rate whose 1/(lr*steps) overflows the run dtype
+    for dtype, lr in (("float32", 1e-40), ("float64", 5e-324)):
+        cfg = bundled_config("fedavg8x8")
+        cfg["dtype"], cfg["federation"]["lr"] = dtype, lr
+        assert main(["run", "--config", _small_cfg_file(tmp_path, **cfg)]) == 2
+        assert f"federation.lr: 1/(lr*steps) must be finite in {dtype}" in \
+            capsys.readouterr().err
+
+    # an assumed scale so small that the bin boundaries collapse
+    for assumed in ({"kind": "normal", "sd": 5e-324}, {"kind": "laplace", "scale": 5e-324}):
+        cfg = bundled_config("fullbatch64")
+        cfg["dtype"], cfg["model"]["assumed"] = "float64", assumed
+        assert main(["run", "--config", _small_cfg_file(tmp_path, **cfg)]) == 2
+        leaf = "sd" if assumed["kind"] == "normal" else "scale"
+        assert f"model.assumed.{leaf}: 4.94066e-324 gives bin boundaries" in \
+            capsys.readouterr().err
+
 
 @pytest.mark.parametrize("over, expected", [
     ({"data": 3}, "config error: data: expected an object, got int"),

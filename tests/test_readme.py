@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from imprintlab.scenarios import CONFIG_LEAVES
+from imprintlab.scenarios import CONFIG_LEAVES, bundled_config, run_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,3 +31,13 @@ def test_readme_config_reference_lists_every_leaf_and_its_default():
     assert rows == [(leaf.path, "required" if leaf.default is ... else
                      f"`{json.dumps(leaf.default)}`") for leaf in CONFIG_LEAVES]
     assert len(rows) == 47
+
+
+def test_readme_names_every_federation_report_key():
+    """No key the federation block writes is undocumented, and no removed key
+    lingers in the README."""
+    text = README.read_text()
+    keys = set(run_scenario(bundled_config("fedavg8x8")).report["federation"])
+    assert {k for k in keys if f"`federation.{k}`" not in text} == set()
+    leaves = {lf.path.split(".")[1] for lf in CONFIG_LEAVES if lf.path.startswith("federation.")}
+    assert set(re.findall(r"`federation\.(\w+)`", text)) <= keys | leaves

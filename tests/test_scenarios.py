@@ -131,6 +131,16 @@ def test_validation_fed_avg_step_splitting():
     assert validate_config(raw)["federation"]["steps"] == 4
 
 
+def test_validation_fed_avg_rate_counts_the_steps():
+    # 1/(lr*steps) is finite in float32 at lr 1e-39 over 8 steps, not over 1
+    raw = _small_cfg(dtype="float32", federation={"protocol": "fed_avg", "users": 2,
+                                                  "steps": 8, "lr": 1e-39})
+    assert validate_config(raw)["federation"]["lr"] == 1e-39
+    raw["federation"]["steps"] = 1
+    with pytest.raises(ConfigError, match="federation.lr: 1/.lr.steps. must be finite"):
+        validate_config(raw)
+
+
 def test_validation_one_shot_needs_known_n(tmp_path):
     path = str(tmp_path / "d.csv")
     with open(path, "w") as fh:
@@ -153,6 +163,11 @@ _TIED = {
     "model.imprint.p_min": st.floats(1e-12, 1e-3),
     "model.imprint.target_mass": st.just("1/n") | st.floats(1e-6, 0.5),
     "model.imprint.placement": st.none() | st.floats(1e-6, 0.49),
+    # the layout's boundaries must be finite and strictly increasing, and
+    # 1/(lr*steps) finite in float32
+    "model.assumed.sd": st.floats(1e-6, 1e6),
+    "model.assumed.scale": st.floats(1e-6, 1e6),
+    "federation.lr": st.floats(1e-30, 1e6),
 }
 
 
