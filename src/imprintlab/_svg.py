@@ -15,8 +15,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        return [lo]
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
@@ -33,10 +31,11 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "")
     ys_all = [p[1] for p in pts]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
+    # a one-value range is widened by 1.0, or by one float where 1.0 rounds away
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -54,7 +54,7 @@ def apply_defense(payload: UpdatePayload, config: DefenseConfig,
     keys = sorted(tensors)
     for idx, key in enumerate(keys):
         t = tensors[key]
-        v = t * t.dtype.type(scale) if scale != 1.0 else t.copy()
+        v = t * t.dtype.type(scale)  # a fresh array; scale 1.0 is exact
         if config.noise is not None and config.sigma > 0:
             if stream is None:
                 raise ValueError("noise requested but no stream given")

@@ -37,19 +37,18 @@ class UpdatePayload:
         return replace(self.scaled(1.0 / self.users), users=1)
 
 
-def fed_sgd(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *,
-            stats: dict | None = None) -> tuple[float, UpdatePayload]:
-    """One full-batch gradient; the payload is exactly the mean gradient."""
-    loss, grads = model.loss_and_grads(x, labels, stats=stats)
-    payload = UpdatePayload(kind="gradient", tensors=grads)
-    return loss, payload
+def fed_sgd(model: ModelGraph, x: np.ndarray, labels: np.ndarray):
+    """One full-batch gradient: the loss, the payload (exactly the mean
+    gradient) and the pass's active mask, as `loss_and_grads` returns it."""
+    loss, grads, active = model.loss_and_grads(x, labels)
+    return loss, UpdatePayload(kind="gradient", tensors=grads), active
 
 
 def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
-            lr: float) -> tuple[UpdatePayload, list]:
+            lr: float) -> tuple[UpdatePayload, list, list]:
     """Sequential local SGD of an imprint model over an equal split of the
-    batch; returns the parameter delta and a per-step log: the loss and the
-    step pass's active mask. The caller's model is untouched.
+    batch; returns the parameter delta and, in step order, each step's loss
+    and its pass's active mask. The caller's model is untouched.
     """
     n = len(labels)
     if steps < 1:
@@ -60,19 +59,19 @@ def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
         raise ValueError(f"lr must be positive, got {lr}")
     local = model.copy()
     chunk = n // steps
-    log = []
+    losses, actives = [], []
     for s in range(steps):
         sl = slice(s * chunk, (s + 1) * chunk)
-        stats = {}
-        loss, grads = local.loss_and_grads(x[sl], labels[sl], stats=stats)
+        loss, grads, active = local.loss_and_grads(x[sl], labels[sl])
         for key, g in grads.items():
             g *= g.dtype.type(lr)  # each step's gradients are fresh arrays
             local.params[key] -= g
-        log.append({"step": s, "loss": loss, "active": stats["active"]})
+        losses.append(loss)
+        actives.append(active)
     # model.copy() copied the params, so the caller's are still the start point
     delta = {k: local.params[k] - model.params[k] for k in local.params}
     payload = UpdatePayload(kind="param_delta", tensors=delta, steps=steps, lr=lr)
-    return payload, log
+    return payload, losses, actives
 
 
 def to_gradient_form(payload: UpdatePayload) -> UpdatePayload:

@@ -127,9 +127,9 @@ class ModelGraph:
             active &= pre < 1
         return pre, active
 
-    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray, *, stats: dict | None = None):
-        """Mean cross-entropy and gradients for every parameter. A dict passed
-        as `stats` receives the imprint rows' active mask from `imprint_pre`."""
+    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
+        """Mean cross-entropy, gradients for every parameter and the imprint
+        rows' active mask from `imprint_pre` (None without an imprint layer)."""
         labels = np.asarray(labels)
         if labels.ndim != 1 or labels.shape[0] != np.asarray(x).shape[0]:
             raise ValueError("labels must be 1-d and match the batch size")
@@ -155,7 +155,7 @@ class ModelGraph:
             "head.bias": dlogits.sum(axis=0),
         }
         if self.imprint is None:
-            return loss, grads
+            return loss, grads, None
 
         dz = matmul(dlogits, self.params["head.weight"])
         if self.bridge == "sum":
@@ -168,9 +168,7 @@ class ModelGraph:
         np.copyto(dpre, 0, where=~active)
         grads["imprint.weight"] = matmul(dpre.T, feats)
         grads["imprint.bias"] = dpre.sum(axis=0)
-        if stats is not None:
-            stats["active"] = active
-        return loss, grads
+        return loss, grads, active
 
 
 def _head(kind: str, label_classes: int, width: int, *, gain: float,

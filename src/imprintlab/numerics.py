@@ -39,8 +39,10 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         # Philox is keyed, not seeded: same key -> same sequence, regardless
-        # of how many other streams were drawn from first.
-        return np.random.Generator(np.random.Philox(key=(self.master_seed, self.stream_id)))
+        # of how many other streams were drawn from first. A uint64 key array,
+        # since numpy reads a tuple holding a seed >= 2**63 through float64.
+        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
     def derive(self, index: int) -> "RngStream":
         """Child stream `index` of this stream (disjoint from all siblings)."""

@@ -173,8 +173,11 @@ def _leaf_value(v, leaf: Leaf, path: str):
         what = ["null" if a is None else f'"{a}"' for a in leaf.also]
         what.append(f"one of {list(t)}" if isinstance(t, tuple) else _EXPECTED[t])
         _fail(path, f"expected {' or '.join(what)}, got {v!r}")
-    if t is float:  # an integer past the float range reads as inf, not OverflowError
-        v = float(v) if abs(v) <= float(np.finfo(np.float64).max) else math.inf
+    if t is float:
+        try:
+            v = float(v)
+        except OverflowError:  # an integer past the float range reads as +-inf
+            v = math.inf if v > 0 else -math.inf
         if not math.isfinite(v):
             _fail(path, f"must be finite, got {v}")
     for term in filter(None, leaf.bounds.split(", ")):
@@ -373,14 +376,14 @@ def _federate(cfg, model, imp, batch, defense_base: RngStream):
         x, labels = batch.x[u * shard:(u + 1) * shard], batch.labels[u * shard:(u + 1) * shard]
         # each pass's mask is reduced at once; none lives on into recovery
         if fed["protocol"] == "fed_sgd":
-            stats = {}
-            loss, payload = fed_sgd(model, x, labels, stats=stats)
+            loss, payload, active = fed_sgd(model, x, labels)
             losses.append(loss)
-            members.append(bin_members(stats.pop("active"), imp))
+            members.append(bin_members(active, imp))
         else:
-            payload, log = fed_avg(model, x, labels, steps=fed["steps"], lr=fed["lr"])
-            losses.extend(entry["loss"] for entry in log)
-            steps = [bin_members(entry.pop("active"), imp) for entry in log]
+            payload, step_losses, actives = fed_avg(model, x, labels, steps=fed["steps"],
+                                                    lr=fed["lr"])
+            losses += step_losses
+            steps = [bin_members(a, imp) for a in actives]
             members += steps
             drifted += _drifted(model, imp, x, steps)
         payloads.append(apply_defense(payload, dconf, defense_base.derive(u)))
@@ -689,12 +692,9 @@ def sweep_scenario(raw_cfg: dict, axis: str, values, *, jobs: int = 1,
     base = _resolve(raw_cfg, seed, use_float64)
     configs = [_sweep_config(base, axis, v) for v in values]
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_scenario, configs))
-    else:
-        results = [run_scenario(c) for c in configs]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(run_scenario, configs))
     reports = [r.report for r in results]
     rows = [_sweep_row(axis, v, rep) for v, rep in zip(values, reports)]
     return SWEEP_HEADER, rows, reports

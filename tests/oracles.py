@@ -59,7 +59,7 @@ def bisect_quantile(cdf, p, lo=-60.0, hi=60.0, tol=1e-13):
 def fd_gradcheck(model, x, labels, eps=1e-3):
     """Max per-tensor relative error of analytic gradients against central
     finite differences. Mutates model.params in place but restores them."""
-    _, grads = model.loss_and_grads(x, labels)
+    grads = model.loss_and_grads(x, labels)[1]
     worst = 0.0
     for name, g in grads.items():
         p = model.params[name]
@@ -69,9 +69,9 @@ def fd_gradcheck(model, x, labels, eps=1e-3):
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + eps
-            up, _ = model.loss_and_grads(x, labels)
+            up = model.loss_and_grads(x, labels)[0]
             p[idx] = orig - eps
-            dn, _ = model.loss_and_grads(x, labels)
+            dn = model.loss_and_grads(x, labels)[0]
             p[idx] = orig
             fd[idx] = (up - dn) / (2.0 * eps)
         scale = max(float(np.max(np.abs(g))), 1e-12)
@@ -178,20 +178,20 @@ def loop_select(rows, n):
 
 def loop_fed_avg(model, x, labels, *, steps, lr):
     """Textbook local SGD: copy the params, step with params -= lr * g, and
-    take the delta against the start copy. Returns (delta, per-step log of
-    the loss and the pass's active mask)."""
+    take the delta against the start copy. Returns (delta, each step's loss,
+    each step pass's active mask)."""
     local = model.copy()
     start = {k: v.copy() for k, v in local.params.items()}
     chunk = len(labels) // steps
-    log = []
+    losses, actives = [], []
     for s in range(steps):
         sl = slice(s * chunk, (s + 1) * chunk)
-        stats = {}
-        loss, grads = local.loss_and_grads(x[sl], labels[sl], stats=stats)
+        loss, grads, active = local.loss_and_grads(x[sl], labels[sl])
         for key, g in grads.items():
             local.params[key] = local.params[key] - lr * g
-        log.append({"loss": loss, "active": stats["active"]})
-    return {k: local.params[k] - start[k] for k in start}, log
+        losses.append(loss)
+        actives.append(active)
+    return {k: local.params[k] - start[k] for k in start}, losses, actives
 
 
 def loop_drifted(model, x, labels, *, steps, lr):
@@ -202,7 +202,7 @@ def loop_drifted(model, x, labels, *, steps, lr):
     and in a ReLU bin when exactly one of the bin's row and the next bin's row
     is: the read-out differences the two (the top bin reads its row alone)."""
     imp, chunk = model.imprint, len(labels) // steps
-    _, log = loop_fed_avg(model, x, labels, steps=steps, lr=lr)
+    actives = loop_fed_avg(model, x, labels, steps=steps, lr=lr)[2]
     start = unblocked_imprint_pass(model, x, labels)[2]
 
     def bins(active):
@@ -211,7 +211,7 @@ def loop_drifted(model, x, labels, *, steps, lr):
             seen = [a != b for a, b in zip(seen, seen[1:] + [False])]
         return [i for i, s in enumerate(seen) if s]
 
-    return sum(bins(log[i // chunk]["active"][i % chunk]) != bins(start[i])
+    return sum(bins(actives[i // chunk][i % chunk]) != bins(start[i])
                for i in range(len(labels)))
 
 

@@ -103,7 +103,7 @@ def test_criterion_04_collisions_are_weighted_averages():
     weights_spread = 0.0
     for variant in ("relu", "hard_threshold"):
         imp, model, x, labels = _two_per_bin_case(variant, 0)
-        _, payload = fed_sgd(model, x, labels)
+        payload = fed_sgd(model, x, labels)[1]
         readout = recover_bins(payload, imp)
         cands = dict(zip(readout.bins.tolist(), readout.vectors))
         singles = [recover_bins(fed_sgd(model, x[i:i + 1], labels[i:i + 1])[1], imp)
@@ -212,7 +212,7 @@ def test_criterion_08_unique_label_readout():
     model = make_logistic_model(24, 16, head="pinned", dtype=np.float64)
     x = RngStream(230, 0).uniform((16, 24))
     labels = RngStream(230, 1).permutation(16)
-    _, grads = model.loss_and_grads(x, labels)
+    grads = model.loss_and_grads(x, labels)[1]
     # the reader built the head, so it reads the 16 class rows and skips the
     # pinned row (whose gradient is the whole-batch mean by construction)
     readout = recover_unique_labels(grads["head.weight"][:-1], grads["head.bias"][:-1])
@@ -223,7 +223,7 @@ def test_criterion_08_unique_label_readout():
                                    for e, l in enumerate(labels)]))
 
     same = RngStream(231, 0).uniform((16, 24))
-    _, g2 = model.loss_and_grads(same, np.full(16, 3))
+    g2 = model.loss_and_grads(same, np.full(16, 3))[1]
     blended = recover_unique_labels(g2["head.weight"][:-1], g2["head.bias"][:-1])
     one_cand = len(blended) == 1
     # pinned head weights every same-label example equally

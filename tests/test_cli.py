@@ -99,6 +99,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 2
     assert "model.imprint.target_mass" in capsys.readouterr().err
 
+    # a bare NaN in the file (Python's json reads it) is named as such
+    cfg = bundled_config("fullbatch64")
+    cfg["defense"]["sigma"] = float("nan")
+    path = _small_cfg_file(tmp_path, **cfg)
+    assert '"sigma": NaN' in open(path).read()
+    assert main(["run", "--config", path]) == 2
+    assert "defense.sigma: must be finite, got nan" in capsys.readouterr().err
+
     # a head gain past the float32 range; the same gain is finite in float64
     cfg = bundled_config("fullbatch64")
     cfg["model"]["head"]["gain"] = 1e39
@@ -166,6 +174,8 @@ def test_non_finite_csv_cell_is_a_config_error(tmp_path, capsys):
     # the feature width of a CSV is known only once it is loaded
     ("a,b\n0.1,0.2\n0.3,0.4\n", {"kind": "dct", "freq": 5},
      "model.measurement.freq: must be < feature width 2"),
+    # the head has classes 0..3 only
+    ("a,label\n0.1,1\n0.3,4\n", None, "data.label_classes: file holds label 4, configured 4"),
 ])
 def test_csv_contents_are_config_errors(tmp_path, capsys, text, measurement, expected):
     path = tmp_path / "data.csv"
@@ -252,6 +262,17 @@ def test_sweep_chart_scales_each_point_by_its_batch(tmp_path, capsys, monkeypatc
     assert model["iid model"] == [iid_expected(n, 32) / n for n in (4, 8, 16)]
 
 
+@pytest.mark.parametrize("value", ["64", "1e20"])
+def test_one_value_sweep_draws_its_chart(tmp_path, capsys, value):
+    """A single point spans no x range; past 2**53 adding 1.0 cannot widen it."""
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--scenario", "fullbatch64", "--axis", "model.head.gain",
+                 "--values", value, "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    svg = (out_dir / "fullbatch64_model.head.gain_sweep.svg").read_text()
+    assert svg.startswith("<svg ") and svg.count('<circle cx="64.0" ') == 3  # one per series
+
+
 def test_sweep_stdout_mode(tmp_path, capsys):
     args = ["sweep", "--scenario", "fullbatch64", "--axis", "bins", "--values", "64,128"]
     assert main(args) == 0
@@ -312,6 +333,36 @@ def test_check_runs_every_bundled_scenario(capsys):
         assert f"] {name}:" in out
     assert "[FAIL]" not in out
     assert "all checks passed" in out
+
+
+def test_check_failures_exit_4_and_out_writes_reports(tmp_path, capsys, monkeypatch):
+    import imprintlab.cli as cli
+
+    # one bundle, with its verdicts inverted, stands for a run that misses its thresholds
+    monkeypatch.setattr(cli, "BUNDLED", {"fullbatch64": None})
+    passing = cli.check_bundled
+    monkeypatch.setattr(cli, "check_bundled",
+                        lambda result: [(lb, not ok, d) for lb, ok, d in passing(result)])
+    assert main(["check", "--out", str(tmp_path)]) == 4
+    out = capsys.readouterr().out
+    assert out.count("[FAIL] fullbatch64:") == 2 and "[PASS]" not in out
+    assert out.endswith("2 check(s) failed\n")
+    # --out holds the report each check read, as `run` writes it
+    written = json.loads((tmp_path / "fullbatch64_report.json").read_text())
+    assert main(["run", "--scenario", "fullbatch64"]) == 0
+    ran = json.loads(capsys.readouterr().out)
+    assert {k: v for k, v in written.items() if k != "timing"} == \
+        {k: v for k, v in ran.items() if k != "timing"}
+
+
+def test_sigma_sweep_charts_the_measured_fraction_only(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--scenario", "fullbatch64", "--axis", "sigma",
+                 "--values", "0,1e-3", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    svg = (out_dir / "fullbatch64_sigma_sweep.svg").read_text()
+    assert ">measured exact fraction</text>" in svg and ">exact fraction</text>" in svg
+    assert "model</text>" not in svg and svg.count("<polyline ") == 1
 
 
 def test_argparse_rejects_unknown_command():

@@ -25,9 +25,10 @@ def test_fed_sgd_payload_is_the_mean_gradient():
     model = _model()
     x = RngStream(20, 0).normal((1, 8))
     labels = np.array([1])
-    loss, payload = fed_sgd(model, x, labels)
-    ref_loss, grads = model.loss_and_grads(x, labels)
+    loss, payload, active = fed_sgd(model, x, labels)
+    ref_loss, grads, ref_active = model.loss_and_grads(x, labels)
     assert loss == ref_loss
+    assert active.shape == (1, model.imprint.n_rows) and np.array_equal(active, ref_active)
     assert payload.kind == "gradient"
     for key, g in grads.items():
         assert np.array_equal(payload.tensors[key], g)
@@ -37,7 +38,7 @@ def test_two_users_average_to_the_joint_batch():
     model = _model()
     x = RngStream(20, 1).normal((4, 8))
     labels = np.array([0, 2, 1, 1])
-    _, full = fed_sgd(model, x, labels)
+    full = fed_sgd(model, x, labels)[1]
     parts = [fed_sgd(model, x[i:i + 2], labels[i:i + 2])[1] for i in (0, 2)]
     mean = secure_aggregate(parts).mean_payload()
     assert mean.users == 1
@@ -51,7 +52,7 @@ def test_sharding_is_invisible_after_aggregation():
     model = _model(m=16, k=6, classes=4, dtype=np.float32)
     x = RngStream(21, 0).normal((1000, 16), dtype=np.float32)
     labels = RngStream(21, 1).integers(1000, low=0, high=4)
-    _, full = fed_sgd(model, x, labels)
+    full = fed_sgd(model, x, labels)[1]
     shards = [fed_sgd(model, x[u * 100:(u + 1) * 100], labels[u * 100:(u + 1) * 100])[1]
               for u in range(10)]
     agg = secure_aggregate(shards)
@@ -70,10 +71,10 @@ def test_single_local_step_is_a_scaled_gradient():
     x = RngStream(22, 0).normal((6, 8))
     labels = np.array([0, 1, 2, 0, 1, 2])
     lr = 1e-4
-    payload, _ = fed_avg(model, x, labels, steps=1, lr=lr)
+    payload = fed_avg(model, x, labels, steps=1, lr=lr)[0]
     assert payload.kind == "param_delta"
     assert payload.steps == 1 and payload.lr == lr
-    _, grads = model.loss_and_grads(x, labels)
+    grads = model.loss_and_grads(x, labels)[1]
     for key, g in grads.items():
         ref = -lr * g
         err = float(np.abs(payload.tensors[key] - ref).max())
@@ -165,26 +166,25 @@ def test_fed_avg_matches_reference_local_sgd(dtype):
     model = _model(m=8, k=6, classes=3, dtype=dtype)
     x = RngStream(23, 4).normal((12, 8), dtype=dtype)
     labels = np.array([0, 1, 2] * 4)
-    payload, log = fed_avg(model, x, labels, steps=3, lr=0.05)
-    ref_delta, ref_log = loop_fed_avg(model, x, labels, steps=3, lr=0.05)
+    payload, losses, actives = fed_avg(model, x, labels, steps=3, lr=0.05)
+    ref_delta, ref_losses, ref_actives = loop_fed_avg(model, x, labels, steps=3, lr=0.05)
     assert set(payload.tensors) == set(ref_delta)
     for key, ref in ref_delta.items():
         got = payload.tensors[key]
         assert got.dtype == ref.dtype == dtype
         assert np.array_equal(got, ref), key
     assert any(np.any(d != 0) for d in ref_delta.values())
-    assert [e["step"] for e in log] == [0, 1, 2]
-    for entry, ref in zip(log, ref_log, strict=True):
-        assert entry["loss"] == ref["loss"]
-        assert np.array_equal(entry["active"], ref["active"])
+    assert losses == ref_losses and len(losses) == 3
+    for active, ref in zip(actives, ref_actives, strict=True):
+        assert np.array_equal(active, ref)
 
 
 def test_fed_avg_is_deterministic():
     model = _model()
     x = RngStream(23, 1).normal((4, 8))
     labels = np.array([2, 0, 1, 1])
-    a, _ = fed_avg(model, x, labels, steps=2, lr=1e-3)
-    b, _ = fed_avg(model, x, labels, steps=2, lr=1e-3)
+    a = fed_avg(model, x, labels, steps=2, lr=1e-3)[0]
+    b = fed_avg(model, x, labels, steps=2, lr=1e-3)[0]
     for key in a.tensors:
         assert np.array_equal(a.tensors[key], b.tensors[key])
 
@@ -219,14 +219,14 @@ def test_to_gradient_form_inverts_the_step_scaling():
     model = _model()
     x = RngStream(24, 0).normal((4, 8))
     labels = np.array([1, 1, 0, 2])
-    payload, _ = fed_avg(model, x, labels, steps=1, lr=1e-3)
+    payload = fed_avg(model, x, labels, steps=1, lr=1e-3)[0]
     eff = to_gradient_form(payload)
     assert eff.kind == "gradient"
-    _, grads = model.loss_and_grads(x, labels)
+    grads = model.loss_and_grads(x, labels)[1]
     for key, g in grads.items():
         assert np.allclose(eff.tensors[key], g, rtol=1e-9, atol=1e-14)
     # gradient payloads pass through unchanged
-    _, direct = fed_sgd(model, x, labels)
+    direct = fed_sgd(model, x, labels)[1]
     assert to_gradient_form(direct) is direct
     bare = UpdatePayload(kind="param_delta", tensors={})
     with pytest.raises(ValueError, match="lr"):

@@ -23,7 +23,8 @@ def test_logistic_single_example_gradient_identity():
     model = make_logistic_model(6, 4, head_stream=RngStream(1, 0), dtype=np.float64)
     x = RngStream(1, 1).normal((1, 6))
     labels = np.array([2])
-    _, grads = model.loss_and_grads(x, labels)
+    _, grads, active = model.loss_and_grads(x, labels)
+    assert active is None  # no imprint layer, no mask
     logits = (x @ model.params["head.weight"].T + model.params["head.bias"])[0]
     sm = np.exp(logits - logits.max())
     sm /= sm.sum()
@@ -39,7 +40,7 @@ def test_batch_gradient_is_mean_of_per_example():
     model = _relu_model(dtype=np.float64)
     x = RngStream(2, 0).normal((4, 8))
     labels = np.array([0, 1, 2, 0])
-    _, batch = model.loss_and_grads(x, labels)
+    batch = model.loss_and_grads(x, labels)[1]
     singles = [model.loss_and_grads(x[i:i + 1], labels[i:i + 1])[1] for i in range(4)]
     for key in batch:
         mean = np.mean([s[key] for s in singles], axis=0)
@@ -81,7 +82,7 @@ def test_relu_kink_contributes_nothing():
     h = build_measurement("mean", 1, c0=1.0)
     imp = build_relu(lay, h, dtype=np.float64)
     model = make_imprint_model(imp, label_classes=2, dtype=np.float64)
-    _, grads = model.loss_and_grads(np.array([[0.0]]), np.array([0]))
+    grads = model.loss_and_grads(np.array([[0.0]]), np.array([0]))[1]
     assert np.all(grads["imprint.weight"][1] == 0.0)
     assert grads["imprint.bias"][1] == 0.0
     assert grads["imprint.bias"][0] != 0.0  # row below is active
@@ -97,7 +98,7 @@ def test_hard_threshold_kinks_contribute_nothing():
     imp = build_hard_threshold(lay, h, dtype=np.float64)
     model = make_imprint_model(imp, label_classes=2, dtype=np.float64)
     for xv in (0.25, 0.0):  # upper kink of row 1, then lower kink of row 1
-        _, grads = model.loss_and_grads(np.array([[xv]]), np.array([0]))
+        grads = model.loss_and_grads(np.array([[xv]]), np.array([0]))[1]
         pre = xv * imp.weight[:, 0] + imp.bias
         assert np.all((pre == 0.0) | (pre >= 1.0))  # every row saturated or at a kink
         assert np.all(grads["imprint.weight"] == 0.0)
@@ -143,7 +144,7 @@ def test_pinned_head_weights_every_example_equally():
     model = _relu_model(gain=2.0)
     x = RngStream(8, 0).normal((4, 8))
     labels = np.array([0, 1, 2, 0])
-    _, grads = model.loss_and_grads(x, labels)
+    grads = model.loss_and_grads(x, labels)[1]
     # the pin class soaks up probability 1 for each example
     assert abs(float(grads["head.bias"][-1]) - 1.0) < 1e-6
     assert float(grads["head.bias"][labels[0]]) < 0

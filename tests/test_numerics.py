@@ -29,6 +29,17 @@ def test_rng_goldens():
         assert got.tolist() == expect
 
 
+def test_rng_seeds_past_2_63_draw_their_own_streams():
+    """Every 64-bit master seed keys its own stream: the top of the range
+    neither collapses onto one float64 value nor warns on the cast."""
+    seeds = [1 << 63, (1 << 63) + 1, (1 << 63) + 1000, (1 << 64) - 2, (1 << 64) - 1]
+    draws = [RngStream(s, 3).normal(4).tolist() for s in seeds]
+    assert len({tuple(d) for d in draws}) == len(seeds)
+    # below 2**63 the key is the plain integer pair, as the goldens were drawn
+    assert RngStream((1 << 63) - 1, 0).normal(2).tolist() == np.random.Generator(
+        np.random.Philox(key=((1 << 63) - 1, 0))).standard_normal(2).tolist()
+
+
 def test_rng_determinism():
     s = RngStream(7, 3)
     assert np.array_equal(s.normal((4, 5)), RngStream(7, 3).normal((4, 5)))

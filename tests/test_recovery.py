@@ -54,7 +54,7 @@ def test_unique_labels_recover_every_example():
     model = make_logistic_model(10, 5, head="pinned", dtype=np.float64)
     x = RngStream(33, 1).normal((5, 10))
     labels = np.array([3, 0, 4, 1, 2])
-    _, grads = model.loss_and_grads(x, labels)
+    grads = model.loss_and_grads(x, labels)[1]
     cands = recover_unique_labels(grads["head.weight"], grads["head.bias"])
     row = {int(b): i for i, b in enumerate(cands.bins)}
     for e, lab in enumerate(labels):
@@ -67,7 +67,7 @@ def test_repeated_label_row_blends_its_class():
     model = make_logistic_model(6, 3, head="pinned", dtype=np.float64)
     x = RngStream(34, 1).normal((3, 6))
     labels = np.array([1, 1, 0])
-    _, grads = model.loss_and_grads(x, labels)
+    grads = model.loss_and_grads(x, labels)[1]
     cands = _vectors_by_bin(recover_unique_labels(grads["head.weight"], grads["head.bias"]))
     # both class-1 examples carry the same weight, so the row blends to their mean
     assert np.allclose(cands[1], x[:2].mean(axis=0), rtol=1e-12, atol=1e-15)
@@ -82,7 +82,7 @@ def test_softmax_head_row_blends_all_examples():
     model = make_logistic_model(6, 3, head_stream=RngStream(34, 0), dtype=np.float64)
     x = RngStream(34, 1).normal((3, 6))
     labels = np.array([1, 1, 0])
-    _, grads = model.loss_and_grads(x, labels)
+    grads = model.loss_and_grads(x, labels)[1]
     cands = _vectors_by_bin(recover_unique_labels(grads["head.weight"], grads["head.bias"]))
     singles = [model.loss_and_grads(x[i:i + 1], labels[i:i + 1])[1] for i in range(3)]
     for c in (0, 1, 2):
@@ -97,7 +97,7 @@ def test_relu_singletons_recover_exactly():
     lay, h, imp, model = _relu_setup()
     bins = [0, 2, 4, 7]
     x = _place_in_bins(lay, h, bins, RngStream(35, 0))
-    _, payload = fed_sgd(model, x, np.array([0, 1, 2, 3]))
+    payload = fed_sgd(model, x, np.array([0, 1, 2, 3]))[1]
     cands = recover_bins(payload, imp)
     assert cands.bins.tolist() == bins
     for v, xe in zip(cands.vectors, x):
@@ -108,7 +108,7 @@ def test_relu_empty_bins_stay_silent():
     lay, h, imp, model = _relu_setup()
     occupied = [1, 5]
     x = _place_in_bins(lay, h, occupied, RngStream(35, 1))
-    _, payload = fed_sgd(model, x, np.array([0, 1]))
+    payload = fed_sgd(model, x, np.array([0, 1]))[1]
     assert recover_bins(payload, imp).bins.tolist() == occupied
 
 
@@ -123,7 +123,7 @@ def test_relu_collision_reads_out_weighted_average():
                                head_stream=RngStream(36, 0), dtype=np.float64)
     x = _place_in_bins(lay, h, [3, 3], RngStream(36, 1))
     labels = np.array([0, 2])
-    _, payload = fed_sgd(model, x, labels)
+    payload = fed_sgd(model, x, labels)[1]
     cands = recover_bins(payload, imp)
     assert cands.bins.tolist() == [3]
     singles = [recover_bins(fed_sgd(model, x[i:i + 1], labels[i:i + 1])[1], imp)
@@ -151,7 +151,7 @@ def test_recovery_ignores_row_permutation_and_decoys():
     for kw in variants:
         imp = build_relu(lay, h, dtype=np.float64, **kw)
         model = make_imprint_model(imp, label_classes=4, gain=8.0, dtype=np.float64)
-        _, payload = fed_sgd(model, x, labels)
+        payload = fed_sgd(model, x, labels)[1]
         outs.append(recover_bins(payload, imp))
     assert outs[0].bins.tolist() == [1, 3, 6]
     for other in outs[1:]:
@@ -166,7 +166,7 @@ def test_hard_threshold_singletons_recover_exactly():
     model = make_imprint_model(imp, label_classes=4, gain=8.0, dtype=np.float64)
     bins = [0, 3, 5, 7]
     x = _place_in_bins(lay, h, bins, RngStream(38, 0))
-    _, payload = fed_sgd(model, x, np.array([0, 1, 2, 3]))
+    payload = fed_sgd(model, x, np.array([0, 1, 2, 3]))[1]
     cands = recover_bins(payload, imp)
     assert cands.bins.tolist() == bins
     for v, xe in zip(cands.vectors, x):
@@ -184,9 +184,9 @@ def test_param_delta_recovery_matches_gradient_route():
     bins = [0, 2, 3, 6]
     x = _place_in_bins(lay, h, bins, RngStream(30, 0))
     labels = np.array([0, 1, 2, 3])
-    _, grad_payload = fed_sgd(model, x, labels)
+    grad_payload = fed_sgd(model, x, labels)[1]
     ref = recover_bins(grad_payload, imp)
-    delta_payload, _ = fed_avg(model, x, labels, steps=1, lr=2.0 ** -20)
+    delta_payload = fed_avg(model, x, labels, steps=1, lr=2.0 ** -20)[0]
     cands = recover_bins(delta_payload, imp)
     assert np.array_equal(cands.bins, ref.bins)
     for c, r in zip(cands.vectors, ref.vectors):
@@ -198,7 +198,7 @@ def test_aggregate_recovery_matches_joint_batch():
     bins = [0, 2, 4, 7]
     x = _place_in_bins(lay, h, bins, RngStream(39, 0))
     labels = np.array([0, 1, 2, 3])
-    _, joint = fed_sgd(model, x, labels)
+    joint = fed_sgd(model, x, labels)[1]
     users = [fed_sgd(model, x[i:i + 2], labels[i:i + 2])[1] for i in (0, 2)]
     agg = secure_aggregate(users)
     # the sum-form aggregate is accepted directly and matches its own mean form
@@ -318,9 +318,9 @@ def test_every_bin_reads_the_mean_of_its_members(variant, shard, users, k, m, pe
     payloads, members = [], np.zeros((n, k), dtype=bool)
     for u in range(users):
         sl = slice(u * shard, (u + 1) * shard)
-        stats = {}
-        payloads.append(fed_sgd(model, x[sl], labels[sl], stats=stats)[1])
-        examples, bins = bin_members(stats["active"], imp)
+        _, payload, active = fed_sgd(model, x[sl], labels[sl])
+        payloads.append(payload)
+        examples, bins = bin_members(active, imp)
         members[examples + u * shard, bins] = True
         # the same rule restated on pre-activations computed outside the model
         assert np.array_equal(members[sl], _model_members(model, imp, x[sl]))
@@ -344,7 +344,7 @@ def test_missing_imprint_grads_error():
         recover_bins(bare, relu)
     # a NaN would slip the |den| > floor mask; it is refused instead
     model = make_imprint_model(relu, label_classes=3, dtype=np.float64)
-    _, payload = fed_sgd(model, RngStream(43, 0).normal((2, 8)), np.array([0, 1]))
+    payload = fed_sgd(model, RngStream(43, 0).normal((2, 8)), np.array([0, 1]))[1]
     payload.tensors["imprint.bias"][1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         recover_bins(payload, relu)

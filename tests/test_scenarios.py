@@ -1,4 +1,5 @@
 import copy
+import math
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from imprintlab import scenarios
 from imprintlab.dataio import canonical_json, write_csv
 from imprintlab.errors import ConfigError
+from imprintlab.measurement import build_measurement
 from imprintlab.numerics import RngStream
 from imprintlab.recovery import Readout
 from imprintlab.scenarios import (CONFIG_LEAVES, SWEEP_HEADER, bundled_config,
@@ -70,6 +72,14 @@ def test_validate_fills_defaults():
     (lambda c: c["defense"].update(sigma=0.1), "defense.sigma"),
     (lambda c: c["federation"].update(lr=0.1), "federation.lr"),
     (lambda c: c.update(trials=5), "trials"),
+    (lambda c: (c.update(trials=3), c["model"].update(imprint={"variant": "one_shot",
+                                                                 "target_mass": "1/n"})),
+     "trials: trial loops run single-user federation only"),
+    (lambda c: (c.update(trials=3, data={"kind": "token_sequences", "n_seq": 8, "seq_len": 2,
+                                         "vocab": 8, "embed_dim": 4}),
+                c["federation"].update(users=1),
+                c["model"].update(imprint={"variant": "one_shot", "target_mass": "1/n"})),
+     "trials: trial loops need synthetic_gaussian data"),
     (lambda c: c["data"].update(kind="images"), "data.kind"),
     (lambda c: c["model"]["measurement"].update(c0=0.0), "model.measurement.c0"),
     (lambda c: c["model"]["imprint"].update(permute="no"), "model.imprint.permute"),
@@ -90,6 +100,10 @@ def test_validate_fills_defaults():
                 c["model"].update(imprint={"variant": "one_shot", "target_mass": "1/n"})),
      "model.imprint.target_mass"),
     (lambda c: c["defense"].update(clip=10 ** 400), "defense.clip: must be finite, got inf"),
+    (lambda c: c["defense"].update(clip=-10 ** 400), "defense.clip: must be finite, got -inf"),
+    (lambda c: c["defense"].update(sigma=math.nan), "defense.sigma: must be finite, got nan"),
+    (lambda c: c["model"]["head"].update(gain=-math.inf),
+     "model.head.gain: must be finite, got -inf"),
     (lambda c: c.update(data=3), "data: expected an object, got int"),
     (lambda c: c["model"].update(imprint=[1]), "model.imprint: expected an object, got list"),
     # a leaf of another variant is an unknown key, with the allowed list
@@ -428,6 +442,43 @@ def test_csv_scenario_end_to_end(tmp_path):
     labels = res.artifacts["batch"].labels
     assert labels is not None and labels.shape == (12,)  # drawn, file has none
     assert res.report["recovery"]["n_candidates"] >= 1
+
+
+def test_csv_label_column_is_the_batch_labels(tmp_path):
+    path = tmp_path / "labelled.csv"
+    labels = [i % 4 for i in range(12)]
+    path.write_text("f0,label,f1\n" + "".join(f"{i}.5,{y},{i}.25\n"
+                                              for i, y in enumerate(labels)))
+    cfg = _small_cfg(data={"kind": "csv", "path": str(path), "label_classes": 4},
+                     model={"imprint": {"variant": "relu", "k": 8},
+                            "head": {"kind": "pinned", "gain": 12.0}})
+    res = run_scenario(cfg)
+    batch = res.artifacts["batch"]
+    assert batch.labels.tolist() == labels
+    assert batch.x[:, 1].tolist() == [i + 0.25 for i in range(12)]  # label column dropped
+    # a label the head has no class for is the config's fault, named by its leaf
+    cfg["data"]["label_classes"] = 3
+    with pytest.raises(ConfigError, match="data.label_classes: file holds label 3, "
+                                          "configured 3"):
+        run_scenario(cfg)
+
+
+def test_empirical_assumed_bins_the_surrogate_measurements():
+    """The empirical layout's boundaries are the equal-mass quantiles of the
+    measured surrogate block, drawn from the scenario's own surrogate stream."""
+    cfg = _small_cfg(dtype="float64", model={
+        "measurement": {"kind": "mean", "c0": "auto"},
+        "assumed": {"kind": "empirical", "surrogate_n": 300},
+        "imprint": {"variant": "relu", "k": 8},
+        "head": {"kind": "pinned", "gain": 16.0}})
+    res = run_scenario(cfg)
+    surrogate = RngStream(1, scenarios.STREAM_SURROGATE).normal((300, 16))
+    h = build_measurement("mean", 16, c0="auto",
+                          stream=RngStream(1, scenarios.STREAM_MEASUREMENT))
+    probs = np.maximum(np.arange(8) / 8, validate_config(cfg)["model"]["imprint"]["p_min"])
+    expect = np.quantile(h.measure(surrogate), probs)
+    assert np.allclose(res.artifacts["imprint"].boundaries, expect, rtol=0, atol=1e-12)
+    assert res.report["recovery"]["singleton_match"]
 
 
 def test_bundled_configs_are_isolated_copies():
