@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -10,13 +11,32 @@ _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 64, 16, 32, 44  # margins
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def _ticks(lo: float, hi: float, n: int = 5):
+    """n evenly spaced (tick, label) pairs, labelled at 6 significant digits or
+    at the fewest more that tell the ticks apart (17 tell any two floats apart)."""
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    ticks = [lo + i * step for i in range(n)]
+    for digits in range(6, 18):
+        labels = [f"{v:.{digits}g}" for v in ticks]
+        if len(set(labels)) == n:
+            break
+    return list(zip(ticks, labels))
+
+
+def _span(lo: float, hi: float, pad: float):
+    """The axis range: a one-value range widened by 1.0, padded by `pad` of its
+    width on each side, then widened one float at a time until its ticks are
+    distinct floats (past 2**53, adding 1.0 rounds away)."""
+    if hi == lo:
+        hi = lo + 1.0
+    pad *= hi - lo
+    lo, hi = lo - pad, hi + pad
+    while len(set(_ticks(lo, hi))) < 5:
+        if hi < sys.float_info.max:
+            hi = math.nextafter(hi, math.inf)
+        else:  # the largest float widens downward
+            lo = math.nextafter(lo, -math.inf)
+    return lo, hi
 
 
 def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "") -> str:
@@ -29,15 +49,8 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "")
         raise ValueError("nothing to plot: every y value is missing")
     xs_all = [p[0] for p in pts]
     ys_all = [p[1] for p in pts]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    # a one-value range is widened by 1.0, or by one float where 1.0 rounds away
-    if x_hi == x_lo:
-        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
-    if y_hi == y_lo:
-        y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi = _span(min(xs_all), max(xs_all), 0.0)
+    y_lo, y_hi = _span(min(ys_all), max(ys_all), 0.05)
 
     inner_w = _W - _ML - _MR
     inner_h = _H - _MT - _MB
@@ -58,16 +71,16 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "")
     if title:
         parts.append(f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" '
                      f'font-size="14">{title}</text>')
-    for tx in _ticks(x_lo, x_hi):
+    for tx, label in _ticks(x_lo, x_hi):
         parts.append(f'<line x1="{px(tx):.1f}" y1="{_MT + inner_h}" x2="{px(tx):.1f}" '
                      f'y2="{_MT + inner_h + 4}" stroke="#333"/>')
         parts.append(f'<text x="{px(tx):.1f}" y="{_MT + inner_h + 18}" '
-                     f'text-anchor="middle">{_fmt(tx)}</text>')
-    for ty in _ticks(y_lo, y_hi):
+                     f'text-anchor="middle">{label}</text>')
+    for ty, label in _ticks(y_lo, y_hi):
         parts.append(f'<line x1="{_ML - 4}" y1="{py(ty):.1f}" x2="{_ML}" '
                      f'y2="{py(ty):.1f}" stroke="#333"/>')
         parts.append(f'<text x="{_ML - 8}" y="{py(ty) + 4:.1f}" '
-                     f'text-anchor="end">{_fmt(ty)}</text>')
+                     f'text-anchor="end">{label}</text>')
     if x_label:
         parts.append(f'<text x="{_ML + inner_w / 2:.1f}" y="{_H - 8}" '
                      f'text-anchor="middle">{x_label}</text>')

@@ -92,12 +92,10 @@ def _cmd_sweep(args) -> int:
         with open(csv_path, "w", newline="") as fh:
             write_csv(fh, header, rows)
         print(f"sweep written to {csv_path}")
-        svg = _sweep_chart(args.axis, values, header, rows, reports)
-        if svg is not None:
-            svg_path = os.path.join(args.out, f"{name}_{args.axis}_sweep.svg")
-            with open(svg_path, "w") as fh:
-                fh.write(svg)
-            print(f"chart written to {svg_path}")
+        svg_path = os.path.join(args.out, f"{name}_{args.axis}_sweep.svg")
+        with open(svg_path, "w") as fh:
+            fh.write(_sweep_chart(args.axis, values, header, rows, reports))
+        print(f"chart written to {svg_path}")
     else:
         write_csv(sys.stdout, header, rows)
     return EXIT_OK
@@ -127,10 +125,7 @@ def _sweep_chart(axis, values, header, rows, reports):
                   ("composition model", values, fractions("prop1_expected")),
                   ("iid model", values, fractions("iid_expected"))]
         y = "exact fraction"
-    try:
-        return line_chart(series, title=f"{axis} sweep", x_label=axis, y_label=y)
-    except ValueError:
-        return None
+    return line_chart(series, title=f"{axis} sweep", x_label=axis, y_label=y)
 
 
 def _cmd_plan(args) -> int:

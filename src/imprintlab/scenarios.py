@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataio, theory
+from . import dataio, measurement, theory
 from .defense import DefenseConfig, apply_defense
 from .errors import ConfigError
 from .federation import fed_avg, fed_sgd, secure_aggregate
 from .imprint import (DEFAULT_P_MIN, build_hard_threshold, build_relu,
                       fuse_one_shot, make_layout)
 from .measurement import assumed_distribution, build_measurement
-from .metrics import score
+from .metrics import EXACT_REL_TOL, score
 from .model import FrontStage, make_imprint_model
 from .numerics import _DERIVE_SPAN, RngStream
 from .recovery import (Readout, bin_members, decoding_verified, recover_bins,
@@ -84,12 +84,11 @@ CONFIG_LEAVES = (
     Leaf("data.vocab", int, ..., ">= 2", when=("kind", "token_sequences")),
     Leaf("data.embed_dim", int, ..., ">= 1", when=("kind", "token_sequences")),
     Leaf("data.path", str, when=("kind", "csv")),
-    Leaf("data.normalization", ("none", "standardize", "unit_interval"), "none",
-         when=("kind", "csv")),
+    Leaf("data.normalization", dataio.NORMALIZATIONS, "none", when=("kind", "csv")),
     Leaf("data.label_classes", int, 10, ">= 1"),
     Leaf("model.front[].kind", ("identity", "avg_pool")),
     Leaf("model.front[].factor", int, 1, ">= 1"),
-    Leaf("model.measurement.kind", ("mean", "dct", "random_gaussian"), "mean"),
+    Leaf("model.measurement.kind", measurement.KINDS, "mean"),
     Leaf("model.measurement.c0", float, "auto", "!= 0", also=("auto",)),
     Leaf("model.measurement.freq", int, ..., ">= 0", when=("kind", "dct")),
     Leaf("model.assumed.kind", ("normal", "laplace", "empirical"), "normal"),
@@ -118,7 +117,7 @@ CONFIG_LEAVES = (
     Leaf("defense.noise", ("gaussian", "laplace"), None, also=(None,)),
     Leaf("defense.sigma", float, 0.0, ">= 0"),
     Leaf("metrics.pool", int, 1000, ">= 0"),
-    Leaf("metrics.rel_tol", float, 1e-4, "> 0"),
+    Leaf("metrics.rel_tol", float, EXACT_REL_TOL, "> 0"),
     Leaf("metrics.select", int, None, ">= 1", also=(None,)),
     Leaf("metrics.verify_rel_tol", float, 1e-2, "> 0"),
     Leaf("trials", int, None, f">= 1, <= {_MAX_CHILDREN}", also=(None,)),
@@ -339,19 +338,29 @@ def _build_attack(cfg, m_feat, n, dtype):
     dist = assumed_distribution(h, assumed, surrogate=surrogate)
 
     imp_cfg = model_cfg["imprint"]
-    if imp_cfg["variant"] == "one_shot":
-        mass = imp_cfg["target_mass"]
-        if mass == "1/n":
-            mass = 1.0 / n
-        imp = fuse_one_shot(dist, h, mass, placement=imp_cfg["placement"], dtype=dtype)
-    else:
-        bounds = make_layout(dist, imp_cfg["k"], p_min=imp_cfg["p_min"])
-        perm_stream = RngStream(seed, STREAM_IMPRINT_PERM) if imp_cfg["permute"] else None
-        if imp_cfg["variant"] == "relu":
-            imp = build_relu(bounds, h, decoys=imp_cfg["decoys"], perm_stream=perm_stream,
-                             decoy_stream=RngStream(seed, STREAM_DECOYS), dtype=dtype)
+    with np.errstate(over="ignore"):  # a parameter past the dtype's range is named below
+        if imp_cfg["variant"] == "one_shot":
+            mass = imp_cfg["target_mass"]
+            if mass == "1/n":
+                mass = 1.0 / n
+            imp = fuse_one_shot(dist, h, mass, placement=imp_cfg["placement"], dtype=dtype)
         else:
-            imp = build_hard_threshold(bounds, h, perm_stream=perm_stream, dtype=dtype)
+            bounds = make_layout(dist, imp_cfg["k"], p_min=imp_cfg["p_min"])
+            perm_stream = RngStream(seed, STREAM_IMPRINT_PERM) if imp_cfg["permute"] else None
+            if imp_cfg["variant"] == "relu":
+                imp = build_relu(bounds, h, decoys=imp_cfg["decoys"], perm_stream=perm_stream,
+                                 decoy_stream=RngStream(seed, STREAM_DECOYS), dtype=dtype)
+            else:
+                imp = build_hard_threshold(bounds, h, perm_stream=perm_stream, dtype=dtype)
+    if not (np.isfinite(imp.weight).all() and np.isfinite(imp.bias).all()):
+        # the measurement row itself, else the assumed boundaries or bin widths
+        if np.abs(h.row()).max() > np.finfo(dtype).max or assumed["kind"] == "empirical":
+            leaf, value = "measurement.c0", meas_cfg["c0"]
+        else:
+            width = "sd" if assumed["kind"] == "normal" else "scale"
+            key = "mean" if abs(assumed["mean"]) > assumed[width] else width
+            leaf, value = f"assumed.{key}", assumed[key]
+        _fail(f"model.{leaf}", f"{value} puts imprint weights or biases past the {dtype} range")
 
     stages = tuple(FrontStage(st["kind"], st["factor"]) for st in model_cfg["front"])
     head = model_cfg["head"]
@@ -702,85 +711,41 @@ def sweep_scenario(raw_cfg: dict, axis: str, values, *, jobs: int = 1,
 
 # -- bundled scenarios ------------------------------------------------------------
 
+# a bundle names only the leaves it sets away from their CONFIG_LEAVES defaults
 BUNDLED: dict[str, dict] = {
     "fullbatch64": {
         "name": "fullbatch64",
-        "seed": 0,
-        "dtype": "float32",
-        "data": {"kind": "synthetic_gaussian", "n": 64, "m": 64, "label_classes": 10},
-        "model": {
-            "front": [],
-            "measurement": {"kind": "mean", "c0": "auto"},
-            "assumed": {"kind": "normal"},
-            "imprint": {"variant": "relu", "k": 128, "decoys": 0, "permute": False},
-            "bridge": "sum",
-            "head": {"kind": "pinned", "gain": 64.0},
-        },
-        "federation": {"protocol": "fed_sgd", "users": 1},
-        "defense": {"clip": None, "noise": None, "sigma": 0.0},
-        "metrics": {"pool": 1000, "rel_tol": 1e-4},
+        "data": {"kind": "synthetic_gaussian", "n": 64, "m": 64},
+        "model": {"imprint": {"variant": "relu", "k": 128}, "head": {"gain": 64.0}},
     },
     "oneshot": {
-        "name": "oneshot",
-        "seed": 0,
-        "dtype": "float64",
-        "data": {"kind": "synthetic_gaussian", "n": 4096, "m": 32, "label_classes": 10},
-        "model": {
-            "front": [],
-            "measurement": {"kind": "mean", "c0": "auto"},
-            "assumed": {"kind": "normal"},
-            "imprint": {"variant": "one_shot", "target_mass": "1/n", "placement": None},
-            "bridge": "sum",
-            "head": {"kind": "pinned", "gain": 1.0},
-        },
-        "federation": {"protocol": "fed_sgd", "users": 1},
-        "defense": {"clip": None, "noise": None, "sigma": 0.0},
-        "metrics": {"pool": 0, "rel_tol": 1e-4},
-        "trials": 200,
+        "name": "oneshot", "dtype": "float64",
+        "data": {"kind": "synthetic_gaussian", "n": 4096, "m": 32},
+        "model": {"imprint": {"variant": "one_shot", "target_mass": "1/n"}},
+        "metrics": {"pool": 0}, "trials": 200,
     },
     "fedavg8x8": {
-        "name": "fedavg8x8",
-        "seed": 0,
-        "dtype": "float64",
-        "data": {"kind": "synthetic_gaussian", "n": 64, "m": 64, "label_classes": 10},
-        "model": {
-            "front": [],
-            "measurement": {"kind": "mean", "c0": "auto"},
-            "assumed": {"kind": "normal"},
-            "imprint": {"variant": "hard_threshold", "k": 128, "permute": False},
-            "bridge": "sum",
-            "head": {"kind": "pinned", "gain": 1.0},
-        },
-        "federation": {"protocol": "fed_avg", "users": 1, "steps": 8, "lr": 1e-4},
-        "defense": {"clip": None, "noise": None, "sigma": 0.0},
-        "metrics": {"pool": 1000, "rel_tol": 1e-4},
+        "name": "fedavg8x8", "dtype": "float64",
+        "data": {"kind": "synthetic_gaussian", "n": 64, "m": 64},
+        "model": {"imprint": {"variant": "hard_threshold", "k": 128}},
+        "federation": {"protocol": "fed_avg", "steps": 8, "lr": 1e-4},
     },
     "text128": {
         "name": "text128",
-        "seed": 0,
-        "dtype": "float32",
         "data": {"kind": "token_sequences", "n_seq": 128, "seq_len": 8, "vocab": 1000,
-                 "embed_dim": 32, "label_classes": 10},
-        "model": {
-            "front": [],
-            "measurement": {"kind": "random_gaussian", "c0": "auto"},
-            "assumed": {"kind": "normal"},
-            "imprint": {"variant": "relu", "k": 512, "decoys": 0, "permute": False},
-            "bridge": "sum",
-            "head": {"kind": "pinned", "gain": 128.0},
-        },
-        "federation": {"protocol": "fed_sgd", "users": 1},
-        "defense": {"clip": None, "noise": None, "sigma": 0.0},
-        "metrics": {"pool": 1000, "rel_tol": 1e-4, "verify_rel_tol": 1e-2},
+                 "embed_dim": 32},
+        "model": {"measurement": {"kind": "random_gaussian"},
+                  "imprint": {"variant": "relu", "k": 512}, "head": {"gain": 128.0}},
     },
 }
 
 
 def bundled_config(name: str) -> dict:
+    """The bundle's canonical config: each leaf it omits holds its default."""
     if name not in BUNDLED:
         raise ConfigError(f"scenario: unknown bundled scenario {name!r} "
                           f"(have: {', '.join(sorted(BUNDLED))})")
-    return copy.deepcopy(BUNDLED[name])
+    return validate_config(BUNDLED[name])
 
 
 def check_bundled(result: ScenarioResult) -> list[tuple[str, bool, str]]:

@@ -1,10 +1,13 @@
-"""Print one SHA-256 per report of the 22-config set, for byte-identity checks.
+"""Print one SHA-256 per report of the 22-config set, and per CLI output, for
+byte-identity checks.
 
 The set is the four bundled scenarios x seeds 0 and 1 x float32 and float64,
 plus the three benchmark workload configs (from `imprintbench/workloads.py`)
 x seeds 0 and 1. Each digest is taken over the report's canonical JSON with
 the nondeterministic `timing` block removed, so two trees that print the same
-lines produce byte-identical reports.
+lines produce byte-identical reports. The CLI outputs are the CSV and SVG of
+five sweeps, written to a temporary directory, and the stdout of `plan` and
+`check`.
 
     PYTHONPATH=src python tests/report_digests.py > after.txt
 
@@ -19,9 +22,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
+from contextlib import redirect_stdout  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+from imprintlab.cli import main  # noqa: E402
 from imprintlab.dataio import canonical_json  # noqa: E402
 from imprintlab.scenarios import BUNDLED, bundled_config, run_scenario  # noqa: E402
 
@@ -42,6 +49,38 @@ def configs():
             yield f"{name} seed={seed}", workload.build(seed)
 
 
+# (scenario, axis, values, extra flags); every chart's tick labels differ at 6 digits
+SWEEPS = [
+    ("fullbatch64", "bins", "64,128,256", []),
+    ("fullbatch64", "sigma", "0,0.001,0.01", ["--jobs", "2"]),
+    ("fedavg8x8", "batch", "32,64,128", []),
+    ("text128", "bins", "128,256,512", []),
+    ("oneshot", "mass", "0.0001,0.0005", []),
+]
+
+
+def _stdout(args) -> bytes:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(args)
+    if code != 0:
+        raise SystemExit(f"imprintlab {' '.join(args)} exited {code}")
+    return buf.getvalue().encode()
+
+
+def cli_outputs(tmp: str):
+    """(label, bytes) for every CLI output of the set, in a fixed order."""
+    for scenario, axis, values, extra in SWEEPS:
+        out = Path(tmp, f"{scenario}-{axis}")
+        _stdout(["sweep", "--scenario", scenario, "--axis", axis, "--values", values,
+                 "--out", str(out), *extra])
+        for ext in ("csv", "svg"):
+            label = " ".join(["sweep", scenario, axis, values, *extra, ext])
+            yield label, (out / f"{scenario}_{axis}_sweep.{ext}").read_bytes()
+    for args in (["plan", "--n", "64", "--k", "156", "--m", "64"], ["check"]):
+        yield " ".join([*args, "stdout"]), _stdout(args)
+
+
 def digest(report: dict) -> str:
     stable = {k: v for k, v in report.items() if k != "timing"}
     return hashlib.sha256(canonical_json(stable).encode()).hexdigest()
@@ -50,3 +89,6 @@ def digest(report: dict) -> str:
 if __name__ == "__main__":
     for label, cfg in configs():
         print(f"{digest(run_scenario(cfg).report)}  {label}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, data in cli_outputs(tmp):
+            print(f"{hashlib.sha256(data).hexdigest()}  {label}", flush=True)

@@ -1,9 +1,12 @@
 import json
 import os
+import re
+import sys
 
 import numpy as np
 import pytest
 
+from imprintlab._svg import line_chart
 from imprintlab.cli import main
 from imprintlab.scenarios import bundled_config
 
@@ -130,6 +133,22 @@ def test_config_errors_exit_2(tmp_path, capsys):
         leaf = "sd" if assumed["kind"] == "normal" else "scale"
         assert f"model.assumed.{leaf}: 4.94066e-324 gives bin boundaries" in \
             capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, section, over, expected", [
+    # the mean row c0/m overflows the float32 weights
+    ("fullbatch64", "measurement", {"c0": 1e300},
+     "model.measurement.c0: 1e+300 puts imprint weights or biases past the float32 range"),
+    # the Laplace boundaries overflow the float32 biases
+    ("text128", "assumed", {"kind": "laplace", "scale": 1e300},
+     "model.assumed.scale: 1e+300 puts imprint weights or biases past the float32 range"),
+], ids=["fullbatch64-c0", "text128-laplace-scale"])
+def test_imprint_overflowing_the_run_dtype_exits_2(tmp_path, capsys, name, section, over,
+                                                   expected):
+    cfg = bundled_config(name)
+    cfg["model"][section] = over
+    assert main(["run", "--config", _small_cfg_file(tmp_path, **cfg)]) == 2
+    assert f"config error: {expected}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("over, expected", [
@@ -271,6 +290,24 @@ def test_one_value_sweep_draws_its_chart(tmp_path, capsys, value):
     assert capsys.readouterr().err == ""
     svg = (out_dir / "fullbatch64_model.head.gain_sweep.svg").read_text()
     assert svg.startswith("<svg ") and svg.count('<circle cx="64.0" ') == 3  # one per series
+
+
+@pytest.mark.parametrize("values", ["100000", "1e6", "1000000,1000001", "1e20"])
+def test_sweep_chart_axes_print_distinct_tick_labels(tmp_path, capsys, values):
+    """Six significant digits print one label several times on a narrow range."""
+    assert main(["sweep", "--scenario", "fullbatch64", "--axis", "model.head.gain",
+                 "--values", values, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    svg = (tmp_path / "fullbatch64_model.head.gain_sweep.svg").read_text()
+    for anchor in ("middle", "end"):  # x, then y: each label follows its tick mark
+        labels = re.findall(rf'stroke="#333"/>\n<text [^>]*text-anchor="{anchor}">([^<]*)<', svg)
+        assert len(labels) == len(set(labels)) == 5, labels
+
+
+def test_chart_at_the_largest_float_widens_its_range_downward():
+    svg = line_chart([("s", [sys.float_info.max], [0.5])])
+    labels = re.findall(r'text-anchor="middle">([^<]*)<', svg)
+    assert len(set(labels)) == 5 and "inf" not in labels
 
 
 def test_sweep_stdout_mode(tmp_path, capsys):

@@ -13,7 +13,7 @@ from imprintlab.errors import ConfigError
 from imprintlab.measurement import build_measurement
 from imprintlab.numerics import RngStream
 from imprintlab.recovery import Readout
-from imprintlab.scenarios import (CONFIG_LEAVES, SWEEP_HEADER, bundled_config,
+from imprintlab.scenarios import (BUNDLED, CONFIG_LEAVES, SWEEP_HEADER, bundled_config,
                                   check_bundled, run_scenario, sweep_scenario,
                                   validate_config)
 from imprintlab.theory import one_shot_success
@@ -488,6 +488,35 @@ def test_bundled_configs_are_isolated_copies():
     assert b["seed"] == 0
     with pytest.raises(ConfigError, match="unknown bundled"):
         bundled_config("nope")
+
+
+def _leaves(node, prefix=""):
+    """(leaf path, value) for every leaf of a raw config; list items' leaves
+    carry "[]" in their path, as CONFIG_LEAVES writes them."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        elif isinstance(value, list):
+            for item in value:
+                yield from _leaves(item, f"{prefix}{key}[].")
+        else:
+            yield f"{prefix}{key}", value
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_bundles_name_only_non_default_leaves(name):
+    defaults = {leaf.path: leaf.default for leaf in CONFIG_LEAVES}
+    raw = BUNDLED[name]
+    assert [path for path, v in _leaves(raw) if v == defaults[path]] == []
+    assert raw.get("model", {}).get("front") != []
+    # the canonical config, in objects of its own
+    cfg = bundled_config(name)
+    assert cfg == validate_config(cfg)
+    before = copy.deepcopy(raw)
+    cfg["data"]["label_classes"] = 3
+    cfg["model"]["imprint"]["variant"] = "changed"
+    cfg["metrics"]["pool"] = 7
+    assert BUNDLED[name] == before
 
 
 def test_check_bundled_fullbatch64_passes():
