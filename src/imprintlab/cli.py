@@ -106,12 +106,11 @@ def _sweep_chart(axis, values, header, rows, reports):
         i = header.index(name)
         return [row[i] if isinstance(row[i], (int, float)) else None for row in rows]
 
-    leaf = SWEEP_AXES[axis]
-    if leaf.when == ("variant", "one_shot"):  # the trap's own leaves move its success
+    if "trials" in reports[0]:  # a trial loop's row holds its success rate, as in _sweep_row
         series = [("predicted success", values, col("one_shot_expected")),
                   ("measured success", values, col("success_rate"))]
         y = "success probability"
-    elif leaf.path == "defense.sigma":
+    elif SWEEP_AXES[axis].path == "defense.sigma":
         series = [("measured exact fraction", values, col("exact_fraction"))]
         y = "exact fraction"
     else:
@@ -125,6 +124,7 @@ def _sweep_chart(axis, values, header, rows, reports):
                   ("composition model", values, fractions("prop1_expected")),
                   ("iid model", values, fractions("iid_expected"))]
         y = "exact fraction"
+    series = [s for s in series if any(v is not None for v in s[2])]  # no empty legend rows
     return line_chart(series, title=f"{axis} sweep", x_label=axis, y_label=y)
 
 

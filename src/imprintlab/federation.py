@@ -45,11 +45,11 @@ def fed_sgd(model: ModelGraph, x: np.ndarray, labels: np.ndarray):
 
 
 def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
-            lr: float) -> tuple[UpdatePayload, list, list]:
+            lr: float) -> tuple[UpdatePayload, list, np.ndarray]:
     """Sequential local SGD of an imprint model over an equal split of the
-    batch; returns the parameter delta and, in step order, each step's loss
-    and its pass's active mask. The caller's model is untouched.
-    """
+    batch; returns the parameter delta, each step's loss and the (n, rows)
+    active mask, each example's row mask at its own step. The caller's model
+    is untouched."""
     n = len(labels)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -71,7 +71,7 @@ def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
     # model.copy() copied the params, so the caller's are still the start point
     delta = {k: local.params[k] - model.params[k] for k in local.params}
     payload = UpdatePayload(kind="param_delta", tensors=delta, steps=steps, lr=lr)
-    return payload, losses, actives
+    return payload, losses, np.concatenate(actives)
 
 
 def to_gradient_form(payload: UpdatePayload) -> UpdatePayload:

@@ -93,7 +93,8 @@ def exact_flags(candidates, truth, *, rel_tol: float = EXACT_REL_TOL) -> np.ndar
     denom = np.sqrt(np.sum(t * t, axis=-1))
     diff = c - t
     err = np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=-1))
-    return np.where(denom > 0, err <= rel_tol * denom, err == 0.0)
+    with np.errstate(over="ignore"):  # an infinite tolerance accepts every finite error
+        return np.where(denom > 0, err <= rel_tol * denom, err == 0.0)
 
 
 @dataclass

@@ -235,6 +235,12 @@ def _check_shape(cfg, n, m_feat):
               f"{fed['steps']} does not divide the per-user shard {n // fed['users']}")
 
 
+def _layout_blame(assumed) -> str:
+    """The leaf a degenerate layout is blamed on: a mean past the width, else the width."""
+    width = "sd" if assumed["kind"] == "normal" else "scale"
+    return "mean" if abs(assumed["mean"]) > assumed[width] else width
+
+
 def validate_config(raw: dict) -> dict:
     """Full validation; returns the canonical config with defaults filled in."""
     cfg = _walk(raw, _SCHEMA, "config")
@@ -246,7 +252,6 @@ def validate_config(raw: dict) -> dict:
         _fail("model.imprint.p_min", f"must be < 1/k, got {imprint['p_min']}")
     assumed = model["assumed"]
     if "k" in imprint and assumed["kind"] != "empirical":  # a closed-form layout
-        leaf = "sd" if assumed["kind"] == "normal" else "scale"
         try:
             with np.errstate(all="ignore"):  # an overflow shows as an infinite boundary
                 ok = np.isfinite(make_layout(assumed_distribution(None, assumed), imprint["k"],
@@ -254,6 +259,7 @@ def validate_config(raw: dict) -> dict:
         except ValueError:  # the boundaries are not strictly increasing
             ok = False
         if not ok:
+            leaf = _layout_blame(assumed)
             _fail(f"model.assumed.{leaf}", f"{assumed[leaf]:g} gives bin boundaries that are "
                   "not finite and strictly increasing")
     top = float(np.finfo(cfg["dtype"]).max)
@@ -357,8 +363,7 @@ def _build_attack(cfg, m_feat, n, dtype):
         if np.abs(h.row()).max() > np.finfo(dtype).max or assumed["kind"] == "empirical":
             leaf, value = "measurement.c0", meas_cfg["c0"]
         else:
-            width = "sd" if assumed["kind"] == "normal" else "scale"
-            key = "mean" if abs(assumed["mean"]) > assumed[width] else width
+            key = _layout_blame(assumed)
             leaf, value = f"assumed.{key}", assumed[key]
         _fail(f"model.{leaf}", f"{value} puts imprint weights or biases past the {dtype} range")
 
@@ -374,44 +379,39 @@ def _build_attack(cfg, m_feat, n, dtype):
 
 def _federate(cfg, model, imp, batch, defense_base: RngStream):
     """Per-user payloads -> defense -> secure aggregation, the (examples, bins)
-    membership from each pass behind the aggregate (one per user shard under
-    fed-SGD, one per local step under fed-AVG) and fed-AVG's `_drifted` count."""
+    membership of each user's pass (fed-AVG's covers its local steps) and
+    fed-AVG's `_drifted` count."""
     fed = cfg["federation"]
     shard = batch.n // fed["users"]
-    dconf = DefenseConfig(clip=cfg["defense"]["clip"], noise=cfg["defense"]["noise"],
-                          sigma=cfg["defense"]["sigma"])
-    payloads, losses, members, drifted = [], [], [], 0
+    dconf = DefenseConfig(**cfg["defense"])
+    payloads, losses, examples, bins, drifted = [], [], [], [], 0
     for u in range(fed["users"]):
         x, labels = batch.x[u * shard:(u + 1) * shard], batch.labels[u * shard:(u + 1) * shard]
-        # each pass's mask is reduced at once; none lives on into recovery
         if fed["protocol"] == "fed_sgd":
             loss, payload, active = fed_sgd(model, x, labels)
             losses.append(loss)
-            members.append(bin_members(active, imp))
         else:
-            payload, step_losses, actives = fed_avg(model, x, labels, steps=fed["steps"],
-                                                    lr=fed["lr"])
+            payload, step_losses, active = fed_avg(model, x, labels, steps=fed["steps"],
+                                                   lr=fed["lr"])
             losses += step_losses
-            steps = [bin_members(a, imp) for a in actives]
-            members += steps
-            drifted += _drifted(model, imp, x, steps)
+            drifted += _drifted(model, imp, x, active, fed["steps"])
+        # each mask is reduced at once; none lives on into recovery
+        ex, b = bin_members(active, imp)
+        examples.append(ex + u * shard)
+        bins.append(b)
         payloads.append(apply_defense(payload, dconf, defense_base.derive(u)))
-    chunk = batch.n // len(members)  # the passes cover equal, consecutive slices
-    examples = np.concatenate([ex + i * chunk for i, (ex, _) in enumerate(members)])
-    bins = np.concatenate([b for _, b in members])
-    return secure_aggregate(payloads), losses, drifted, examples, bins
+    return (secure_aggregate(payloads), losses, drifted, np.concatenate(examples),
+            np.concatenate(bins))
 
 
-def _drifted(model, imp, x, steps) -> int:
+def _drifted(model, imp, x, active, steps) -> int:
     """How many of one user's examples x sit in other bins at their own local
-    step (the steps' (examples, bins) pairs) than under the initial weights,
-    which step 0 ran at: one forward pass covers the later chunks."""
-    chunk = len(x) // len(steps)
-    # each (example, bin) pair coded example * k + bin; step 0's are dropped
-    at_step = np.concatenate([(ex + s * chunk) * imp.k + b for s, (ex, b) in enumerate(steps)])
-    ex, b = bin_members(model.imprint_pre(model.forward_features(x[chunk:]))[1], imp)
-    moved = np.setxor1d((ex + chunk) * imp.k + b, at_step[len(steps[0][0]):], assume_unique=True)
-    return len(np.unique(moved // imp.k))
+    step (fed_avg's mask `active`) than under the initial weights, which step 0
+    ran at. An example's bins are a one-to-one function of its bin rows' masks
+    (a ReLU bin is its row XOR the next one up), so those rows are compared."""
+    start = len(x) // steps
+    initial = model.imprint_pre(model.forward_features(x[start:]))[1]
+    return int((active[start:, imp.row_of_bin] != initial[:, imp.row_of_bin]).any(axis=1).sum())
 
 
 @dataclass(eq=False)
@@ -454,14 +454,6 @@ def _theory_block(imp, model, n, m_feat):
     return block
 
 
-def _unit_transform(feats64):
-    lo = float(feats64.min())
-    hi = float(feats64.max())
-    if hi <= lo:
-        return lambda v: v, lo, hi
-    return lambda v: (v - lo) / (hi - lo), lo, hi
-
-
 def _round_report(cfg, model, batch, rnd: _Round) -> dict:
     """Occupancy, federation and recovery blocks (plus tokens) of a plain run."""
     counts = rnd.counts
@@ -472,7 +464,8 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
 
     feats64 = np.asarray(rnd.feats, dtype=np.float64)
     pool = _draw_pool(cfg, model, batch)
-    tf, lo, hi = _unit_transform(feats64)
+    lo, hi = float(feats64.min()), float(feats64.max())
+    tf = (lambda v: (v - lo) / (hi - lo)) if hi > lo else None
     cand = np.full(len(counts), -1)
     cand[selected.bins] = np.arange(len(selected))
     cand = cand[rnd.bins]  # candidate of each (example, bin) pair; -1: bin not selected

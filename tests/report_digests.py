@@ -1,11 +1,14 @@
-"""Print one SHA-256 per report of the 22-config set, and per CLI output, for
+"""Print one SHA-256 per report of the 26-config set, and per CLI output, for
 byte-identity checks.
 
 The set is the four bundled scenarios x seeds 0 and 1 x float32 and float64,
-plus the three benchmark workload configs (from `imprintbench/workloads.py`)
-x seeds 0 and 1. Each digest is taken over the report's canonical JSON with
-the nondeterministic `timing` block removed, so two trees that print the same
-lines produce byte-identical reports. The CLI outputs are the CSV and SVG of
+the three benchmark workload configs (from `imprintbench/workloads.py`) x
+seeds 0 and 1, and four runs that reach what those do not: `fullbatch64` with
+4 fed-SGD users, float32 `fedavg8x8` at head gain 1000 at seeds 0 and 2
+(`drifted` 2 and 4), and `fedavg8x8` with 4 users x 4 steps. Each digest is
+taken over the report's canonical JSON with the nondeterministic `timing`
+block removed, so two trees that print the same lines produce byte-identical
+reports. The CLI outputs are the CSV and SVG of
 five sweeps, written to a temporary directory, and the stdout of `plan` and
 `check`.
 
@@ -47,6 +50,17 @@ def configs():
     for name, workload in WORKLOADS.items():
         for seed in (0, 1):
             yield f"{name} seed={seed}", workload.build(seed)
+    cfg = bundled_config("fullbatch64")
+    cfg["federation"]["users"] = 4
+    yield "fullbatch64 seed=0 float32 users=4", cfg
+    for seed in (0, 2):
+        cfg = bundled_config("fedavg8x8")
+        cfg.update(seed=seed, dtype="float32")
+        cfg["model"]["head"]["gain"] = 1000.0
+        yield f"fedavg8x8 seed={seed} float32 gain=1000", cfg
+    cfg = bundled_config("fedavg8x8")
+    cfg["federation"].update(users=4, steps=4)
+    yield "fedavg8x8 seed=0 float64 users=4 steps=4", cfg
 
 
 # (scenario, axis, values, extra flags); every chart's tick labels differ at 6 digits

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -125,14 +126,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert f"federation.lr: 1/(lr*steps) must be finite in {dtype}" in \
             capsys.readouterr().err
 
-    # an assumed scale so small that the bin boundaries collapse
-    for assumed in ({"kind": "normal", "sd": 5e-324}, {"kind": "laplace", "scale": 5e-324}):
+    # bin boundaries that collapse: a width so small, or a mean so far past
+    # the width that they round to one value; the error names the cause
+    for assumed, named in (({"kind": "normal", "sd": 5e-324}, "sd: 4.94066e-324"),
+                           ({"kind": "laplace", "scale": 5e-324}, "scale: 4.94066e-324"),
+                           ({"kind": "normal", "mean": 1e300, "sd": 1.0}, "mean: 1e+300"),
+                           ({"kind": "laplace", "mean": -1e300, "scale": 1.0},
+                            "mean: -1e+300")):
         cfg = bundled_config("fullbatch64")
         cfg["dtype"], cfg["model"]["assumed"] = "float64", assumed
         assert main(["run", "--config", _small_cfg_file(tmp_path, **cfg)]) == 2
-        leaf = "sd" if assumed["kind"] == "normal" else "scale"
-        assert f"model.assumed.{leaf}: 4.94066e-324 gives bin boundaries" in \
-            capsys.readouterr().err
+        assert f"model.assumed.{named} gives bin boundaries" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, section, over, expected", [
@@ -279,6 +283,29 @@ def test_sweep_chart_scales_each_point_by_its_batch(tmp_path, capsys, monkeypatc
     model = {name: ys for name, _, ys in charts[0]}
     assert model["composition model"] == [prop1_closed_form(n, 32) / n for n in (4, 8, 16)]
     assert model["iid model"] == [iid_expected(n, 32) / n for n in (4, 8, 16)]
+
+
+def test_trial_sweep_charts_its_success_on_any_axis(tmp_path, monkeypatch):
+    """A trial loop's rows hold its success rate whatever leaf the sweep moves,
+    and a series with no point gets no legend row."""
+    import imprintlab.cli as cli
+
+    charts = []
+    monkeypatch.setattr(cli, "line_chart", lambda series, **kw: charts.append((series, kw)) or "")
+    cfg = _small_cfg_file(tmp_path, data={"kind": "synthetic_gaussian", "n": 16, "m": 8},
+                          model={"imprint": {"variant": "one_shot", "target_mass": "1/n"}},
+                          metrics={"pool": 0}, trials=3)
+    for axis, values in (("batch", "8,16"), ("trials", "2,3")):
+        out = tmp_path / axis
+        assert main(["sweep", "--config", cfg, "--axis", axis, "--values", values,
+                     "--out", str(out)]) == 0
+        with open(out / f"cli_small_{axis}_sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        series, kw = charts.pop()
+        assert [(name, ys) for name, _, ys in series] == [
+            ("predicted success", [float(r["one_shot_expected"]) for r in rows]),
+            ("measured success", [float(r["success_rate"]) for r in rows])]
+        assert kw["y_label"] == "success probability"
 
 
 @pytest.mark.parametrize("value", ["64", "1e20"])

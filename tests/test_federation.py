@@ -166,7 +166,7 @@ def test_fed_avg_matches_reference_local_sgd(dtype):
     model = _model(m=8, k=6, classes=3, dtype=dtype)
     x = RngStream(23, 4).normal((12, 8), dtype=dtype)
     labels = np.array([0, 1, 2] * 4)
-    payload, losses, actives = fed_avg(model, x, labels, steps=3, lr=0.05)
+    payload, losses, active = fed_avg(model, x, labels, steps=3, lr=0.05)
     ref_delta, ref_losses, ref_actives = loop_fed_avg(model, x, labels, steps=3, lr=0.05)
     assert set(payload.tensors) == set(ref_delta)
     for key, ref in ref_delta.items():
@@ -175,8 +175,8 @@ def test_fed_avg_matches_reference_local_sgd(dtype):
         assert np.array_equal(got, ref), key
     assert any(np.any(d != 0) for d in ref_delta.values())
     assert losses == ref_losses and len(losses) == 3
-    for active, ref in zip(actives, ref_actives, strict=True):
-        assert np.array_equal(active, ref)
+    # one mask over the user's examples: each at the step that saw it
+    assert np.array_equal(active, np.concatenate(ref_actives))
 
 
 def test_fed_avg_is_deterministic():

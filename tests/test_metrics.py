@@ -99,6 +99,10 @@ def test_exact_flags_and_count():
     z = np.zeros((1, 4))
     assert exact_flags(z, z).tolist() == [True]
     assert exact_flags(z + 1e-9, z).tolist() == [False]
+    # rel_tol * |truth| past the float range is infinite, with no overflow warning
+    truth = np.array([[3.0, 4.0], [0.0, 0.0]])
+    cands = np.array([[1e100, -1e100], [1.0, 0.0]])
+    assert exact_flags(cands, truth, rel_tol=np.finfo(np.float64).max).tolist() == [True, False]
 
 
 def test_iip_basics():

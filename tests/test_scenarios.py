@@ -1,5 +1,7 @@
 import copy
 import math
+import re
+import warnings
 import weakref
 
 import numpy as np
@@ -275,6 +277,33 @@ def test_schema_is_idempotent_and_names_every_bad_leaf(raw, data):
             validate_config(bad)
         where = leaf.path.replace("[]", "[0]") if sections else f"config.{key}"
         assert str(exc.value).startswith(f"{where}: "), str(exc.value)
+
+
+@pytest.fixture(scope="module")
+def _csv_path(tmp_path_factory):
+    """A small labelled CSV for the csv draws of `_configs`."""
+    path = tmp_path_factory.mktemp("csv") / "batch.csv"
+    x = RngStream(7, 0).normal((8, 6))
+    with open(path, "w", newline="") as fh:
+        write_csv(fh, [f"f{j}" for j in range(6)] + ["label"],
+                  [[*row, i % 2] for i, row in enumerate(x.tolist())])
+    return str(path)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(raw=_configs())
+def test_every_drawn_config_fails_at_a_leaf_or_runs_clean(raw, _csv_path):
+    """Bad input fails at the boundary: the run (its validation included)
+    rejects the draw naming a leaf or returns a report, with no RuntimeWarning."""
+    if raw["data"]["kind"] == "csv":
+        raw["data"]["path"] = _csv_path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            run_scenario(raw)
+        except ConfigError as exc:
+            where = str(exc).split(": ")[0].removeprefix("config.")
+            assert re.sub(r"\[\d+\]", "[]", where) in _BY_PATH, str(exc)
 
 
 def test_fullbatch_report_structure():
