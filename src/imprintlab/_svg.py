@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
@@ -39,7 +40,7 @@ def _span(lo: float, hi: float, pad: float):
     return lo, hi
 
 
-def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "") -> str:
+def line_chart(series, *, title: str, x_label: str, y_label: str) -> str:
     """series: list of (name, xs, ys); points with a None y are skipped.
 
     Returns a complete standalone SVG document as a string.
@@ -47,8 +48,7 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "")
     pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if y is not None]
     if not pts:
         raise ValueError("nothing to plot: every y value is missing")
-    xs_all = [p[0] for p in pts]
-    ys_all = [p[1] for p in pts]
+    xs_all, ys_all = zip(*pts)
     x_lo, x_hi = _span(min(xs_all), max(xs_all), 0.0)
     y_lo, y_hi = _span(min(ys_all), max(ys_all), 0.05)
 
@@ -67,10 +67,8 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "")
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<rect x="{_ML}" y="{_MT}" width="{inner_w}" height="{inner_h}" '
         f'fill="none" stroke="#999"/>',
+        f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" '
-                     f'font-size="14">{title}</text>')
     for tx, label in _ticks(x_lo, x_hi):
         parts.append(f'<line x1="{px(tx):.1f}" y1="{_MT + inner_h}" x2="{px(tx):.1f}" '
                      f'y2="{_MT + inner_h + 4}" stroke="#333"/>')
@@ -81,28 +79,20 @@ def line_chart(series, *, title: str = "", x_label: str = "", y_label: str = "")
                      f'y2="{py(ty):.1f}" stroke="#333"/>')
         parts.append(f'<text x="{_ML - 8}" y="{py(ty) + 4:.1f}" '
                      f'text-anchor="end">{label}</text>')
-    if x_label:
-        parts.append(f'<text x="{_ML + inner_w / 2:.1f}" y="{_H - 8}" '
-                     f'text-anchor="middle">{x_label}</text>')
-    if y_label:
-        parts.append(f'<text x="14" y="{_MT + inner_h / 2:.1f}" text-anchor="middle" '
-                     f'transform="rotate(-90 14 {_MT + inner_h / 2:.1f})">{y_label}</text>')
+    parts.append(f'<text x="{_ML + inner_w / 2:.1f}" y="{_H - 8}" '
+                 f'text-anchor="middle">{x_label}</text>')
+    parts.append(f'<text x="14" y="{_MT + inner_h / 2:.1f}" text-anchor="middle" '
+                 f'transform="rotate(-90 14 {_MT + inner_h / 2:.1f})">{y_label}</text>')
 
     legend_y = _MT + 14
     for idx, (name, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        run = []
+        for drawn, run in itertools.groupby(zip(xs, ys), key=lambda p: p[1] is not None):
+            run = list(run)
+            if drawn and len(run) > 1:
+                parts.append(_polyline([(px(x), py(y)) for x, y in run], color))
         for x, y in zip(xs, ys):
-            if y is None or (isinstance(y, float) and not math.isfinite(y)):
-                if len(run) > 1:
-                    parts.append(_polyline(run, color))
-                run = []
-                continue
-            run.append((px(x), py(y)))
-        if len(run) > 1:
-            parts.append(_polyline(run, color))
-        for x, y in zip(xs, ys):
-            if y is not None and (not isinstance(y, float) or math.isfinite(y)):
+            if y is not None:
                 parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="2.5" '
                              f'fill="{color}"/>')
         parts.append(f'<rect x="{_ML + 10}" y="{legend_y - 9}" width="18" height="3" '

@@ -94,35 +94,28 @@ def _cmd_sweep(args) -> int:
         print(f"sweep written to {csv_path}")
         svg_path = os.path.join(args.out, f"{name}_{args.axis}_sweep.svg")
         with open(svg_path, "w") as fh:
-            fh.write(_sweep_chart(args.axis, values, header, rows, reports))
+            fh.write(_sweep_chart(args.axis, values, reports))
         print(f"chart written to {svg_path}")
     else:
         write_csv(sys.stdout, header, rows)
     return EXIT_OK
 
 
-def _sweep_chart(axis, values, header, rows, reports):
-    def col(name):
-        i = header.index(name)
-        return [row[i] if isinstance(row[i], (int, float)) else None for row in rows]
-
-    if "trials" in reports[0]:  # a trial loop's row holds its success rate, as in _sweep_row
-        series = [("predicted success", values, col("one_shot_expected")),
-                  ("measured success", values, col("success_rate"))]
+def _sweep_chart(axis, values, reports):
+    th = [rep["theory"] for rep in reports]
+    if "trials" in reports[0]:  # a trial loop reports its success rate on any axis
+        series = [("predicted success", values, [t["one_shot_success"] for t in th]),
+                  ("measured success", values, [rep["trials"]["success_rate"] for rep in reports])]
         y = "success probability"
-    elif SWEEP_AXES[axis].path == "defense.sigma":
-        series = [("measured exact fraction", values, col("exact_fraction"))]
-        y = "exact fraction"
     else:
-        # predictions are expected counts; scale each point by its own batch size
-        ns = [rep["n"] for rep in reports]
-
-        def fractions(name):
-            return [p / n if p is not None else None for p, n in zip(col(name), ns)]
-
-        series = [("measured exact fraction", values, col("exact_fraction")),
-                  ("composition model", values, fractions("prop1_expected")),
-                  ("iid model", values, fractions("iid_expected"))]
+        series = [("measured exact fraction", values,
+                   [rep["recovery"]["exact_fraction"] for rep in reports])]
+        if SWEEP_AXES[axis].path != "defense.sigma":
+            # predictions are expected counts; scale each point by its own batch size
+            series += [(name, values, [None if t[key] is None else t[key] / rep["n"]
+                                       for t, rep in zip(th, reports)])
+                       for name, key in (("composition model", "prop1_expected"),
+                                         ("iid model", "iid_expected"))]
         y = "exact fraction"
     series = [s for s in series if any(v is not None for v in s[2])]  # no empty legend rows
     return line_chart(series, title=f"{axis} sweep", x_label=axis, y_label=y)
@@ -149,7 +142,6 @@ def _cmd_plan(args) -> int:
             lines.append(f"composition model unavailable: {exc}")
         lines.append(f"expected exactly-recovered (iid model):         "
                      f"{theory.iid_expected(args.n, args.k):.4f}")
-        k_rows = args.k + args.decoys
     else:
         if not (0.0 < args.p < 1.0):
             raise ConfigError(f"plan: --p must lie in (0, 1), got {args.p}")
@@ -158,8 +150,7 @@ def _cmd_plan(args) -> int:
                      f"{theory.one_shot_success(args.n, args.p):.4f}")
         p_star, v_star = theory.one_shot_optimum(args.n)
         lines.append(f"optimal mass p* = {p_star:.6g} with success {v_star:.4f}")
-        k_rows = 2 + args.decoys
-    over = theory.overhead(args.m, k_rows, decoys=0,
+    over = theory.overhead(args.m, args.k or 2, decoys=args.decoys,  # a trap is two rows
                            bridge_params=args.bridge_params,
                            base_params=args.base_params)
     lines.append(f"imprint parameter overhead: {over['absolute']}")

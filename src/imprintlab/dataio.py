@@ -43,15 +43,13 @@ def normalize(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "standardize":
         offset = x.mean(axis=0)
         scale = x.std(axis=0)
-        scale = np.where(scale == 0, 1.0, scale)
     elif kind == "unit_interval":
         offset = x.min(axis=0)
         scale = x.max(axis=0) - offset
-        scale = np.where(scale == 0, 1.0, scale)
     else:
         raise ValueError(f"unknown normalization {kind!r}; expected one of {NORMALIZATIONS}")
     offset = offset.astype(np.float64)
-    scale = scale.astype(np.float64)
+    scale = np.where(scale == 0, 1.0, scale).astype(np.float64)
     return ((x - offset) / scale).astype(x.dtype)
 
 

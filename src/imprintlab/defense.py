@@ -18,6 +18,10 @@ import numpy as np
 from .federation import UpdatePayload
 from .numerics import RngStream, l2_norm
 
+# the largest noise draw in scales: numpy's Laplace is at most 52 ln 2 (its
+# uniforms are multiples of 2**-53), its normal less
+MAX_NOISE_SCALES = 52 * math.log(2)
+
 
 @dataclass(frozen=True)
 class DefenseConfig:

@@ -64,11 +64,25 @@ class ImprintModule:
         return self.weight.shape[0]
 
 
-def _permute(k: int, decoys: int, perm_stream: RngStream | None) -> np.ndarray:
-    total = k + decoys
-    if perm_stream is None:
-        return np.arange(total)
-    return perm_stream.permutation(total)
+def _layer(variant, boundaries, rows, biases, perm_stream, dtype, decoys,
+           decoy_stream) -> ImprintModule:
+    """The k genuine rows and biases at perm[:k] of a permutation of k + decoys
+    physical rows (the identity without perm_stream), decoys drawn into the rest."""
+    k, m = len(boundaries), rows.shape[-1]
+    perm = np.arange(k + decoys) if perm_stream is None else perm_stream.permutation(k + decoys)
+    weight = np.empty((k + decoys, m), dtype=dtype)
+    bias = np.empty(k + decoys, dtype=dtype)
+    weight[perm[:k]] = rows
+    bias[perm[:k]] = biases
+    if decoys:
+        lo, hi = boundaries[0], boundaries[-1]
+        weight[perm[k:]] = decoy_stream.derive(0).normal((decoys, m), sd=m ** -0.25)
+        bias[perm[k:]] = -decoy_stream.derive(1).uniform(decoys, low=lo, high=hi)
+    return ImprintModule(
+        variant=variant, weight=weight, bias=bias, boundaries=boundaries,
+        row_of_bin=np.asarray(perm[:k], dtype=np.int64),
+        decoy_rows=np.asarray(np.sort(perm[k:]), dtype=np.int64),
+    )
 
 
 def build_relu(boundaries: np.ndarray, measurement: Measurement, *, decoys: int = 0,
@@ -84,21 +98,8 @@ def build_relu(boundaries: np.ndarray, measurement: Measurement, *, decoys: int 
         raise ValueError(f"decoys must be >= 0, got {decoys}")
     if (decoys > 0) and (decoy_stream is None):
         raise ValueError("decoys requested but no decoy_stream given")
-    k, m = len(boundaries), measurement.m
-    perm = _permute(k, decoys, perm_stream)
-    weight = np.empty((k + decoys, m), dtype=dtype)
-    bias = np.empty(k + decoys, dtype=dtype)
-    weight[perm[:k]] = measurement.row()
-    bias[perm[:k]] = -boundaries
-    if decoys:
-        lo, hi = boundaries[0], boundaries[-1]
-        weight[perm[k:]] = decoy_stream.derive(0).normal((decoys, m), sd=m ** -0.25)
-        bias[perm[k:]] = -decoy_stream.derive(1).uniform(decoys, low=lo, high=hi)
-    return ImprintModule(
-        variant="relu", weight=weight, bias=bias, boundaries=boundaries,
-        row_of_bin=np.asarray(perm[:k], dtype=np.int64),
-        decoy_rows=np.asarray(np.sort(perm[k:]), dtype=np.int64),
-    )
+    return _layer("relu", boundaries, measurement.row(), -boundaries, perm_stream, dtype,
+                  decoys, decoy_stream)
 
 
 def build_hard_threshold(boundaries: np.ndarray, measurement: Measurement, *,
@@ -112,20 +113,11 @@ def build_hard_threshold(boundaries: np.ndarray, measurement: Measurement, *,
     on its own (no differencing) -- and the 1/delta_i scaling stiffens the
     row against parameter drift during multi-step local training.
     """
-    k, m = len(boundaries), measurement.m
-    deltas = np.empty(k, dtype=np.float64)
+    deltas = np.empty(len(boundaries), dtype=np.float64)
     deltas[:-1] = np.diff(boundaries)
     deltas[-1] = deltas[-2]  # top bin is open; reuse the last interior width
-    perm = _permute(k, 0, perm_stream)
-    weight = np.empty((k, m), dtype=dtype)
-    bias = np.empty(k, dtype=dtype)
-    weight[perm] = measurement.row() / deltas[:, None]
-    bias[perm] = -boundaries / deltas
-    return ImprintModule(
-        variant="hard_threshold", weight=weight, bias=bias, boundaries=boundaries,
-        row_of_bin=np.asarray(perm, dtype=np.int64),
-        decoy_rows=np.zeros(0, dtype=np.int64),
-    )
+    return _layer("hard_threshold", boundaries, measurement.row() / deltas[:, None],
+                  -boundaries / deltas, perm_stream, dtype, 0, None)
 
 
 def fuse_one_shot(distribution, measurement: Measurement, target_mass: float, *,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio, measurement, theory
-from .defense import DefenseConfig, apply_defense
+from .defense import MAX_NOISE_SCALES, DefenseConfig, apply_defense
 from .errors import ConfigError
 from .federation import fed_avg, fed_sgd, secure_aggregate
 from .imprint import (DEFAULT_P_MIN, build_hard_threshold, build_relu,
@@ -212,27 +212,24 @@ def _walk(raw, node: dict, where: str) -> dict:
     return out
 
 
-def _front_dim(m, front):
-    """Feature width after the front chain, from the raw input width m."""
-    for i, st in enumerate(front):
+def _feature_width(cfg, n, m):
+    """The feature width after the front chain from the raw input width m, after
+    the checks that need it and the batch size n."""
+    for i, st in enumerate(cfg["model"]["front"]):
         try:
             m = FrontStage(st["kind"], st["factor"]).out_dim(m)
         except ValueError as exc:
             _fail(f"model.front[{i}].factor", str(exc))
-    return m
-
-
-def _check_shape(cfg, n, m_feat):
-    """The checks that need the batch size n and the feature width m_feat."""
     meas = cfg["model"]["measurement"]
-    if meas["kind"] == "dct" and meas["freq"] >= m_feat:
-        _fail("model.measurement.freq", f"must be < feature width {m_feat}")
+    if meas["kind"] == "dct" and meas["freq"] >= m:
+        _fail("model.measurement.freq", f"must be < feature width {m}")
     fed = cfg["federation"]
     if n % fed["users"] != 0:
         _fail("federation.users", f"{fed['users']} does not divide the batch size {n}")
     if fed["protocol"] == "fed_avg" and (n // fed["users"]) % fed["steps"] != 0:
         _fail("federation.steps",
               f"{fed['steps']} does not divide the per-user shard {n // fed['users']}")
+    return m
 
 
 def _layout_blame(assumed) -> str:
@@ -270,12 +267,22 @@ def validate_config(raw: dict) -> dict:
         if model["head"].get(key, 0.0) > top:
             _fail(f"model.head.{key}", f"must be finite in {cfg['dtype']} (at most "
                   f"{top:g}), got {model['head'][key]:g}")
-    if cfg["defense"]["sigma"] > 0 and cfg["defense"]["noise"] is None:
+    sigma = cfg["defense"]["sigma"]
+    if sigma > 0 and cfg["defense"]["noise"] is None:
         _fail("defense.sigma", "sigma without a noise kind")
+    # the largest noise the read-out forms, in noise scales: the users' draws summed,
+    # or their mean over lr*steps under fed-AVG, differenced across two ReLU rows in
+    # the run dtype only in float64 (float32 rows are differenced in float64)
+    readout = 1.0 / (fed["lr"] * fed["steps"]) if fed["protocol"] == "fed_avg" else 1.0
+    readout *= 2 if cfg["dtype"] == "float64" else 1
+    reach = MAX_NOISE_SCALES * max(fed["users"], readout)
+    if sigma * reach > top:
+        _fail("defense.sigma", f"must be at most {top / reach:g} in {cfg['dtype']} (the read-out "
+              f"forms noise up to {reach:g} sigma), got {sigma:g}")
     n = data.get("n", data.get("n_seq"))
     if data["kind"] != "csv":  # a CSV's shape is known only once it is loaded
         m = data["m"] if "m" in data else data["seq_len"] * data["embed_dim"]
-        _check_shape(cfg, n, _front_dim(m, model["front"]))
+        _feature_width(cfg, n, m)
     if imprint["variant"] == "one_shot":
         mass = imprint["target_mass"]
         if mass == "1/n":
@@ -606,8 +613,7 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None,
         n, m = batch.n, batch.m
     else:
         n, m = cfg["data"]["n"], cfg["data"]["m"]
-    m_feat = _front_dim(m, cfg["model"]["front"])
-    _check_shape(cfg, n, m_feat)
+    m_feat = _feature_width(cfg, n, m)
     imp, model = _build_attack(cfg, m_feat, n, dtype)
     theory_block = _theory_block(imp, model, n, m_feat)
     report = {"config": cfg, "n": n, "m_features": m_feat}

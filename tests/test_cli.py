@@ -155,6 +155,28 @@ def test_imprint_overflowing_the_run_dtype_exits_2(tmp_path, capsys, name, secti
     assert f"config error: {expected}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, users, noise, runs, bound", [
+    # a float32 payload overflows at 52 ln 2 Laplace scales
+    ("fullbatch64", 1, "laplace", 1e36, 9.44084e36),
+    # secure aggregation sums 64 users' noise before the mean
+    ("fullbatch64", 64, "laplace", 1e35, 1.47513e35),
+    # fed-AVG's read-out scales the delta by 1/(lr*steps) = 1250
+    ("fedavg8x8", 1, "gaussian", 1e33, 7.55267e33),
+])
+def test_defense_sigma_past_the_read_out_range_exits_2(tmp_path, capsys, name, users, noise,
+                                                       runs, bound):
+    cfg = bundled_config(name)
+    cfg["dtype"] = "float32"
+    cfg["federation"]["users"] = users
+    cfg["defense"].update(noise=noise, sigma=runs)
+    assert main(["run", "--config", _small_cfg_file(tmp_path, **cfg)]) == 0
+    capsys.readouterr()
+    cfg["defense"]["sigma"] = runs * 100
+    assert main(["run", "--config", _small_cfg_file(tmp_path, **cfg)]) == 2
+    assert (f"config error: defense.sigma: must be at most {bound:g} in float32"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("over, expected", [
     ({"data": 3}, "config error: data: expected an object, got int"),
     ({"model": {"imprint": [1]}}, "config error: model.imprint: expected an object, got list"),
@@ -230,6 +252,17 @@ def test_plan_binned_with_fallback(capsys):
     out = capsys.readouterr().out
     assert "composition model): 32.0040" in out
     assert "relative to base model:" in out
+
+
+@pytest.mark.parametrize("args, absolute", [
+    (["--n", "64", "--k", "156", "--m", "16", "--decoys", "5", "--bridge-params", "9"],
+     2746),  # 161 rows of (16 + 1), plus the bridge
+    (["--n", "4096", "--p", "0.000244140625", "--m", "32", "--decoys", "3"],
+     165),  # the trap's 2 rows and 3 decoys, of (32 + 1)
+])
+def test_plan_prices_decoys_and_bridge(capsys, args, absolute):
+    assert main(["plan", *args]) == 0
+    assert f"imprint parameter overhead: {absolute}\n" in capsys.readouterr().out
 
 
 def test_plan_argument_validation(capsys):
@@ -332,9 +365,16 @@ def test_sweep_chart_axes_print_distinct_tick_labels(tmp_path, capsys, values):
 
 
 def test_chart_at_the_largest_float_widens_its_range_downward():
-    svg = line_chart([("s", [sys.float_info.max], [0.5])])
-    labels = re.findall(r'text-anchor="middle">([^<]*)<', svg)
+    svg = line_chart([("s", [sys.float_info.max], [0.5])], title="t", x_label="x", y_label="y")
+    labels = re.findall(r'stroke="#333"/>\n<text [^>]*text-anchor="middle">([^<]*)<', svg)
     assert len(set(labels)) == 5 and "inf" not in labels
+
+
+def test_chart_breaks_its_lines_at_missing_points():
+    svg = line_chart([("a", [1, 2, 3, 4], [0.1, None, 0.2, 0.3]),
+                      ("b", [1, 2, 3, 4], [0.5, 0.6, None, 0.7])],
+                     title="t", x_label="x", y_label="y")
+    assert svg.count("<polyline ") == 2 and svg.count("<circle ") == 6
 
 
 def test_sweep_stdout_mode(tmp_path, capsys):
