@@ -85,16 +85,25 @@ def psnr(a: np.ndarray, b: np.ndarray):
     return float(out[0]) if a.ndim == 1 else out
 
 
-def exact_flags(candidates, truth, *, rel_tol: float = EXACT_REL_TOL) -> np.ndarray:
-    """Whether each candidate row reproduces the truth row in the same
-    position to rel_tol (relative l2); a zero truth row needs an exact zero."""
+def _errors(candidates, truth, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each candidate row's relative l2 error to the truth row in its position
+    (against a zero row: 0 for an exact zero, else inf), and whether the error
+    is within rel_tol: not rel_err <= rel_tol, which rounds differently."""
     c = np.asarray(candidates, dtype=np.float64)
     t = np.asarray(truth, dtype=np.float64)
     denom = np.sqrt(np.sum(t * t, axis=-1))
     diff = c - t
     err = np.sqrt(np.sum(np.multiply(diff, diff, out=diff), axis=-1))
-    with np.errstate(over="ignore"):  # an infinite tolerance accepts every finite error
-        return np.where(denom > 0, err <= rel_tol * denom, err == 0.0)
+    # an infinite tolerance accepts every finite error, and an error over a zero row is inf
+    with np.errstate(divide="ignore", over="ignore"):
+        return (np.divide(err, denom, out=np.zeros_like(err), where=err > 0),
+                np.where(denom > 0, err <= rel_tol * denom, err == 0.0))
+
+
+def exact_flags(candidates, truth, *, rel_tol: float = EXACT_REL_TOL) -> np.ndarray:
+    """Whether each candidate row reproduces the truth row in the same
+    position to rel_tol (relative l2); a zero truth row needs an exact zero."""
+    return _errors(candidates, truth, rel_tol)[1]
 
 
 @dataclass
@@ -102,6 +111,7 @@ class ScoreReport:
     """Per-candidate scores, indexed like the candidates that were scored."""
 
     truth_row: np.ndarray  # paired truth row
+    rel_err: np.ndarray    # relative l2 error to the paired truth row
     exact: np.ndarray      # reproduces its truth row to rel_tol
     psnr: np.ndarray       # dB, in the psnr_transform space
     iip: float
@@ -122,29 +132,32 @@ class ScoreReport:
 
 def score(candidates, truth, members, *, pool=None, rel_tol: float = EXACT_REL_TOL,
           psnr_transform=None) -> ScoreReport:
-    """Pairing, exactness, PSNR over paired rows, and image identification
-    precision (IIP) against truth plus `pool`. `members` is a pair of index
-    arrays (candidate, truth row), one entry per member of each candidate's
-    bin. psnr_transform optionally maps vectors into the space PSNR is quoted
-    in (e.g. [0,1] scaling); pairing, exactness and IIP use the raw vectors.
+    """Pairing, relative error, exactness, PSNR over paired rows, and image
+    identification precision (IIP) against truth plus `pool`. `members` is a
+    pair of index arrays (candidate, truth row), one per member of each
+    candidate's bin. psnr_transform optionally maps vectors into the space PSNR
+    is quoted in (e.g. [0,1] scaling); the rest uses the raw vectors.
     """
     candidates = _rows(candidates)
     truth = _rows(truth)
     dists = _pairwise_sq(candidates, truth)
     cand, row = (np.asarray(a, dtype=np.int64) for a in members)
-    order = np.lexsort((row, dists[cand, row], cand))  # nearest member first, low row on a tie
-    cand, row = cand[order], row[order]
-    first = np.flatnonzero(np.diff(cand, prepend=-1))
-    cols = np.argmin(dists, axis=1)  # a spurious candidate keeps its nearest truth row
-    cols[cand[first]] = row[first]
-    spurious = np.bincount(cand, minlength=len(cols)) == 0
+    d = dists[cand, row]
+    nearest = np.full(len(candidates), np.inf)
+    np.minimum.at(nearest, cand, d)
+    spurious = np.bincount(cand, minlength=len(candidates)) == 0
+    # a spurious candidate keeps its nearest truth row, the rest the lowest nearest member
+    cols = np.where(spurious, np.argmin(dists, axis=1), np.iinfo(np.int64).max)
+    tie = d == nearest[cand]
+    np.minimum.at(cols, cand[tie], row[tie])
     iip = _iip(dists, cols, spurious, candidates, pool)
     tf = psnr_transform or (lambda v: v)
-    exact, psnrs = np.empty(len(cols), dtype=bool), np.empty(len(cols))
-    for blk in (slice(lo, lo + BLOCK_ROWS) for lo in range(0, len(cols), BLOCK_ROWS)):
+    n = len(cols)
+    rel_err, exact, psnrs = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
+    for blk in (slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)):
         c, t = candidates[blk], truth[cols[blk]]  # t is a fresh copy, c a view
-        exact[blk] = exact_flags(c, t, rel_tol=rel_tol)
+        rel_err[blk], exact[blk] = _errors(c, t, rel_tol)
         t = tf(t)  # rebinding drops the raw copy before c's transform exists
         psnrs[blk] = _psnr_of_diff(np.subtract(tf(c), t, out=t))
-    return ScoreReport(truth_row=cols, exact=exact & ~spurious, psnr=psnrs, iip=iip,
-                       spurious=spurious)
+    return ScoreReport(truth_row=cols, rel_err=rel_err, exact=exact & ~spurious, psnr=psnrs,
+                       iip=iip, spurious=spurious)

@@ -27,7 +27,7 @@ from .federation import fed_avg, fed_sgd, secure_aggregate
 from .imprint import (DEFAULT_P_MIN, build_hard_threshold, build_relu,
                       fuse_one_shot, make_layout)
 from .measurement import assumed_distribution, build_measurement
-from .metrics import EXACT_REL_TOL, score
+from .metrics import EXACT_REL_TOL, ScoreReport, score
 from .model import FrontStage, make_imprint_model
 from .numerics import _DERIVE_SPAN, RngStream
 from .recovery import (Readout, bin_members, decoding_verified, recover_bins,
@@ -423,23 +423,76 @@ def _drifted(model, imp, x, active, steps) -> int:
 
 @dataclass(eq=False)
 class _Round:
-    """One batch through the attack: what the imprint layer saw, which
-    examples each bin holds, and what the server read back from the update."""
+    """One batch through the attack, scored. `table` holds k-length columns
+    indexed by bin: `count` (members), `live` (the read-out kept the bin),
+    `den` and `conf` (its denominator and confidence; NaN where not live),
+    `selected` (its index in the selected read-out), `row` (the paired truth
+    row; both -1 where not selected), `rel_err` (NaN where not selected),
+    `exact` and `spurious` (selected, with no member)."""
 
     feats: np.ndarray
     examples: np.ndarray  # example of each (example, bin) pair, by bin_members
-    bins: np.ndarray      # bin of each pair
-    counts: np.ndarray    # examples per bin
-    readout: Readout
+    readout: Readout      # the selected read-out
     losses: list
     drifted: int          # by `_drifted`; 0 under fed-SGD
+    table: dict
+    score: ScoreReport    # indexed like the selected read-out
+    psnr_scale: dict | None  # the features' range PSNR is quoted over; None in a trial
+
+
+def _columns(k, bins, **columns) -> dict:
+    """Table columns: each (values, fill) as a k-length array, values at bins."""
+    out = {}
+    for key, (values, fill) in columns.items():
+        out[key] = np.full(k, fill, dtype=np.result_type(values, fill))
+        out[key][bins] = values
+    return out
+
+
+def _check_reach(cfg, model, x: float):
+    """Exit 2 naming model.measurement.c0, when set (not "auto", which
+    standardizes h), if the imprint layer or the bridge could leave the run
+    dtype's range on features of magnitude up to x: a row's pre-activation is
+    at most ||w_j||_1 x + |b_j|, a hard-threshold row's output at most 1, and
+    a bridge output at most its row's weighted sum of those."""
+    p = model.params
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = (np.abs(p["imprint.weight"]).sum(axis=1, dtype=np.float64) * x
+               + np.abs(p["imprint.bias"]))
+        act = pre if model.imprint.variant == "relu" else np.minimum(pre, 1.0)
+        reach = max(pre.max(), (np.abs(p.get("bridge.weight", 1.0)) * act).sum(axis=-1).max())
+    if not reach <= np.finfo(model.dtype).max:
+        _fail("model.measurement.c0", f"{cfg['model']['measurement']['c0']} lets the imprint "
+              f"layer reach {reach:g} on this batch, past the {model.dtype} range")
 
 
 def _round(cfg, imp, model, batch, defense_base: RngStream) -> _Round:
     feats = model.forward_features(batch.x)
+    if cfg["model"]["measurement"]["c0"] != "auto":
+        _check_reach(cfg, model, max(float(feats.max()), -float(feats.min())))
     agg, losses, drifted, examples, bins = _federate(cfg, model, imp, batch, defense_base)
-    counts = np.bincount(bins, minlength=imp.k)
-    return _Round(feats, examples, bins, counts, recover_bins(agg, imp), losses, drifted)
+    live = recover_bins(agg, imp)
+    del agg  # the update and the live read-out are freed before scoring builds its arrays
+    sel = select_candidates(live, cfg["metrics"]["select"] or batch.n)
+    table = {"count": np.bincount(bins, minlength=imp.k),
+             **_columns(imp.k, live.bins, live=(True, False), den=(live.denominators, np.nan),
+                        conf=(live.confidences, np.nan)),
+             **_columns(imp.k, sel.bins, selected=(np.arange(len(sel)), -1))}
+    del live
+    pool = tf = scale = None
+    if not cfg["trials"]:  # a trial's record holds neither IIP nor PSNR
+        pool = _draw_pool(cfg, model, batch)
+        lo, hi = float(feats.min()), float(feats.max())
+        tf = (lambda v: (v - lo) / (hi - lo)) if hi > lo else None
+        scale = {"lo": lo, "hi": hi}
+    cand = table["selected"][bins]  # each (example, bin) pair's candidate, or -1
+    rep = score(sel.vectors, np.asarray(feats, dtype=np.float64),
+                (cand[cand >= 0], examples[cand >= 0]), pool=pool,
+                rel_tol=cfg["metrics"]["rel_tol"], psnr_transform=tf)
+    table.update(_columns(imp.k, sel.bins, row=(rep.truth_row, -1),
+                          rel_err=(rep.rel_err, np.nan), exact=(rep.exact, False),
+                          spurious=(rep.spurious, False)))
+    return _Round(feats, examples, sel, losses, drifted, table, rep, scale)
 
 
 def _theory_block(imp, model, n, m_feat):
@@ -461,24 +514,14 @@ def _theory_block(imp, model, n, m_feat):
     return block
 
 
-def _round_report(cfg, model, batch, rnd: _Round) -> dict:
-    """Occupancy, federation and recovery blocks (plus tokens) of a plain run."""
-    counts = rnd.counts
-    singleton_bins = [int(b) for b in np.flatnonzero(counts == 1)]
-    n_candidates = len(rnd.readout)
-    # rebinding frees the live read-out before scoring builds its arrays
-    selected = rnd.readout = select_candidates(rnd.readout, cfg["metrics"]["select"] or batch.n)
-
-    feats64 = np.asarray(rnd.feats, dtype=np.float64)
-    pool = _draw_pool(cfg, model, batch)
-    lo, hi = float(feats64.min()), float(feats64.max())
-    tf = (lambda v: (v - lo) / (hi - lo)) if hi > lo else None
-    cand = np.full(len(counts), -1)
-    cand[selected.bins] = np.arange(len(selected))
-    cand = cand[rnd.bins]  # candidate of each (example, bin) pair; -1: bin not selected
-    rep = score(selected.vectors, feats64, (cand[cand >= 0], rnd.examples[cand >= 0]),
-                pool=pool, rel_tol=cfg["metrics"]["rel_tol"], psnr_transform=tf)
-    exact_bins = sorted(selected.bins[rep.exact].tolist())
+def _round_report(cfg, batch, rnd: _Round) -> dict:
+    """Occupancy, federation and recovery blocks (plus tokens) of a plain run,
+    reduced from the round's table."""
+    table, rep = rnd.table, rnd.score
+    counts = table["count"]
+    singleton_bins = np.flatnonzero(counts == 1).tolist()
+    exact_bins = np.flatnonzero(table["exact"]).tolist()
+    n_selected = int((table["selected"] >= 0).sum())
 
     fed = cfg["federation"]
     fed_block = dict(fed, mean_loss=float(np.mean(rnd.losses)))  # steps and lr under fed-AVG
@@ -497,21 +540,21 @@ def _round_report(cfg, model, batch, rnd: _Round) -> dict:
         },
         "federation": fed_block,
         "recovery": {
-            "n_candidates": n_candidates,
-            "n_selected": len(selected),
+            "n_candidates": int(table["live"].sum()),
+            "n_selected": n_selected,
             "exact_count": len(exact_bins),
             "exact_fraction": len(exact_bins) / batch.n,
             "exact_bins": exact_bins,
             "singleton_match": exact_bins == singleton_bins,
-            "spurious": int(rep.spurious.sum()),
-            "mean_psnr": rep.mean_psnr if selected else None,
+            "spurious": int(table["spurious"].sum()),
+            "mean_psnr": rep.mean_psnr if n_selected else None,
             "mean_psnr_exact": float(np.mean(rep.psnr[rep.exact])) if exact_bins else None,
             "iip": rep.iip,
-            "psnr_scale": {"lo": lo, "hi": hi},
+            "psnr_scale": rnd.psnr_scale,
         },
     }
     if batch.meta.get("table") is not None:
-        blocks["tokens"] = _token_block(cfg, batch, selected, rep)
+        blocks["tokens"] = _token_block(cfg, batch, rnd.readout, rep)
     return blocks
 
 
@@ -553,20 +596,13 @@ def _token_block(cfg, batch, selected, rep):
     }
 
 
-def _trial_record(t, rnd: _Round, rel_tol):
-    """A trial succeeds when the trap bin (bin 0) reads out one of its own
-    members to within rel_tol."""
-    readout = rnd.readout
-    read_out = bool(len(readout) and readout.bins[0] == 0)  # bins ascend
-    members = np.asarray(rnd.feats[rnd.examples[rnd.bins == 0]], dtype=np.float64)
-    rel_err = None
-    if read_out and len(members):
-        dist2 = ((members - readout.vectors[0]) ** 2).sum(axis=1)
-        j = int(dist2.argmin())
-        norm = float(np.linalg.norm(members[j]))
-        rel_err = float(math.sqrt(dist2[j])) / norm if norm > 0 else float("inf")
-    return {"trial": t, "trap_count": int(rnd.counts[0]), "read_out": read_out,
-            "rel_err": rel_err, "success": rel_err is not None and rel_err <= rel_tol}
+def _trial_record(t, table):
+    """A trial reads the trap bin, bin 0, of its round's table: it succeeds
+    when that bin is exact."""
+    rel_err = float(table["rel_err"][0])
+    return {"trial": t, "trap_count": int(table["count"][0]), "read_out": bool(table["live"][0]),
+            "rel_err": None if math.isnan(rel_err) else rel_err,
+            "success": bool(table["exact"][0])}
 
 
 def _trials_block(records, imp, expected_success):
@@ -621,9 +657,9 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None,
 
     if trials is None:
         rnd = _round(cfg, imp, model, batch, RngStream(seed, STREAM_DEFENSE))
-        report.update(_round_report(cfg, model, batch, rnd))
+        report.update(_round_report(cfg, batch, rnd))
         artifacts.update(batch=batch, feats=rnd.feats, candidates=rnd.readout,
-                         occupancy_counts=rnd.counts)
+                         occupancy_counts=rnd.table["count"])
     else:
         trial_base = RngStream(seed, STREAM_TRIALS)
         defense_base = RngStream(seed, STREAM_DEFENSE)
@@ -631,7 +667,7 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None,
         for t in range(trials):
             rnd = _round(cfg, imp, model, _load_batch(cfg, dtype, trial_base.derive(t)),
                          defense_base.derive(t))
-            records.append(_trial_record(t, rnd, cfg["metrics"]["rel_tol"]))
+            records.append(_trial_record(t, rnd.table))
         report["trials"] = _trials_block(records, imp, theory_block["one_shot_success"])
         artifacts["trial_records"] = records
 

@@ -223,6 +223,23 @@ def unblocked_pairwise_sq(a, b):
     return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
 
 
+def nearest_member(candidates, truth, members):
+    """Each candidate's paired truth row by exhaustive search: among the truth
+    rows its member pairs name, the lowest row at the least squared distance
+    (`unblocked_pairwise_sq`); with no member, its first nearest truth row."""
+    dists = unblocked_pairwise_sq(candidates, truth)
+    cand, row = members
+    paired = []
+    for i, d in enumerate(dists):
+        own = [int(r) for c, r in zip(cand, row) if c == i]
+        if not own:
+            paired.append(int(np.argmin(d)))
+            continue
+        best = min(d[r] for r in own)
+        paired.append(min(r for r in own if d[r] == best))
+    return paired
+
+
 def unblocked_exact_psnr(candidates, truth, cols, *, rel_tol, psnr_transform=None):
     """Exactness (relative l2 through np.linalg.norm) and PSNR of every
     candidate against truth[cols], each over the whole candidate array."""

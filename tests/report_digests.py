@@ -1,4 +1,4 @@
-"""Print one SHA-256 per report of the 49-config set, and per CLI output, for
+"""Print one SHA-256 per report of the 51-config set, and per CLI output, for
 byte-identity checks.
 
 The set is the four bundled scenarios x seeds 0 and 1 x float32 and float64,
@@ -8,8 +8,9 @@ seeds 0 and 1, and runs that reach what those do not: `fullbatch64` with
 (`drifted` 2 and 4), `fedavg8x8` with 4 users x 4 steps, five variants
 (`VARIANTS`: front stages, a DCT measurement with decoys and a permutation,
 a permuted Laplace layout, an empirical layout with a linear bridge, a random
-head under clip and noise) x seeds 0 and 1 x float32 and float64, and one CSV
-run per normalization. Each digest is taken over the report's canonical JSON
+head under clip and noise) x seeds 0 and 1 x float32 and float64, one CSV
+run per normalization, and `oneshot` with `metrics.select: 1` and at the
+default `metrics.pool`. Each digest is taken over the report's canonical JSON
 with the nondeterministic `timing` block (and a CSV run's temporary
 `config.data.path`) removed, so two trees that print the same lines produce
 byte-identical reports. The CLI outputs are the CSV and SVG of nine sweeps,
@@ -117,6 +118,10 @@ def configs(tmp: str):
             "name": f"csv_{norm}",
             "data": {"kind": "csv", "path": path, "normalization": norm, "label_classes": 4},
             "model": {"imprint": {"variant": "relu", "k": 96}, "head": {"gain": 48.0}}}
+    for key, value in (("select", 1), ("pool", 1000)):
+        cfg = bundled_config("oneshot")
+        cfg["metrics"][key] = value
+        yield f"oneshot seed=0 float64 {key}={value}", cfg
 
 
 # (scenario, axis, values, extra flags); every chart's tick labels differ at 6 digits

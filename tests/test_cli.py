@@ -143,10 +143,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # the mean row c0/m overflows the float32 weights
     ("fullbatch64", "measurement", {"c0": 1e300},
      "model.measurement.c0: 1e+300 puts imprint weights or biases past the float32 range"),
+    # the weights fit, but the bridge's sum of 128 ReLU rows on this batch does not
+    ("fullbatch64", "measurement", {"c0": 1e37},
+     "model.measurement.c0: 1e+37 lets the imprint layer reach 4.52512e+39 on this batch, "
+     "past the float32 range"),
     # the Laplace boundaries overflow the float32 biases
     ("text128", "assumed", {"kind": "laplace", "scale": 1e300},
      "model.assumed.scale: 1e+300 puts imprint weights or biases past the float32 range"),
-], ids=["fullbatch64-c0", "text128-laplace-scale"])
+], ids=["fullbatch64-c0", "fullbatch64-c0-bridge", "text128-laplace-scale"])
 def test_imprint_overflowing_the_run_dtype_exits_2(tmp_path, capsys, name, section, over,
                                                    expected):
     cfg = bundled_config(name)

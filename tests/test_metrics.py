@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imprintlab.metrics import PSNR_EXACT_SENTINEL, exact_flags, match, psnr, score
 from imprintlab.numerics import RngStream
-from oracles import brute_assignment
+from oracles import brute_assignment, nearest_member
 
 
 def _sqdist(a, b):
@@ -208,9 +210,31 @@ def test_score_pairs_each_candidate_with_its_nearest_own_member():
     assert rep.truth_row.tolist() == [1, 0]
     assert rep.exact.tolist() == [True, False]
     assert rep.spurious.tolist() == [False, False]
+    # relative error to a zero member: infinite unless the copy is exact
+    assert rep.rel_err.tolist() == [0.0, np.inf]
+    zero = score(np.zeros((1, 2)), truth, (np.array([0]), np.array([0])))
+    assert (zero.rel_err.tolist(), zero.exact.tolist()) == ([0.0], [True])
     # equal distance to two members: the lower truth row wins
     tie = score(np.array([[0.5, 0.0]]), truth, (np.array([0, 0]), np.array([1, 0])))
     assert tie.truth_row.tolist() == [0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(c=st.integers(1, 6), n=st.sampled_from([1, 2, 9, 64, 4096]), m=st.integers(1, 3),
+       grid=st.booleans(), one_bin=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_score_pairs_as_the_exhaustive_nearest_member_search(c, n, m, grid, one_bin, seed):
+    """On integer grids many members sit at the same distance (a tie goes to
+    the lowest row); with one_bin every truth row is a member of candidate 0."""
+    rng = np.random.default_rng(seed)
+    if grid:
+        truth = rng.integers(-2, 3, (n, m)).astype(float)
+        cands = rng.integers(-4, 5, (c, m)) / 2.0
+    else:
+        truth, cands = rng.normal(size=(n, m)), rng.normal(size=(c, m))
+    owner = np.zeros(n, int) if one_bin else rng.integers(-1, c, n)  # -1: in no bin
+    members = (owner[owner >= 0], np.flatnonzero(owner >= 0))
+    rep = score(cands, truth, members)
+    assert rep.truth_row.tolist() == nearest_member(cands, truth, members)
 
 
 def test_score_keeps_an_exact_copy_the_assignment_gives_away():

@@ -184,6 +184,10 @@ _TIED = {
     "model.assumed.sd": st.floats(1e-6, 1e6),
     "model.assumed.scale": st.floats(1e-6, 1e6),
     "federation.lr": st.floats(1e-30, 1e6),
+    # not a tie: c0 also spans magnitudes up to 1e308, log-uniformly; past a
+    # dtype's range the imprint weights or the imprint layer's reach name it
+    "model.measurement.c0": st.just("auto") | st.floats(-1e6, 1e6).filter(bool) | st.builds(
+        lambda sign, exp: sign * 10.0 ** exp, st.sampled_from([-1.0, 1.0]), st.floats(6, 308)),
 }
 
 
@@ -453,6 +457,45 @@ def test_one_shot_trials_block():
     rate_col = header.index("success_rate")
     assert [r[0] for r in rows] == ["mass", "mass"]
     assert all(isinstance(r[rate_col], float) for r in rows)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_reports_are_reductions_of_the_round_table(monkeypatch, name):
+    rounds = []
+    real_round = scenarios._round
+    monkeypatch.setattr(scenarios, "_round", lambda *args: rounds.append(real_round(*args))
+                        or rounds[-1])
+    res = run_scenario(bundled_config(name))
+    for rnd in rounds:
+        t, sel = rnd.table, rnd.table["selected"] >= 0
+        assert {len(col) for col in t.values()} == {res.artifacts["imprint"].k}
+        assert np.isnan(t["den"]).tolist() == np.isnan(t["conf"]).tolist() == \
+            (~t["live"]).tolist()
+        assert (t["selected"][rnd.readout.bins] == np.arange(len(rnd.readout))).all()
+        assert (t["row"][~sel] == -1).all() and np.isnan(t["rel_err"][~sel]).all()
+        assert not (t["exact"] | t["spurious"])[~sel].any()
+        assert (t["spurious"] == (sel & (t["count"] == 0))).all()
+    if "trials" in res.report:
+        records = res.artifacts["trial_records"]
+        assert len(rounds) == len(records)
+        for rnd, rec in zip(rounds, records):
+            rel_err = rnd.table["rel_err"][0]
+            assert rec == {"trial": rec["trial"], "trap_count": rnd.table["count"][0],
+                           "read_out": rnd.table["live"][0], "success": rnd.table["exact"][0],
+                           "rel_err": None if np.isnan(rel_err) else rel_err}
+            # the trap is recovered exactly when one example lands in it alone
+            assert rec["success"] == (rec["trap_count"] == 1)
+        return
+    (rnd,) = rounds
+    t, occ, rec = rnd.table, res.report["occupancy"], res.report["recovery"]
+    assert occ["k"] == len(t["count"])
+    assert occ["singleton_bins"] == np.flatnonzero(t["count"] == 1).tolist()
+    assert (occ["empty"], occ["collisions"], occ["max_count"]) == (
+        (t["count"] == 0).sum(), (t["count"] >= 2).sum(), t["count"].max())
+    assert (rec["n_candidates"], rec["n_selected"], rec["spurious"]) == (
+        t["live"].sum(), (t["selected"] >= 0).sum(), t["spurious"].sum())
+    assert rec["exact_bins"] == np.flatnonzero(t["exact"]).tolist()
+    assert (res.artifacts["occupancy_counts"] == t["count"]).all()
 
 
 def test_csv_scenario_end_to_end(tmp_path):
