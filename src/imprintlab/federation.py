@@ -89,23 +89,29 @@ def to_gradient_form(payload: UpdatePayload) -> UpdatePayload:
 
 
 def secure_aggregate(payloads) -> UpdatePayload:
-    """Unweighted sum across users, plus the count metadata the server keeps."""
-    payloads = list(payloads)
-    if not payloads:
+    """Unweighted sum across users, plus the count metadata the server keeps.
+    Consumes any iterable lazily, in user order: each payload is added in place
+    (the adds `sum()` makes, from `0 + t`) and dropped before the next is
+    pulled, so a generator of users' passes holds one user's update at a time."""
+    payloads = iter(payloads)
+    first = next(payloads, None)
+    if first is None:
         raise ValueError("nothing to aggregate")
-    first = payloads[0]
-    keys = set(first.tensors)
-    for p in payloads[1:]:
-        if p.kind != first.kind:
-            raise ValueError(f"mixed payload kinds: {first.kind!r} vs {p.kind!r}")
-        if set(p.tensors) != keys:
+    kind, steps, lr, users = first.kind, first.steps, first.lr, first.users
+    layout = {k: (t.shape, t.dtype) for k, t in first.tensors.items()}
+    summed = {k: 0 + t for k, t in first.tensors.items()}
+    del first
+    for p in payloads:
+        if p.kind != kind:
+            raise ValueError(f"mixed payload kinds: {kind!r} vs {p.kind!r}")
+        if p.tensors.keys() != layout.keys():
             raise ValueError("payloads carry different parameter sets")
-        if (p.steps, p.lr) != (first.steps, first.lr):
+        if (p.steps, p.lr) != (steps, lr):
             raise ValueError("payloads disagree on steps/lr")
-        for k in keys:
-            if p.tensors[k].shape != first.tensors[k].shape:
-                raise ValueError(f"shape mismatch on {k!r}")
-    # a running sum in user order; stacking first would hold every payload twice
-    summed = {k: sum(p.tensors[k] for p in payloads) for k in keys}
-    return UpdatePayload(kind=first.kind, tensors=summed, steps=first.steps, lr=first.lr,
-                         users=sum(p.users for p in payloads))
+        for k, want in layout.items():
+            if (p.tensors[k].shape, p.tensors[k].dtype) != want:
+                raise ValueError(f"shape or dtype mismatch on {k!r}")  # += would cast
+            summed[k] += p.tensors[k]
+        users += p.users
+        del p  # before the next user's pass runs
+    return UpdatePayload(kind=kind, tensors=summed, steps=steps, lr=lr, users=users)

@@ -387,12 +387,16 @@ def _build_attack(cfg, m_feat, n, dtype):
 def _federate(cfg, model, imp, batch, defense_base: RngStream):
     """Per-user payloads -> defense -> secure aggregation, the (examples, bins)
     membership of each user's pass (fed-AVG's covers its local steps) and
-    fed-AVG's `_drifted` count."""
+    fed-AVG's `_drifted` count. Users' passes run one at a time as
+    `secure_aggregate` pulls them, so a round holds the running sum plus one
+    user's pass; each pass's mask and losses are reduced as it ends."""
     fed = cfg["federation"]
     shard = batch.n // fed["users"]
     dconf = DefenseConfig(**cfg["defense"])
-    payloads, losses, examples, bins, drifted = [], [], [], [], 0
-    for u in range(fed["users"]):
+    losses, examples, bins, drifted = [], [], [], 0
+
+    def defended(u):  # its locals, the undefended update among them, die on return
+        nonlocal drifted
         x, labels = batch.x[u * shard:(u + 1) * shard], batch.labels[u * shard:(u + 1) * shard]
         if fed["protocol"] == "fed_sgd":
             loss, payload, active = fed_sgd(model, x, labels)
@@ -400,15 +404,15 @@ def _federate(cfg, model, imp, batch, defense_base: RngStream):
         else:
             payload, step_losses, active = fed_avg(model, x, labels, steps=fed["steps"],
                                                    lr=fed["lr"])
-            losses += step_losses
+            losses.extend(step_losses)
             drifted += _drifted(model, imp, x, active, fed["steps"])
-        # each mask is reduced at once; none lives on into recovery
         ex, b = bin_members(active, imp)
         examples.append(ex + u * shard)
         bins.append(b)
-        payloads.append(apply_defense(payload, dconf, defense_base.derive(u)))
-    return (secure_aggregate(payloads), losses, drifted, np.concatenate(examples),
-            np.concatenate(bins))
+        return apply_defense(payload, dconf, defense_base.derive(u))
+
+    agg = secure_aggregate(defended(u) for u in range(fed["users"]))
+    return agg, losses, drifted, np.concatenate(examples), np.concatenate(bins)
 
 
 def _drifted(model, imp, x, active, steps) -> int:

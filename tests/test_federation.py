@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,3 +273,105 @@ def test_secure_aggregate_validation():
                        steps=3, lr=0.1)
     with pytest.raises(ValueError, match="steps/lr"):
         secure_aggregate([d, d2])
+
+
+# -- streaming: secure_aggregate consumes an iterable one payload at a time
+
+def _users(count, shapes, dtype, seed):
+    """`count` users' gradient payloads over `shapes` (key -> shape), drawn
+    from one seed. Entry 0 of every tensor is -0.0 for every user; entry 1 is
+    x for the first user, -x for the second and 0 for the rest."""
+    rng = np.random.default_rng(seed)
+    payloads = []
+    for u in range(count):
+        tensors = {}
+        for key, shape in shapes.items():
+            t = (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)).astype(dtype)
+            flat = t.reshape(-1)
+            flat[0] = -0.0
+            if flat.size > 1 and u:
+                flat[1] = -payloads[0].tensors[key].reshape(-1)[1] if u == 1 else 0.0
+            tensors[key] = t
+        payloads.append(UpdatePayload(kind="gradient", tensors=tensors))
+    return payloads
+
+
+def _assert_list_sum(agg, payloads):
+    """agg is bit for bit the list `sum()` the aggregate used to take."""
+    assert agg.users == len(payloads) and agg.kind == payloads[0].kind
+    assert agg.tensors.keys() == payloads[0].tensors.keys()
+    for key, t in agg.tensors.items():
+        ref = sum(p.tensors[key] for p in payloads)
+        assert t.dtype == ref.dtype and t.shape == ref.shape
+        assert t.tobytes() == ref.tobytes(), key
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_streamed_aggregate_is_the_list_sum_bit_for_bit(dtype, count):
+    payloads = _users(count, {"w": (7, 5), "b": (7,)}, dtype, seed=[count, dtype == np.float32])
+    agg = secure_aggregate(p for p in payloads)
+    _assert_list_sum(agg, payloads)
+    for t in agg.tensors.values():
+        assert t.reshape(-1)[0] == 0.0 and not np.signbit(t.reshape(-1)[0])  # 0 + -0.0
+        if count > 1:
+            assert t.reshape(-1)[1] == 0.0  # x + -x cancels exactly
+        assert not any(np.shares_memory(t, q) for p in payloads for q in p.tensors.values())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(count=st.integers(1, 8), dtype=st.sampled_from([np.float32, np.float64]),
+       shapes=st.dictionaries(st.sampled_from(["a", "b", "c"]),
+                              st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+                              min_size=1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_streamed_aggregate_property(count, dtype, shapes, seed):
+    payloads = _users(count, shapes, dtype, seed)
+    _assert_list_sum(secure_aggregate(iter(payloads)), payloads)
+
+
+def test_each_payload_is_dropped_before_the_next_is_pulled():
+    refs = []
+
+    def fresh(u):  # so the generator keeps no reference to what it yields
+        p = _users(1, {"w": (3, 2), "b": (3,)}, np.float64, seed=u)[0]
+        refs.extend(weakref.ref(t) for t in p.tensors.values())
+        return p
+
+    def stream():
+        for u in range(4):
+            assert all(r() is None for r in refs), u  # the earlier users' tensors are dead
+            yield fresh(u)
+
+    agg = secure_aggregate(stream())
+    assert agg.users == 4 and len(refs) == 8
+    assert all(r() is None for r in refs)
+
+
+def test_empty_stream_raises():
+    for empty in ([], iter([]), (p for p in [])):
+        with pytest.raises(ValueError, match="nothing"):
+            secure_aggregate(empty)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (dict(kind="param_delta", steps=2, lr=0.1), "mixed"),
+    (dict(tensors={"w": np.ones((3, 2)), "c": np.ones(3)}), "parameter sets"),
+    (dict(tensors={"w": np.ones((3, 2))}), "parameter sets"),
+    (dict(tensors={"w": np.ones((2, 3)), "b": np.ones(3)}), "shape"),
+    (dict(tensors={"w": np.ones((3, 2), "f4"), "b": np.ones(3)}), "dtype"),
+    (dict(steps=2), "steps/lr"),
+    (dict(lr=0.5), "steps/lr"),
+])
+def test_mismatch_mid_stream_raises(bad, match):
+    good = {"kind": "gradient", "tensors": {"w": np.ones((3, 2)), "b": np.ones(3)}}
+    pulled = []
+
+    def stream():
+        for u in range(4):
+            pulled.append(u)
+            yield UpdatePayload(**dict(good, **bad)) if u == 2 else UpdatePayload(**good)
+
+    with pytest.raises(ValueError, match=match):
+        secure_aggregate(stream())
+    assert pulled == [0, 1, 2]  # raised on the bad payload, before pulling the last

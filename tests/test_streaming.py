@@ -1,7 +1,9 @@
 """The read-out, the scoring and the forward/backward pass work in row blocks
 of BLOCK_ROWS and reuse their buffers. These tests hold them to the
 whole-array expressions bit for bit at the block edges, and bound the bytes
-each allocates with tracemalloc (allocation counts, not RSS)."""
+each allocates with tracemalloc (allocation counts, not RSS). A federated
+round streams its users into a running secure sum, and is bounded the same
+way at two user counts."""
 
 import tracemalloc
 
@@ -12,6 +14,7 @@ from imprintlab import scenarios
 from imprintlab.cli import main
 from imprintlab.dataio import canonical_json
 from imprintlab.distributions import Normal
+from imprintlab.errors import ConfigError
 from imprintlab.federation import UpdatePayload
 from imprintlab.imprint import ImprintModule, build_hard_threshold, build_relu, make_layout
 from imprintlab.measurement import build_measurement
@@ -233,3 +236,54 @@ def test_score_peaks_at_its_distance_matrices_plus_two_blocks(p):
     peak = _peak_bytes(score, cands, truth, pairs, pool=pool, rel_tol=1e-4,
                        psnr_transform=lambda v: v * 0.5)
     assert peak <= dists + blocks + per_row + SMALL, (peak, dists)
+
+
+def _fed_avg_round(users, shard, m=4096, k=64):
+    """The inputs `_federate` takes for a float64 fed-AVG round of `users`
+    users x `shard` examples in 2 local steps, under clip and Laplace noise."""
+    raw = scenarios.bundled_config("fedavg8x8")
+    raw["data"] = dict(raw["data"], n=users * shard, m=m)
+    raw["model"]["imprint"]["k"] = k
+    raw["federation"] = dict(raw["federation"], users=users, steps=2)
+    raw["defense"] = {"clip": 1.0, "noise": "laplace", "sigma": 1e-12}
+    cfg = scenarios.validate_config(raw)
+    dtype = np.dtype(cfg["dtype"])
+    batch = scenarios._load_batch(cfg, dtype, RngStream(cfg["seed"], scenarios.STREAM_DATA))
+    imp, model = scenarios._build_attack(
+        cfg, scenarios._feature_width(cfg, batch.n, batch.m), batch.n, dtype)
+    return cfg, model, imp, batch, RngStream(cfg["seed"], scenarios.STREAM_DEFENSE)
+
+
+@pytest.mark.parametrize("users", [2, 8])
+def test_federate_peaks_at_the_sum_plus_one_users_pass(users):
+    shard = 4
+    cfg, model, imp, batch, stream = _fed_avg_round(users, shard)
+    update = sum(p.nbytes for p in model.params.values())  # one payload, or the sum
+    # one user's pass: the local model copy, a step's gradient, the delta,
+    # the defended copy, and the (shard, rows) active mask twice over (each
+    # step's and their concatenation). The defense's Laplace draw of one
+    # tensor comes after the local copy and the step gradient are freed.
+    one_pass = 4 * update + 2 * shard * imp.n_rows
+    peak = _peak_bytes(scenarios._federate, cfg, model, imp, batch, stream)
+    assert peak <= update + one_pass + SMALL, (peak, update)
+
+
+@pytest.mark.parametrize("exc, code", [(ConfigError("model.head.gain: bad"), 2),
+                                       (ValueError("non-finite delta"), 3)])
+def test_error_inside_a_users_pass_keeps_its_exit_code(tmp_path, monkeypatch, capsys, exc, code):
+    real, calls = scenarios.fed_avg, []
+
+    def third_user_fails(*args, **kw):
+        calls.append(len(calls))
+        if len(calls) == 3:
+            raise exc
+        return real(*args, **kw)
+
+    monkeypatch.setattr(scenarios, "fed_avg", third_user_fails)
+    raw = scenarios.bundled_config("fedavg8x8")
+    raw["federation"] = dict(raw["federation"], users=4, steps=4)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(canonical_json(raw))
+    assert main(["run", "--config", str(cfg)]) == code
+    assert calls == [0, 1, 2]
+    assert str(exc) in capsys.readouterr().err
