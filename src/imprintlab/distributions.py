@@ -1,9 +1,8 @@
 """Scalar distributions used to place imprint bin boundaries.
 
-Each distribution exposes cdf/quantile; quantile is the workhorse (boundaries
-are quantiles of equal-mass grids), and the tests check it against cdf. Both
-take a scalar or an array and answer in kind; the normal ones are scipy's ndtr
-and ndtri.
+Each distribution exposes quantile: bin boundaries are quantiles of
+equal-mass grids. It takes a scalar or an array and answers in kind; the
+normal one is scipy's ndtri. The tests hold it to their own cdf oracles.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -39,9 +38,6 @@ class Normal:
         if not (self.sd > 0 and math.isfinite(self.sd)):
             raise ValueError(f"sd must be positive and finite, got {self.sd}")
 
-    def cdf(self, x):
-        return _like(x, ndtr((np.asarray(x, dtype=np.float64) - self.mean) / self.sd))
-
     def quantile(self, p):
         return _like(p, self.mean + self.sd * ndtri(_check_prob(p)))
 
@@ -54,10 +50,6 @@ class Laplace:
     def __post_init__(self) -> None:
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-
-    def cdf(self, x):
-        z = (np.asarray(x, dtype=np.float64) - self.mean) / self.scale
-        return _like(x, np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z)))
 
     def quantile(self, p):
         q = _check_prob(p)
@@ -81,10 +73,6 @@ class Empirical:
             raise ValueError("empirical samples must be finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_probs", np.linspace(0.0, 1.0, vals.size))
-
-    def cdf(self, x):
-        return _like(x, np.interp(np.asarray(x, dtype=np.float64), self.values, self._probs,
-                                  left=0.0, right=1.0))
 
     def quantile(self, p):
         return _like(p, np.interp(_check_prob(p), self._probs, self.values))

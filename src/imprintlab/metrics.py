@@ -6,8 +6,9 @@ member is spurious, paired with its nearest truth row for PSNR, and never
 exact or an identification hit. PSNR uses a fixed sentinel (300 dB) for
 exact-zero error. `score` computes the candidate-truth distances once and
 reads the pairing, exactness, PSNR and identification off them as arrays.
-Only the distance matrices are full size; everything else runs BLOCK_ROWS
-candidate rows at a time, with every value bit-identical to whole arrays.
+Only the distance matrices, and each float64 cast of truth or pool while its
+own product runs, are full size; everything else runs BLOCK_ROWS candidate
+rows at a time, with every value bit-identical to whole arrays.
 """
 
 from __future__ import annotations
@@ -136,11 +137,14 @@ def score(candidates, truth, members, *, pool=None, rel_tol: float = EXACT_REL_T
     identification precision (IIP) against truth plus `pool`. `members` is a
     pair of index arrays (candidate, truth row), one per member of each
     candidate's bin. psnr_transform optionally maps vectors into the space PSNR
-    is quoted in (e.g. [0,1] scaling); the rest uses the raw vectors.
+    is quoted in (e.g. [0,1] scaling); the rest uses the raw vectors. Truth
+    and pool may come in any float dtype: each is cast to float64 (exactly,
+    from float32) only as the argument of its own distance product, and truth
+    again one paired row block at a time.
     """
     candidates = _rows(candidates)
-    truth = _rows(truth)
-    dists = _pairwise_sq(candidates, truth)
+    truth = np.atleast_2d(truth)
+    dists = _pairwise_sq(candidates, _rows(truth))  # float64 truth lives for the product only
     cand, row = (np.asarray(a, dtype=np.int64) for a in members)
     d = dists[cand, row]
     nearest = np.full(len(candidates), np.inf)
@@ -155,7 +159,7 @@ def score(candidates, truth, members, *, pool=None, rel_tol: float = EXACT_REL_T
     n = len(cols)
     rel_err, exact, psnrs = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
     for blk in (slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)):
-        c, t = candidates[blk], truth[cols[blk]]  # t is a fresh copy, c a view
+        c, t = candidates[blk], _rows(truth[cols[blk]])  # t is a fresh float64 copy, c a view
         rel_err[blk], exact[blk] = _errors(c, t, rel_tol)
         t = tf(t)  # rebinding drops the raw copy before c's transform exists
         psnrs[blk] = _psnr_of_diff(np.subtract(tf(c), t, out=t))

@@ -59,18 +59,20 @@ class FrontStage:
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
     """Stable softmax cross-entropy, mean over the batch. Returns (loss, dlogits)
-    with the 1/n already folded into dlogits."""
-    n = logits.shape[0]
+    with the 1/n already folded into dlogits. Consumes `logits`: the one
+    (n, classes) buffer becomes exp(logits - max), then dlogits, with every
+    value as the out-of-place expressions give it."""
+    n, rows = logits.shape[0], np.arange(logits.shape[0])
     mx = logits.max(axis=1, keepdims=True)
-    ex = np.exp(logits - mx)
-    z = ex.sum(axis=1, keepdims=True)
-    sm = ex / z
+    picked = logits[rows, labels]  # the labels' logits, read before the overwrite
+    np.exp(np.subtract(logits, mx, out=logits), out=logits)
+    z = logits.sum(axis=1, keepdims=True)
     lse = mx[:, 0] + np.log(z[:, 0])
-    loss = float(np.mean(lse - logits[np.arange(n), labels]))
-    dlogits = sm
-    dlogits[np.arange(n), labels] -= logits.dtype.type(1.0)
-    dlogits /= logits.dtype.type(n)
-    return loss, dlogits
+    loss = float(np.mean(lse - picked))
+    logits /= z
+    logits[rows, labels] -= logits.dtype.type(1.0)
+    logits /= logits.dtype.type(n)
+    return loss, logits
 
 
 class ModelGraph:
@@ -147,7 +149,8 @@ class ModelGraph:
                 z = act.sum(axis=1, keepdims=True)
             else:
                 z = matmul(act, self.params["bridge.weight"].T)
-        logits = matmul(z, self.params["head.weight"].T) + self.params["head.bias"]
+        logits = matmul(z, self.params["head.weight"].T)
+        logits += self.params["head.bias"]
         loss, dlogits = _softmax_ce(logits, labels)
 
         grads = {

@@ -55,7 +55,8 @@ class RngStream:
     # version of exactly the float64 run's values.
 
     def normal(self, shape, *, sd: float = 1.0, dtype=np.float64) -> np.ndarray:
-        out = self.generator().standard_normal(shape) * sd
+        out = self.generator().standard_normal(shape)
+        out *= sd  # in place: the same multiply as `* sd`, without a second array
         return np.asarray(out, dtype=dtype)
 
     def uniform(self, shape, *, low: float = 0.0, high: float = 1.0) -> np.ndarray:

@@ -490,8 +490,7 @@ def _round(cfg, imp, model, batch, defense_base: RngStream) -> _Round:
         tf = (lambda v: (v - lo) / (hi - lo)) if hi > lo else None
         scale = {"lo": lo, "hi": hi}
     cand = table["selected"][bins]  # each (example, bin) pair's candidate, or -1
-    rep = score(sel.vectors, np.asarray(feats, dtype=np.float64),
-                (cand[cand >= 0], examples[cand >= 0]), pool=pool,
+    rep = score(sel.vectors, feats, (cand[cand >= 0], examples[cand >= 0]), pool=pool,
                 rel_tol=cfg["metrics"]["rel_tol"], psnr_transform=tf)
     table.update(_columns(imp.k, sel.bins, row=(rep.truth_row, -1),
                           rel_err=(rep.rel_err, np.nan), exact=(rep.exact, False),
@@ -563,6 +562,8 @@ def _round_report(cfg, batch, rnd: _Round) -> dict:
 
 
 def _draw_pool(cfg, model, batch):
+    """The `metrics.pool` rows IIP is scored against, through the front stages
+    and in the run dtype (`score` casts them for their own product); None at 0."""
     p = cfg["metrics"]["pool"]
     if p == 0:
         return None
@@ -575,7 +576,7 @@ def _draw_pool(cfg, model, batch):
         raw = np.asarray(table, dtype=dtype)[ids].reshape(p, -1)
     else:
         raw = stream.normal((p, batch.m), dtype=dtype)
-    return np.asarray(model.forward_features(raw), dtype=np.float64)
+    return model.forward_features(raw)
 
 
 def _token_block(cfg, batch, selected, rep):
@@ -668,10 +669,10 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None,
         trial_base = RngStream(seed, STREAM_TRIALS)
         defense_base = RngStream(seed, STREAM_DEFENSE)
         records = []
-        for t in range(trials):
-            rnd = _round(cfg, imp, model, _load_batch(cfg, dtype, trial_base.derive(t)),
-                         defense_base.derive(t))
-            records.append(_trial_record(t, rnd.table))
+        for t in range(trials):  # keeping only the table frees each round before the next draw
+            table = _round(cfg, imp, model, _load_batch(cfg, dtype, trial_base.derive(t)),
+                           defense_base.derive(t)).table
+            records.append(_trial_record(t, table))
         report["trials"] = _trials_block(records, imp, theory_block["one_shot_success"])
         artifacts["trial_records"] = records
 

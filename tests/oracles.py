@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtr
 
+from imprintlab.distributions import Empirical, Laplace, Normal
 from imprintlab.federation import to_gradient_form
 
 
@@ -77,6 +79,23 @@ def fd_gradcheck(model, x, labels, eps=1e-3):
         scale = max(float(np.max(np.abs(g))), 1e-12)
         worst = max(worst, float(np.max(np.abs(fd - g))) / scale)
     return worst
+
+
+def cdf(dist, x):
+    """The CDF of a Normal, Laplace or Empirical at x, in float64: a float for
+    a scalar x, else an array. Empirical interpolates between its sorted
+    samples at plotting positions (i - 1)/(n - 1), and is 0 below and 1 above."""
+    x64 = np.asarray(x, dtype=np.float64)
+    if isinstance(dist, Normal):
+        out = ndtr((x64 - dist.mean) / dist.sd)
+    elif isinstance(dist, Laplace):
+        z = (x64 - dist.mean) / dist.scale
+        out = np.where(z < 0, 0.5 * np.exp(z), 1.0 - 0.5 * np.exp(-z))
+    else:
+        assert isinstance(dist, Empirical)
+        probs = np.linspace(0.0, 1.0, dist.values.size)
+        out = np.interp(x64, dist.values, probs, left=0.0, right=1.0)
+    return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
 def normal_cdf_quadrature(x, mean=0.0, sd=1.0):
@@ -254,11 +273,27 @@ def unblocked_exact_psnr(candidates, truth, cols, *, rel_tol, psnr_transform=Non
         return exact, np.where(mse != 0.0, 10.0 * np.log10(1.0 / mse), 300.0)
 
 
+def unblocked_softmax_ce(logits, labels):
+    """Mean softmax cross-entropy and its logit gradient (1/n folded in), with
+    a fresh array for every step; `logits` is left as it was."""
+    n = logits.shape[0]
+    mx = logits.max(axis=1, keepdims=True)
+    ex = np.exp(logits - mx)
+    z = ex.sum(axis=1, keepdims=True)
+    sm = ex / z
+    lse = mx[:, 0] + np.log(z[:, 0])
+    loss = float(np.mean(lse - logits[np.arange(n), labels]))
+    dlogits = sm
+    dlogits[np.arange(n), labels] -= logits.dtype.type(1.0)
+    dlogits /= logits.dtype.type(n)
+    return loss, dlogits
+
+
 def unblocked_imprint_pass(model, x, labels):
     """Loss, gradients, active mask and activation gradient of an imprint
-    model, with a fresh array for the pre-activation, the activation and the
-    pre-activation gradient, and np.where for every mask."""
-    from imprintlab.model import _softmax_ce
+    model, with a fresh array for the pre-activation, the activation, the
+    logits, each softmax step and the pre-activation gradient, and np.where
+    for every mask."""
     p, zero = model.params, model.dtype.type(0)
     feats = model.forward_features(x)
     pre = feats @ p["imprint.weight"].T + p["imprint.bias"]
@@ -269,7 +304,7 @@ def unblocked_imprint_pass(model, x, labels):
         active &= pre < 1
         act = np.clip(pre, 0.0, 1.0)
     z = act.sum(axis=1, keepdims=True) if model.bridge == "sum" else act @ p["bridge.weight"].T
-    loss, dlogits = _softmax_ce(z @ p["head.weight"].T + p["head.bias"], labels)
+    loss, dlogits = unblocked_softmax_ce(z @ p["head.weight"].T + p["head.bias"], labels)
     grads = {"head.weight": dlogits.T @ z, "head.bias": dlogits.sum(axis=0)}
     dz = dlogits @ p["head.weight"]
     if model.bridge == "sum":

@@ -1,14 +1,19 @@
 """The read-out, the scoring and the forward/backward pass work in row blocks
-of BLOCK_ROWS and reuse their buffers. These tests hold them to the
-whole-array expressions bit for bit at the block edges, and bound the bytes
-each allocates with tracemalloc (allocation counts, not RSS). A federated
-round streams its users into a running secure sum, and is bounded the same
-way at two user counts."""
+of BLOCK_ROWS and reuse their buffers; the softmax and the normal draw work in
+place, and scoring casts its truth and pool to float64 only for their own
+products. These tests hold them to the whole-array expressions bit for bit at
+the block edges, and bound the bytes each allocates with tracemalloc
+(allocation counts, not RSS). A federated round streams its users into a
+running secure sum, and is bounded the same way at two user counts; a
+one-shot trial loop holds one trial's round at a time."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imprintlab import scenarios
 from imprintlab.cli import main
@@ -19,12 +24,12 @@ from imprintlab.federation import UpdatePayload
 from imprintlab.imprint import ImprintModule, build_hard_threshold, build_relu, make_layout
 from imprintlab.measurement import build_measurement
 from imprintlab.metrics import _pairwise_sq, score
-from imprintlab.model import make_imprint_model
+from imprintlab.model import PIN_OFFSET, _softmax_ce, make_imprint_model
 from imprintlab.numerics import BLOCK_ROWS as B
 from imprintlab.numerics import RngStream
 from imprintlab.recovery import recover_bins
 from oracles import (loop_readout, unblocked_exact_psnr, unblocked_imprint_pass,
-                     unblocked_pairwise_sq)
+                     unblocked_pairwise_sq, unblocked_softmax_ce)
 
 EDGES = (0, 1, B - 1, B, B + 1)
 
@@ -125,12 +130,11 @@ def test_pairwise_distances_are_the_unblocked_expression(rows, others):
     assert _pairwise_sq(a, b).tobytes() == unblocked_pairwise_sq(a, b).tobytes()
 
 
-@pytest.mark.parametrize("transform", [None, lambda v: (v + 4.0) / 8.0])
-@pytest.mark.parametrize("count", EDGES)
-def test_score_is_the_unblocked_exactness_and_psnr_at_block_edges(count, transform):
-    rng = np.random.default_rng(count)
+def _score_inputs(count, rng, dtype=np.float64):
+    """B + 9 truth rows of width 40 in dtype, `count` float64 candidates that
+    copy truth rows (about half of them off by 1e-3), and their member pairs."""
     n, m = B + 9, 40
-    truth = rng.standard_normal((n, m))
+    truth = rng.standard_normal((n, m)).astype(dtype)
     truth[3] = 0.0  # a zero row: only an exact zero is exact
     truth[4, ::2] = -0.0
     rows = rng.permutation(n)[:count]
@@ -138,12 +142,65 @@ def test_score_is_the_unblocked_exactness_and_psnr_at_block_edges(count, transfo
     pairs = (np.arange(count), rows)
     if count > 2:  # candidate 0 holds two rows, the last candidate none
         pairs = (np.r_[np.arange(count - 1), 0], np.r_[rows[:-1], (rows[0] + 1) % n])
-    rep = score(cands, truth, pairs, pool=rng.standard_normal((50, m)), rel_tol=1e-4,
+    return truth, cands, pairs
+
+
+@pytest.mark.parametrize("transform", [None, lambda v: (v + 4.0) / 8.0])
+@pytest.mark.parametrize("count", EDGES)
+def test_score_is_the_unblocked_exactness_and_psnr_at_block_edges(count, transform):
+    rng = np.random.default_rng(count)
+    truth, cands, pairs = _score_inputs(count, rng)
+    rep = score(cands, truth, pairs, pool=rng.standard_normal((50, 40)), rel_tol=1e-4,
                 psnr_transform=transform)
     exact, psnr = unblocked_exact_psnr(cands, truth, rep.truth_row, rel_tol=1e-4,
                                        psnr_transform=transform)
     assert rep.exact.tolist() == (exact & ~rep.spurious).tolist()
     assert rep.psnr.tobytes() == psnr.tobytes()
+
+
+def _fields(rep):
+    """Each ScoreReport field as bytes (the float IIP as a float64)."""
+    return {f.name: np.asarray(getattr(rep, f.name)).tobytes() for f in dataclasses.fields(rep)}
+
+
+@pytest.mark.parametrize("p", [0, 50])
+@pytest.mark.parametrize("count", EDGES)
+def test_score_on_float32_truth_and_pool_is_score_on_their_float64_casts(count, p):
+    rng = np.random.default_rng([count, p])
+    truth, cands, pairs = _score_inputs(count, rng, np.float32)
+    pool = rng.standard_normal((p, 40)).astype(np.float32) if p else None
+    kw = dict(rel_tol=1e-4, psnr_transform=lambda v: (v + 4.0) / 8.0)
+    rep = score(cands, truth, pairs, pool=pool, **kw)
+    ref = score(cands, truth.astype(np.float64), pairs,
+                pool=None if pool is None else pool.astype(np.float64), **kw)
+    assert _fields(rep) == _fields(ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("sd", [1.0, 1e-2, 40 ** -0.25, 3.0])
+def test_normal_draw_is_the_out_of_place_product(sd, dtype):
+    stream, shape = RngStream(5, 11), (B + 1, 40)
+    ref = np.asarray(stream.generator().standard_normal(shape) * sd, dtype=dtype)
+    out = stream.normal(shape, sd=sd, dtype=dtype)
+    assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 300), classes=st.integers(1, 12),
+       dtype=st.sampled_from([np.float32, np.float64]), gain=st.floats(0.0, 1e6),
+       pinned=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_softmax_ce_is_the_out_of_place_expression(n, classes, dtype, gain, pinned, seed):
+    """Logits as a pinned or random head gives them: gain times a normal
+    draw, the pinned class offset by PIN_OFFSET."""
+    rng = np.random.default_rng(seed)
+    logits = (rng.standard_normal((n, classes)) * gain).astype(dtype)
+    if pinned:
+        logits[:, -1] += dtype(PIN_OFFSET)
+    labels = rng.integers(0, classes, n)
+    ref_loss, ref = unblocked_softmax_ce(logits, labels)
+    loss, dlogits = _softmax_ce(logits.copy(), labels)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert dlogits.dtype == ref.dtype and dlogits.tobytes() == ref.tobytes()
 
 
 def _integer_model(variant, bridge, dtype, seed):
@@ -217,14 +274,15 @@ def test_readout_peaks_at_the_live_readout_plus_two_blocks():
     assert peak <= readout_bytes + blocks + per_bin + SMALL, (peak, readout_bytes)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("p", [0, 1000])
-def test_score_peaks_at_its_distance_matrices_plus_two_blocks(p):
+def test_score_peaks_at_its_distance_matrices_plus_two_blocks(p, dtype):
     # truth wider than the distances and two blocks: one (n, m) temporary would show
     c, n, m = 288, 1024, 2048
     rng = np.random.default_rng(1)
-    truth = rng.standard_normal((n, m))
-    pool = rng.standard_normal((p, m)) if p else None
-    cands = truth[rng.permutation(n)[:c]] + 1e-6
+    truth = rng.standard_normal((n, m)).astype(dtype)
+    pool = rng.standard_normal((p, m)).astype(dtype) if p else None
+    cands = truth[rng.permutation(n)[:c]] + np.float64(1e-6)  # float64, as read-outs are
     pairs = (rng.integers(0, c, n), np.arange(n))
     # the candidate-truth and candidate-pool distance matrices
     dists = c * (n + p) * 8
@@ -233,9 +291,34 @@ def test_score_peaks_at_its_distance_matrices_plus_two_blocks(p):
     blocks = 2 * B * max(m, n, p) * 8
     # index and value arrays over candidates, truth, pool rows and pairs
     per_row = 16 * (c + n + p + len(pairs[0])) * 8
+    # the float64 cast of float32 truth or pool: each lives only during its
+    # own distance product, so only the larger counts
+    cast = 0 if dtype == np.float64 else max(n, p) * m * 8
     peak = _peak_bytes(score, cands, truth, pairs, pool=pool, rel_tol=1e-4,
                        psnr_transform=lambda v: v * 0.5)
-    assert peak <= dists + blocks + per_row + SMALL, (peak, dists)
+    assert peak <= dists + blocks + per_row + cast + SMALL, (peak, dists)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_normal_draw_peaks_at_one_float64_draw_plus_its_cast(dtype):
+    """Where numpy elides temporaries (glibc builds), `draw * sd` reuses the
+    draw as well, so this bound guards the in-place scale on every platform
+    but does not tell the two apart here."""
+    shape = (1024, 256)
+    draw = shape[0] * shape[1] * 8
+    cast = 0 if dtype == np.float64 else shape[0] * shape[1] * np.dtype(dtype).itemsize
+    peak = _peak_bytes(RngStream(3, 0).normal, shape, sd=0.5, dtype=dtype)
+    assert peak <= draw + cast + SMALL, (peak, draw)
+
+
+def test_trial_loop_holds_one_round_at_a_time():
+    """Four trials peak where one does: each round is freed before the next
+    trial's batch is drawn, and a trial keeps only its k-length table."""
+    raw = scenarios.bundled_config("oneshot")  # n 4096 x m 32 float64: 1 MiB a batch
+    peaks = []
+    for trials in (1, 1, 4):  # the first run warms up what a run caches
+        peaks.append(_peak_bytes(scenarios.run_scenario, dict(raw, trials=trials)))
+    assert peaks[2] <= peaks[1] + SMALL, peaks
 
 
 def _fed_avg_round(users, shard, m=4096, k=64):
