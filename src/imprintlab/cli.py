@@ -43,13 +43,17 @@ def _load_config(args) -> dict:
     raise ConfigError("config: need --config FILE or --scenario NAME")
 
 
+def _add_run_options(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--out", default=None, help="output directory (run, sweep: default stdout)")
+    p.add_argument("--f64", action="store_true", help="run in 64-bit precision")
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="path to a scenario config (JSON)")
     p.add_argument("--scenario", help="bundled scenario name "
                    f"({', '.join(sorted(BUNDLED))})")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--out", default=None, help="output directory (default: stdout)")
-    p.add_argument("--f64", action="store_true", help="run in 64-bit precision")
+    _add_run_options(p)
 
 
 def _cmd_run(args) -> int:
@@ -206,11 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--base-params", type=int, default=None,
                         help="parameter count of the carrier model")
 
-    p_check = sub.add_parser("check", help="run every bundled scenario against "
-                             "its thresholds")
-    p_check.add_argument("--seed", type=int, default=None)
-    p_check.add_argument("--out", default=None)
-    p_check.add_argument("--f64", action="store_true")
+    p_check = sub.add_parser("check", help="run every bundled scenario against its thresholds")
+    _add_run_options(p_check)
     return parser
 
 

@@ -132,15 +132,17 @@ def load_token_sequences(n_seq: int, seq_len: int, *, vocab: int, embed_dim: int
 # -- canonical serialization ---------------------------------------------------
 
 def canonical_json(obj) -> str:
-    """obj as JSON with sorted keys, which must all be strings (int keys would
-    sort numerically); a numpy scalar or array is written as its .tolist()."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=lambda v: v.tolist()) + "\n"
+    """obj as strict JSON (a NaN or infinity raises ValueError) with sorted keys,
+    all strings (int keys would sort numerically); numpy values via .tolist()."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=lambda v: v.tolist()) + "\n"
 
 
 def write_report(report: dict, path: str) -> None:
+    text = canonical_json(report)  # before the file is opened: a refused report leaves none
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(canonical_json(report))
+        fh.write(text)
 
 
 def write_csv(fh, header: list, rows: list) -> None:

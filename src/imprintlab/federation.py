@@ -1,5 +1,5 @@
-"""Federated update simulation: single-step gradients, multi-step local
-training (parameter deltas), and unweighted secure aggregation."""
+"""Federated updates: one-step gradients, local training (parameter deltas),
+unweighted secure aggregation, and the server's one read, `to_gradient_form`."""
 
 from __future__ import annotations
 
@@ -25,16 +25,6 @@ class UpdatePayload:
     steps: int = 1
     lr: float | None = None
     users: int = 1
-
-    def scaled(self, factor: float) -> "UpdatePayload":
-        return replace(self, tensors={k: v * v.dtype.type(factor)
-                                      for k, v in self.tensors.items()})
-
-    def mean_payload(self) -> "UpdatePayload":
-        """Per-user average of a summed payload; a single user's is itself."""
-        if self.users == 1:
-            return self
-        return replace(self.scaled(1.0 / self.users), users=1)
 
 
 def fed_sgd(model: ModelGraph, x: np.ndarray, labels: np.ndarray):
@@ -75,17 +65,19 @@ def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
 
 
 def to_gradient_form(payload: UpdatePayload) -> UpdatePayload:
-    """Express a payload as an effective mean gradient.
-
-    A parameter delta after `steps` SGD steps equals -lr * (sum of step
-    gradients), so delta / (-lr * steps) is the average step gradient -- the
-    proxy recovery works from.
-    """
-    if payload.kind == "gradient":
-        return payload
-    if payload.lr is None:
-        raise ValueError("param_delta payload without lr cannot be converted")
-    return replace(payload.scaled(-1.0 / (payload.lr * payload.steps)), kind="gradient")
+    """The server's read of an update, the per-user mean gradient: a secure sum
+    times 1/users, then a delta after `steps` SGD steps (-lr times the sum of
+    step gradients) times -1/(lr * steps), each factor rounded to the dtype.
+    A factor of 1 is skipped, so one user's gradient comes back as itself."""
+    factors = [1.0 / payload.users] * (payload.users != 1)
+    if payload.kind != "gradient":
+        if payload.lr is None:
+            raise ValueError("param_delta payload without lr cannot be converted")
+        factors.append(-1.0 / (payload.lr * payload.steps))
+    tensors = payload.tensors
+    for f in factors:
+        tensors = {k: t * t.dtype.type(f) for k, t in tensors.items()}
+    return replace(payload, kind="gradient", tensors=tensors, users=1) if factors else payload
 
 
 def secure_aggregate(payloads) -> UpdatePayload:

@@ -101,12 +101,6 @@ def _errors(candidates, truth, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
                 np.where(denom > 0, err <= rel_tol * denom, err == 0.0))
 
 
-def exact_flags(candidates, truth, *, rel_tol: float = EXACT_REL_TOL) -> np.ndarray:
-    """Whether each candidate row reproduces the truth row in the same
-    position to rel_tol (relative l2); a zero truth row needs an exact zero."""
-    return _errors(candidates, truth, rel_tol)[1]
-
-
 @dataclass
 class ScoreReport:
     """Per-candidate scores, indexed like the candidates that were scored."""

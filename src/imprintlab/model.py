@@ -19,7 +19,7 @@ clipping or noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,6 +75,7 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
     return loss, logits
 
 
+@dataclass(kw_only=True, eq=False)
 class ModelGraph:
     """Front stages + optional imprint + bridge + linear softmax head.
 
@@ -82,32 +83,25 @@ class ModelGraph:
     object only records how the layer was constructed.
     """
 
-    def __init__(self, *, stages=(), imprint: ImprintModule | None = None,
-                 bridge: str | None = None, n_classes: int, params: dict,
-                 dtype=DEFAULT_DTYPE):
-        if imprint is not None and bridge not in ("sum", "identical_row_linear"):
-            raise ValueError(f"imprint models need a bridge, got {bridge!r}")
-        if imprint is None and bridge is not None:
-            raise ValueError("bridge without an imprint layer")
-        self.stages = tuple(stages)
-        self.imprint = imprint
-        self.bridge = bridge
-        self.n_classes = n_classes
-        self.dtype = np.dtype(dtype)
-        self.params = params
+    n_classes: int
+    params: dict
+    stages: tuple = ()
+    imprint: ImprintModule | None = None
+    bridge: str | None = None
+    dtype: np.dtype = DEFAULT_DTYPE
 
-    # -- construction helpers -------------------------------------------------
+    def __post_init__(self) -> None:
+        if self.imprint is not None and self.bridge not in ("sum", "identical_row_linear"):
+            raise ValueError(f"unknown bridge {self.bridge!r} for an imprint model")
+        if self.imprint is None and self.bridge is not None:
+            raise ValueError("bridge without an imprint layer")
+        self.dtype = np.dtype(self.dtype)
 
     def copy(self) -> "ModelGraph":
-        clone = ModelGraph.__new__(ModelGraph)
-        clone.__dict__.update(self.__dict__)
-        clone.params = {k: v.copy() for k, v in self.params.items()}
-        return clone
+        return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
     def param_count(self) -> int:
         return sum(int(v.size) for v in self.params.values())
-
-    # -- forward / backward ----------------------------------------------------
 
     def forward_features(self, x: np.ndarray) -> np.ndarray:
         """Output of the front stages: what the imprint layer sees, and what
@@ -212,14 +206,11 @@ def make_imprint_model(imprint: ImprintModule, *, label_classes: int,
         "imprint.weight": np.asarray(imprint.weight, dtype=dtype),
         "imprint.bias": np.asarray(imprint.bias, dtype=dtype),
     }
-    if bridge == "sum":
-        p = 1
-    elif bridge == "identical_row_linear":
+    p = 1
+    if bridge == "identical_row_linear":
         p = bridge_dim
         # every row constant: the bridge passes the activation sum through
         params["bridge.weight"] = np.full((p, imprint.n_rows), 1.0 / imprint.n_rows, dtype=dtype)
-    else:
-        raise ValueError(f"unknown bridge {bridge!r}")
     params["head.weight"], params["head.bias"], n_classes = _head(
         head, label_classes, p, gain=gain, head_stream=head_stream,
         head_scale=head_scale, dtype=dtype)

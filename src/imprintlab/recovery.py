@@ -1,16 +1,16 @@
 """Server-side recovery: turning gradient payloads back into inputs.
 
-All routines work on an effective mean-gradient payload (parameter deltas are
-converted first) plus the imprint metadata the server kept. The core identity:
-for a genuine imprint row, the weight gradient is (sum over contributing
-examples of weight * example) and the bias gradient is (sum of weights), so
-their ratio is a weighted average of the examples the row saw. Differencing
-adjacent ReLU rows narrows "saw" down to one bin. `recover_bins` is the one
-read-out for binned imprints (ReLU and hard-threshold); it and
-`recover_unique_labels` divide rows through the same `_read_rows` and return
-one `Readout`: parallel arrays of bins, vectors, denominators and confidences,
-which `select_candidates` ranks and scoring takes as they are. The read-out
-casts and differences BLOCK_ROWS bins at a time and keeps only live rows.
+All routines work on the server's one read of an update, the per-user mean
+gradient from `federation.to_gradient_form`, plus the imprint metadata the
+server kept. The core identity: for a genuine imprint row, the weight gradient
+is (sum over contributing examples of weight * example) and the bias gradient
+is (sum of weights), so their ratio is a weighted average of the examples the
+row saw. Differencing adjacent ReLU rows narrows "saw" down to one bin.
+`recover_bins` is the one read-out for binned imprints (ReLU and
+hard-threshold); it and `recover_unique_labels` divide rows through the same
+`_read_rows` and return one `Readout`: parallel arrays of bins, vectors,
+denominators and confidences, which `select_candidates` ranks and scoring
+takes as they are.
 """
 
 from __future__ import annotations
@@ -62,17 +62,17 @@ def _read_rows(num_rows, den: np.ndarray, floor: float, width: int) -> Readout:
     return Readout(bins=live, vectors=vectors, denominators=den[live], confidences=confidences)
 
 
-def _by_bin(rows: np.ndarray, imprint: ImprintModule, dtype, axis=0, lo=0, hi=None):
-    """Rows regrouped per bin along `axis` as `dtype`, bins lo to hi (default
-    all): a hard-threshold row is its own bin; a ReLU row sees all above its
+def _by_bin(rows: np.ndarray, imprint: ImprintModule, dtype, lo=0, hi=None):
+    """Rows regrouped per bin as `dtype`, bins lo to hi (default all): a
+    hard-threshold row is its own bin; a ReLU row sees all above its
     boundary, so bin i is row i minus row i+1, the top bin its row alone."""
     hi = imprint.k if hi is None else hi
     relu = imprint.variant == "relu"
-    picked = np.moveaxis(np.take(rows, imprint.row_of_bin[lo:hi + relu], axis=axis), axis, 0)
+    picked = rows[imprint.row_of_bin[lo:hi + relu]]
     out = picked[:hi - lo].astype(dtype)
     if relu:
         out[:len(picked) - 1] -= picked[1:]
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def recover_bins(payload: UpdatePayload, imprint: ImprintModule) -> Readout:
@@ -81,7 +81,7 @@ def recover_bins(payload: UpdatePayload, imprint: ImprintModule) -> Readout:
     `_by_bin`, read BLOCK_ROWS bins at a time. Denominators at or below
     TAU0 * max|bias grad| are suppressed. The payload is left untouched.
     """
-    g = to_gradient_form(payload.mean_payload()).tensors
+    g = to_gradient_form(payload).tensors
     try:
         gw, gb = g["imprint.weight"], g["imprint.bias"]
     except KeyError as exc:
@@ -95,8 +95,7 @@ def bin_members(active: np.ndarray, imprint: ImprintModule) -> tuple[np.ndarray,
     """(examples, bins): in example order, each (example, bin) pair of an example
     in the average the bin reads out, by `_by_bin` on the (n, rows) active
     mask of the pass behind the payload; an example in no bin is in no pair."""
-    members = _by_bin(active, imprint, np.int8, axis=1) != 0
-    return np.divmod(np.flatnonzero(members), imprint.k)
+    return np.nonzero(_by_bin(active.T, imprint, np.int8).T)
 
 
 def select_candidates(readout: Readout, n: int) -> Readout:

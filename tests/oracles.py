@@ -13,7 +13,6 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from imprintlab.distributions import Empirical, Laplace, Normal
-from imprintlab.federation import to_gradient_form
 
 
 def naive_matmul(a, b):
@@ -170,12 +169,22 @@ def iid_monte_carlo(n: int, k: int, *, reps: int, stream,
     return mean, stderr
 
 
+def two_step_read(payload):
+    """The server's read of an update as two separate passes: every tensor
+    times dtype(1/users), then, for a parameter delta, times
+    dtype(-1/(lr*steps)). Returns the tensors."""
+    out = {k: t * t.dtype.type(1.0 / payload.users) for k, t in payload.tensors.items()}
+    if payload.kind == "param_delta":
+        out = {k: t * t.dtype.type(-1.0 / (payload.lr * payload.steps)) for k, t in out.items()}
+    return out
+
+
 def loop_readout(payload, imprint, tau0=1e-9):
     """The bin read-out one row at a time: gather the rows in bin order, cast
     to float64, floor at tau0 * max|bias grad|, difference adjacent ReLU rows,
     then divide each live row. Returns (bin, vector, denominator, confidence)
     tuples in bin order."""
-    g = to_gradient_form(payload.mean_payload()).tensors
+    g = two_step_read(payload)
     gw = g["imprint.weight"][imprint.row_of_bin].astype(np.float64)
     gb = g["imprint.bias"][imprint.row_of_bin].astype(np.float64)
     floor = tau0 * float(np.abs(gb).max(initial=0.0))

@@ -1,11 +1,12 @@
-"""Print one SHA-256 per report of the 51-config set, and per CLI output, for
+"""Print one SHA-256 per report of the 52-config set, and per CLI output, for
 byte-identity checks.
 
 The set is the four bundled scenarios x seeds 0 and 1 x float32 and float64,
 the three benchmark workload configs (from `imprintbench/workloads.py`) x
 seeds 0 and 1, and runs that reach what those do not: `fullbatch64` with
 4 fed-SGD users, float32 `fedavg8x8` at head gain 1000 at seeds 0 and 2
-(`drifted` 2 and 4), `fedavg8x8` with 4 users x 4 steps, five variants
+(`drifted` 2 and 4), `fedavg8x8` with 4 users x 4 steps, `fedavg8x8` at
+n=96 with 3 users (the set's one user count whose 1/users rounds), five variants
 (`VARIANTS`: front stages, a DCT measurement with decoys and a permutation,
 a permuted Laplace layout, an empirical layout with a linear bridge, a random
 head under clip and noise) x seeds 0 and 1 x float32 and float64, one CSV
@@ -107,6 +108,10 @@ def configs(tmp: str):
     cfg = bundled_config("fedavg8x8")
     cfg["federation"].update(users=4, steps=4)
     yield "fedavg8x8 seed=0 float64 users=4 steps=4", cfg
+    cfg = bundled_config("fedavg8x8")
+    cfg["data"]["n"] = 96
+    cfg["federation"]["users"] = 3
+    yield "fedavg8x8 seed=0 float64 n=96 users=3", cfg
     for label, name, over in VARIANTS:
         for seed in (0, 1):
             for dtype in ("float32", "float64"):

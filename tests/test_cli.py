@@ -206,6 +206,22 @@ def test_runtime_errors_exit_3(tmp_path, capsys):
     assert "(ValueError): non-finite gradient in the payload" in capsys.readouterr().err
 
 
+def test_non_finite_report_exits_3_and_writes_nothing(tmp_path, capsys):
+    # in float32 these imprint weights fit, but the loss overflows to inf;
+    # JSON has no infinity, so the report is refused before any file is opened
+    cfg = bundled_config("fullbatch64")
+    cfg["model"]["measurement"]["c0"] = 1e35
+    cfg = _small_cfg_file(tmp_path, **cfg)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["run", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not JSON compliant" in captured.err
+
+
 def test_non_finite_csv_cell_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "nan.csv"
     path.write_text("a,b\n0.1,0.2\n0.3,nan\n0.5,0.6\n0.7,0.8\n")

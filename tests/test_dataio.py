@@ -157,6 +157,16 @@ def test_canonical_json_is_stable_and_sorted():
     assert canonical_json(arrays) == canonical_json(plain)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, np.float32(np.inf)])
+def test_non_finite_values_are_refused_and_no_report_is_written(tmp_path, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        canonical_json({"x": [1.0, value]})
+    path = tmp_path / "sub" / "report.json"
+    with pytest.raises(ValueError):
+        write_report({"x": value}, str(path))
+    assert not path.parent.exists()
+
+
 def test_write_report_and_csv_format(tmp_path):
     path = str(tmp_path / "sub" / "report.json")
     write_report({"x": 0.1, "nested": {"b": 2, "a": 1}}, path)

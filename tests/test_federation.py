@@ -2,7 +2,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imprintlab.distributions import Normal
@@ -13,7 +13,7 @@ from imprintlab.measurement import build_measurement
 from imprintlab.model import make_imprint_model
 from imprintlab.numerics import RngStream
 from imprintlab.scenarios import bundled_config, run_scenario
-from oracles import loop_drifted, loop_fed_avg
+from oracles import loop_drifted, loop_fed_avg, two_step_read
 
 
 def _model(m=8, k=4, classes=3, dtype=np.float64):
@@ -42,7 +42,7 @@ def test_two_users_average_to_the_joint_batch():
     labels = np.array([0, 2, 1, 1])
     full = fed_sgd(model, x, labels)[1]
     parts = [fed_sgd(model, x[i:i + 2], labels[i:i + 2])[1] for i in (0, 2)]
-    mean = secure_aggregate(parts).mean_payload()
+    mean = to_gradient_form(secure_aggregate(parts))
     assert mean.users == 1
     for key in full.tensors:
         assert np.allclose(mean.tensors[key], full.tensors[key], rtol=1e-12, atol=1e-15)
@@ -59,7 +59,7 @@ def test_sharding_is_invisible_after_aggregation():
               for u in range(10)]
     agg = secure_aggregate(shards)
     assert agg.users == 10
-    mean = agg.mean_payload()
+    mean = to_gradient_form(agg)
     for key in full.tensors:
         scale = max(float(np.abs(full.tensors[key]).max()), 1e-12)
         gap = float(np.abs(mean.tensors[key] - full.tensors[key]).max())
@@ -235,6 +235,34 @@ def test_to_gradient_form_inverts_the_step_scaling():
         to_gradient_form(bare)
 
 
+# 1/users is exact at 2, 4 and 8 users, so only other counts show a folded
+# or reordered product (at 3 users folding moves most float32 entries)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(users=st.integers(1, 8), kind=st.sampled_from(["gradient", "param_delta"]),
+       dtype=st.sampled_from([np.float32, np.float64]), steps=st.integers(1, 8),
+       lr=st.sampled_from([1e-4, 3e-3, 0.1]), seed=st.integers(0, 2**16))
+@example(users=3, kind="param_delta", dtype=np.float32, steps=8, lr=1e-4, seed=0)
+@example(users=5, kind="param_delta", dtype=np.float64, steps=3, lr=3e-3, seed=1)
+@example(users=3, kind="gradient", dtype=np.float32, steps=1, lr=0.1, seed=2)
+def test_one_step_read_is_the_two_step_read(users, kind, dtype, steps, lr, seed):
+    stream = RngStream(26, seed)
+    tensors = {"w": stream.derive(0).normal((6, 5), dtype=dtype),
+               "b": stream.derive(1).normal((6,), dtype=dtype)}
+    payload = UpdatePayload(kind=kind, tensors=tensors, steps=steps, lr=lr, users=users)
+    eff = to_gradient_form(payload)
+    ref = two_step_read(payload)
+    assert (eff.kind, eff.users, eff.steps, eff.lr) == ("gradient", 1, steps, lr)
+    assert eff.tensors.keys() == ref.keys()
+    for key, t in ref.items():
+        assert eff.tensors[key].dtype == dtype
+        assert eff.tensors[key].tobytes() == t.tobytes(), key
+    # one user's gradient comes back uncopied
+    assert (eff is payload) == (users == 1 and kind == "gradient")
+    bare = UpdatePayload(kind="param_delta", tensors=tensors, steps=steps, users=users)
+    with pytest.raises(ValueError, match="without lr"):
+        to_gradient_form(bare)
+
+
 def test_secure_aggregate_sum_and_cancellation():
     stream = RngStream(25, 0)
     payloads = []
@@ -250,7 +278,9 @@ def test_secure_aggregate_sum_and_cancellation():
     solo = secure_aggregate([payloads[0]])
     for key in ("a", "b"):
         assert np.array_equal(solo.tensors[key], payloads[0].tensors[key])
-    anti = secure_aggregate([payloads[0], payloads[0].scaled(-1.0)])
+    negated = UpdatePayload(kind="gradient",
+                            tensors={k: -t for k, t in payloads[0].tensors.items()})
+    anti = secure_aggregate([payloads[0], negated])
     for key in ("a", "b"):
         assert np.all(anti.tensors[key] == 0.0)
 

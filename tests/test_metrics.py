@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imprintlab.metrics import PSNR_EXACT_SENTINEL, exact_flags, match, psnr, score
+from imprintlab.metrics import (EXACT_REL_TOL, PSNR_EXACT_SENTINEL, _errors, match, psnr,
+                               score)
 from imprintlab.numerics import RngStream
 from oracles import brute_assignment, nearest_member
 
@@ -88,23 +89,23 @@ def test_psnr_works_along_the_last_axis():
 
 def test_exact_flags_and_count():
     truth = RngStream(65, 0).normal((5, 6))
-    assert exact_flags(truth.copy(), truth).tolist() == [True] * 5
+    assert _errors(truth.copy(), truth, EXACT_REL_TOL)[1].tolist() == [True] * 5
     cands2 = truth.copy()
     cands2[2] = 0.5 * (truth[2] + truth[3])  # collision blend
     assert score(cands2, truth, _own(5)).exact_count == 4
-    assert exact_flags(cands2, truth).tolist() == [True, True, False, True, True]
+    assert _errors(cands2, truth, EXACT_REL_TOL)[1].tolist() == [True, True, False, True, True]
     # tolerance boundary: relative l2 exactly at rel_tol passes
     c = truth[0] * (1 + 1e-5)
-    assert exact_flags(c, truth[0], rel_tol=1e-4)
-    assert not exact_flags(c, truth[0], rel_tol=1e-6)
+    assert _errors(c, truth[0], 1e-4)[1]
+    assert not _errors(c, truth[0], 1e-6)[1]
     # zero-norm truth row: only an exact zero counts
     z = np.zeros((1, 4))
-    assert exact_flags(z, z).tolist() == [True]
-    assert exact_flags(z + 1e-9, z).tolist() == [False]
+    assert _errors(z, z, EXACT_REL_TOL)[1].tolist() == [True]
+    assert _errors(z + 1e-9, z, EXACT_REL_TOL)[1].tolist() == [False]
     # rel_tol * |truth| past the float range is infinite, with no overflow warning
     truth = np.array([[3.0, 4.0], [0.0, 0.0]])
     cands = np.array([[1e100, -1e100], [1.0, 0.0]])
-    assert exact_flags(cands, truth, rel_tol=np.finfo(np.float64).max).tolist() == [True, False]
+    assert _errors(cands, truth, np.finfo(np.float64).max)[1].tolist() == [True, False]
 
 
 def test_iip_basics():

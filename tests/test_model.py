@@ -178,3 +178,27 @@ def test_copy_isolates_parameters():
     clone = model.copy()
     clone.params["imprint.bias"][0] += 1.0
     assert model.params["imprint.bias"][0] != clone.params["imprint.bias"][0]
+
+
+def test_copy_shares_everything_but_the_parameter_arrays():
+    model = _relu_model(bridge="identical_row_linear", bridge_dim=2,
+                        stages=(FrontStage("identity"),), dtype=np.float32)
+    clone = model.copy()
+    assert clone.params.keys() == model.params.keys()
+    for key, v in model.params.items():
+        assert clone.params[key] is not v and not np.shares_memory(clone.params[key], v)
+        assert clone.params[key].dtype == v.dtype and np.array_equal(clone.params[key], v)
+    for name in ("imprint", "stages", "bridge", "dtype", "n_classes"):
+        assert getattr(clone, name) is getattr(model, name), name
+
+
+def test_unknown_bridge_is_refused_by_name():
+    imp = _relu_model().imprint
+    with pytest.raises(ValueError, match="unknown bridge 'sideways'"):
+        make_imprint_model(imp, label_classes=3, bridge="sideways")
+    params = _relu_model().params
+    for bridge in ("sideways", None):
+        with pytest.raises(ValueError, match=f"unknown bridge {bridge!r}"):
+            ModelGraph(imprint=imp, bridge=bridge, n_classes=4, params=params)
+    with pytest.raises(ValueError, match="bridge without an imprint layer"):
+        ModelGraph(bridge="sum", n_classes=4, params=params)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imprintlab.distributions import Normal
-from imprintlab.federation import fed_avg, fed_sgd, secure_aggregate
+from imprintlab.federation import fed_avg, fed_sgd, secure_aggregate, to_gradient_form
 from imprintlab.imprint import build_hard_threshold, build_relu, make_layout
 from imprintlab.measurement import build_measurement
 from imprintlab.model import make_imprint_model, make_logistic_model
@@ -203,7 +203,7 @@ def test_aggregate_recovery_matches_joint_batch():
     agg = secure_aggregate(users)
     # the sum-form aggregate is accepted directly and matches its own mean form
     from_agg = recover_bins(agg, imp)
-    from_mean = recover_bins(agg.mean_payload(), imp)
+    from_mean = recover_bins(to_gradient_form(agg), imp)
     assert _rows(from_agg) == _rows(from_mean)
     ref = recover_bins(joint, imp)
     assert np.array_equal(from_agg.bins, ref.bins)
