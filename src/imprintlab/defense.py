@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .federation import UpdatePayload
-from .numerics import RngStream, l2_norm
+from .numerics import BLOCK_ROWS, RngStream, l2_norm
 
 # the largest noise draw in scales: numpy's Laplace is at most 52 ln 2 (its
 # uniforms are multiples of 2**-53), its normal less
@@ -42,11 +43,15 @@ class DefenseConfig:
 
 def apply_defense(payload: UpdatePayload, config: DefenseConfig,
                   stream: RngStream | None = None) -> UpdatePayload:
-    """Clip the payload's global l2 norm, then add iid noise to every entry.
+    """Private copies of the payload's tensors: its global l2 norm clipped,
+    then iid noise added to every entry.
 
     Scaling uses min(1, clip/norm), so under-norm payloads pass through
     untouched. Noise draws come from one child stream per tensor (sorted key
-    order), so the result is independent of dict ordering.
+    order), so the result is independent of dict ordering. Each tensor's
+    noise is drawn from its child's one generator BLOCK_ROWS rows at a time
+    and added into the copy, so no full-size noise array is made; the values
+    are those of one whole draw.
     """
     tensors = payload.tensors
     scale = 1.0
@@ -63,11 +68,14 @@ def apply_defense(payload: UpdatePayload, config: DefenseConfig,
             if stream is None:
                 raise ValueError("noise requested but no stream given")
             child = stream.derive(idx)
+            gen = child.generator()
             if config.noise == "gaussian":
-                noise = child.normal(t.shape, sd=config.sigma)
+                draw = partial(child.normal, sd=config.sigma, gen=gen)
             else:
-                noise = child.laplace(t.shape, scale=config.sigma)
-            v += noise.astype(t.dtype, copy=False)  # v is our own copy
+                draw = partial(child.laplace, scale=config.sigma, gen=gen)
+            for lo in range(0, len(v), BLOCK_ROWS):
+                block = v[lo:lo + BLOCK_ROWS]  # a view: v is our own copy
+                block += draw(block.shape).astype(t.dtype, copy=False)
         out[key] = v
     return replace(payload, tensors=out)
 

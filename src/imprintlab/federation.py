@@ -39,7 +39,12 @@ def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
     """Sequential local SGD of an imprint model over an equal split of the
     batch; returns the parameter delta, each step's loss and the (n, rows)
     active mask, each example's row mask at its own step. The caller's model
-    is untouched."""
+    is untouched. Each step is `ModelGraph.sgd_step` on one local copy, which
+    frees the step's gradients before the next pass and, in a chunk that
+    activates few rows, moves the imprint weight only at those rows. A call
+    holds the copy and one step's gradients, or at the end the copy and the
+    delta; a sparse step adds its touched rows' gathers, at most half the
+    imprint weight."""
     n = len(labels)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -52,10 +57,7 @@ def fed_avg(model: ModelGraph, x: np.ndarray, labels: np.ndarray, *, steps: int,
     losses, actives = [], []
     for s in range(steps):
         sl = slice(s * chunk, (s + 1) * chunk)
-        loss, grads, active = local.loss_and_grads(x[sl], labels[sl])
-        for key, g in grads.items():
-            g *= g.dtype.type(lr)  # each step's gradients are fresh arrays
-            local.params[key] -= g
+        loss, active = local.sgd_step(x[sl], labels[sl], lr)
         losses.append(loss)
         actives.append(active)
     # model.copy() copied the params, so the caller's are still the start point

@@ -167,6 +167,29 @@ class ModelGraph:
         grads["imprint.bias"] = dpre.sum(axis=0)
         return loss, grads, active
 
+    def sgd_step(self, x: np.ndarray, labels: np.ndarray, lr: float):
+        """One SGD step on this graph's own arrays, params -= lr * grads from
+        `loss_and_grads`; returns its loss and active mask and frees the
+        gradients. When at most a quarter of the imprint rows are active for
+        some example (a hard-threshold example lights one row, a ReLU example
+        every row below its value), the imprint weight moves only at those
+        rows: elsewhere its gradient is +0.0 (`dpre` is), and
+        p - (+0.0 * lr) is p, -0.0 included. Past a quarter, gathering and
+        scattering the rows costs more than the dense in-place update. The
+        product stays dense either way: one over the touched rows alone can
+        round differently."""
+        loss, grads, active = self.loss_and_grads(x, labels)
+        for key, g in grads.items():
+            rows = slice(None)
+            if key == "imprint.weight":
+                touched = np.flatnonzero(active.any(axis=0))
+                if 4 * len(touched) <= len(g):
+                    rows = touched
+            g = g[rows]  # the touched rows' copy, or a view of a fresh array
+            g *= g.dtype.type(lr)
+            self.params[key][rows] -= g
+        return loss, active
+
 
 def _head(kind: str, label_classes: int, width: int, *, gain: float,
           head_stream: RngStream | None, head_scale: float, dtype):
@@ -200,8 +223,8 @@ def make_imprint_model(imprint: ImprintModule, *, label_classes: int,
     if label_classes < 1:
         raise ValueError(f"label_classes must be >= 1, got {label_classes}")
     dtype = np.dtype(dtype)
-    # shared with the imprint module when the dtypes agree; nothing writes
-    # into model.params in place (fed-AVG trains a ModelGraph.copy())
+    # shared with the imprint module when the dtypes agree; only sgd_step
+    # writes into model.params in place, and fed-AVG runs it on a copy()
     params = {
         "imprint.weight": np.asarray(imprint.weight, dtype=dtype),
         "imprint.bias": np.asarray(imprint.bias, dtype=dtype),

@@ -54,16 +54,19 @@ class RngStream:
     # All draws sample in float64 and cast, so a float32 run sees the rounded
     # version of exactly the float64 run's values.
 
-    def normal(self, shape, *, sd: float = 1.0, dtype=np.float64) -> np.ndarray:
-        out = self.generator().standard_normal(shape)
+    # `gen`, when given, must be a generator from this stream's `generator()`:
+    # the draw continues it. Draws take their values one at a time, so blocks
+    # drawn in turn from one generator are one whole draw's values.
+    def normal(self, shape, *, sd: float = 1.0, dtype=np.float64, gen=None) -> np.ndarray:
+        out = (gen if gen is not None else self.generator()).standard_normal(shape)
         out *= sd  # in place: the same multiply as `* sd`, without a second array
         return np.asarray(out, dtype=dtype)
 
     def uniform(self, shape, *, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self.generator().uniform(low, high, shape)
 
-    def laplace(self, shape, *, scale: float) -> np.ndarray:
-        return self.generator().laplace(0.0, scale, shape)
+    def laplace(self, shape, *, scale: float, gen=None) -> np.ndarray:
+        return (gen if gen is not None else self.generator()).laplace(0.0, scale, shape)
 
     def integers(self, shape, *, low: int, high: int) -> np.ndarray:
         """Uniform integers in [low, high)."""

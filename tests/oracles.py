@@ -363,3 +363,19 @@ def loop_load_csv(path, *, dtype=np.float32):
             rows.append(feats)
     x = np.asarray(rows, dtype=dtype)
     return x, (np.asarray(labels, dtype=np.int64) if label_idx is not None else None)
+
+
+def whole_draw_noise(payload, config, stream):
+    """apply_defense's tensors without clipping, each tensor's noise drawn in
+    one piece: the whole float64 draw of its child stream (sorted key order)
+    cast to the tensor's dtype and added."""
+    out = {}
+    for idx, key in enumerate(sorted(payload.tensors)):
+        t = payload.tensors[key]
+        gen = stream.derive(idx).generator()
+        if config.noise == "gaussian":
+            noise = gen.standard_normal(t.shape) * config.sigma
+        else:
+            noise = gen.laplace(0.0, config.sigma, t.shape)
+        out[key] = t + noise.astype(t.dtype)
+    return out

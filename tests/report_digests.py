@@ -1,4 +1,4 @@
-"""Print one SHA-256 per report of the 52-config set, and per CLI output, for
+"""Print one SHA-256 per report of the 56-config set, and per CLI output, for
 byte-identity checks.
 
 The set is the four bundled scenarios x seeds 0 and 1 x float32 and float64,
@@ -6,10 +6,11 @@ the three benchmark workload configs (from `imprintbench/workloads.py`) x
 seeds 0 and 1, and runs that reach what those do not: `fullbatch64` with
 4 fed-SGD users, float32 `fedavg8x8` at head gain 1000 at seeds 0 and 2
 (`drifted` 2 and 4), `fedavg8x8` with 4 users x 4 steps, `fedavg8x8` at
-n=96 with 3 users (the set's one user count whose 1/users rounds), five variants
+n=96 with 3 users (the set's one user count whose 1/users rounds), six variants
 (`VARIANTS`: front stages, a DCT measurement with decoys and a permutation,
 a permuted Laplace layout, an empirical layout with a linear bridge, a random
-head under clip and noise) x seeds 0 and 1 x float32 and float64, one CSV
+head under clip and noise, fed-AVG over ReLU rows with a DCT measurement,
+decoys and a permutation) x seeds 0 and 1 x float32 and float64, one CSV
 run per normalization, and `oneshot` with `metrics.select: 1` and at the
 default `metrics.pool`. Each digest is taken over the report's canonical JSON
 with the nondeterministic `timing` block (and a CSV run's temporary
@@ -65,6 +66,9 @@ VARIANTS = [
     ("random head clip=1 gaussian sigma=1e-3", "fullbatch64",
      {"model": {"head": {"kind": "random"}},
       "defense": {"clip": 1.0, "noise": "gaussian", "sigma": 1e-3}}),
+    ("relu dct freq=3 decoys=5 permute", "fedavg8x8",
+     {"model": {"measurement": {"kind": "dct", "freq": 3},
+                "imprint": {"variant": "relu", "k": 128, "decoys": 5, "permute": True}}}),
 ]
 
 

@@ -222,6 +222,16 @@ def test_non_finite_report_exits_3_and_writes_nothing(tmp_path, capsys):
     assert captured.out == "" and "not JSON compliant" in captured.err
 
 
+def test_non_finite_report_names_its_field(tmp_path, capsys):
+    cfg = bundled_config("fullbatch64")
+    cfg["model"]["measurement"]["c0"] = 1e35  # float32: the loss overflows
+    cfg = _small_cfg_file(tmp_path, **cfg)
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", cfg]) == 3
+    assert ("runtime error (ValueError): federation.mean_loss: Out of range float "
+            "values are not JSON compliant: inf") in capsys.readouterr().err
+
+
 def test_non_finite_csv_cell_is_a_config_error(tmp_path, capsys):
     path = tmp_path / "nan.csv"
     path.write_text("a,b\n0.1,0.2\n0.3,nan\n0.5,0.6\n0.7,0.8\n")

@@ -167,6 +167,17 @@ def test_non_finite_values_are_refused_and_no_report_is_written(tmp_path, value)
     assert not path.parent.exists()
 
 
+@pytest.mark.parametrize("obj, path", [
+    ({"b": [1.0, np.inf], "a": {"z": np.nan}}, "a.z"),  # the first in sorted key order
+    ({"x": [1.0, {"y": [0.5, -np.inf]}]}, r"x\[1\]\.y\[1\]"),
+    ({"grid": np.array([[1.5, 2.0], [3.0, np.float32(np.nan)]])}, r"grid\[1\]\[1\]"),
+    ({"s": np.float32(np.inf)}, "s"),
+])
+def test_non_finite_values_are_named_by_their_path(obj, path):
+    with pytest.raises(ValueError, match=rf"^{path}: Out of range float values are not JSON"):
+        canonical_json(obj)
+
+
 def test_write_report_and_csv_format(tmp_path):
     path = str(tmp_path / "sub" / "report.json")
     write_report({"x": 0.1, "nested": {"b": 2, "a": 1}}, path)

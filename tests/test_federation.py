@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from imprintlab.distributions import Normal
 from imprintlab.federation import (UpdatePayload, fed_avg, fed_sgd,
                                    secure_aggregate, to_gradient_form)
-from imprintlab.imprint import build_relu, make_layout
+from imprintlab.imprint import build_hard_threshold, build_relu, make_layout
 from imprintlab.measurement import build_measurement
 from imprintlab.model import make_imprint_model
 from imprintlab.numerics import RngStream
@@ -163,20 +163,49 @@ def test_drifted_is_the_oracle_and_zero_for_one_step(cfg):
         assert drifted == 0
 
 
+# A step whose chunk activates at most a quarter of the imprint rows moves
+# only those rows, which equals the dense step only while every other row's
+# gradient is +0.0. The draws take both paths (a hard-threshold example
+# lights one row, a ReLU example every row below it) and include -0.0 weights
+# (p - (+0.0 * lr) must keep them; the delta cannot show their sign, since it
+# subtracts the start) and chunks whose examples share rows.
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_fed_avg_matches_reference_local_sgd(dtype):
-    model = _model(m=8, k=6, classes=3, dtype=dtype)
-    x = RngStream(23, 4).normal((12, 8), dtype=dtype)
-    labels = np.array([0, 1, 2] * 4)
-    payload, losses, active = fed_avg(model, x, labels, steps=3, lr=0.05)
-    ref_delta, ref_losses, ref_actives = loop_fed_avg(model, x, labels, steps=3, lr=0.05)
-    assert set(payload.tensors) == set(ref_delta)
+@settings(max_examples=75, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(["relu", "hard_threshold"]), decoys=st.integers(0, 3),
+       permute=st.booleans(), steps=st.sampled_from([1, 2, 4, 8]), chunk=st.integers(1, 4),
+       m=st.integers(1, 6), k=st.integers(2, 40), gain=st.sampled_from([1.0, 1000.0]),
+       lr=st.sampled_from([1e-4, 1e-2, 0.5]), neg_zero=st.booleans(), shared=st.booleans(),
+       seed=st.integers(0, 2**16))
+@example(variant="relu", decoys=2, permute=True, steps=8, chunk=1, m=3, k=16, gain=1.0,
+         lr=0.5, neg_zero=True, shared=False, seed=0)
+@example(variant="hard_threshold", decoys=0, permute=True, steps=4, chunk=3, m=2, k=24,
+         gain=1000.0, lr=1e-2, neg_zero=True, shared=True, seed=1)
+def test_fed_avg_matches_reference_local_sgd(dtype, variant, decoys, permute, steps, chunk,
+                                             m, k, gain, lr, neg_zero, shared, seed):
+    stream = RngStream(27, seed)
+    lay, h = make_layout(Normal(), k), build_measurement("mean", m, c0="auto")
+    perm = stream.derive(0) if permute else None
+    if variant == "relu":
+        imp = build_relu(lay, h, decoys=decoys, perm_stream=perm,
+                         decoy_stream=stream.derive(1), dtype=dtype)
+    else:
+        imp = build_hard_threshold(lay, h, perm_stream=perm, dtype=dtype)
+    model = make_imprint_model(imp, label_classes=3, gain=gain, dtype=dtype)
+    if neg_zero:  # a private copy: the imprint module shares the model's array
+        w = model.params["imprint.weight"] = model.params["imprint.weight"].copy()
+        w[stream.derive(2).uniform(w.shape) < 0.5] = -0.0
+    x = stream.derive(3).normal((steps * chunk, m), dtype=dtype)
+    if shared and chunk > 1:
+        x[1::chunk] = x[::chunk]  # each chunk's first two examples: the same rows
+    labels = stream.derive(4).integers(steps * chunk, low=0, high=3)
+    payload, losses, active = fed_avg(model, x, labels, steps=steps, lr=lr)
+    ref_delta, ref_losses, ref_actives = loop_fed_avg(model, x, labels, steps=steps, lr=lr)
+    assert payload.tensors.keys() == ref_delta.keys()
     for key, ref in ref_delta.items():
         got = payload.tensors[key]
-        assert got.dtype == ref.dtype == dtype
-        assert np.array_equal(got, ref), key
+        assert got.dtype == ref.dtype == dtype and got.tobytes() == ref.tobytes(), key
     assert any(np.any(d != 0) for d in ref_delta.values())
-    assert losses == ref_losses and len(losses) == 3
+    assert losses == ref_losses and len(losses) == steps
     # one mask over the user's examples: each at the step that saw it
     assert np.array_equal(active, np.concatenate(ref_actives))
 

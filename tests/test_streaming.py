@@ -1,11 +1,12 @@
-"""The read-out, the scoring and the forward/backward pass work in row blocks
-of BLOCK_ROWS and reuse their buffers; the softmax and the normal draw work in
-place, and scoring casts its truth and pool to float64 only for their own
-products. These tests hold them to the whole-array expressions bit for bit at
-the block edges, and bound the bytes each allocates with tracemalloc
-(allocation counts, not RSS). A federated round streams its users into a
-running secure sum, and is bounded the same way at two user counts; a
-one-shot trial loop holds one trial's round at a time."""
+"""The read-out, the scoring, the forward/backward pass and the defense's
+noise work in row blocks of BLOCK_ROWS and reuse their buffers; the softmax
+and the normal draw work in place, and scoring casts its truth and pool to
+float64 only for their own products. These tests hold them to the
+whole-array expressions bit for bit at the block edges, and bound the bytes
+each allocates with tracemalloc (allocation counts, not RSS). A federated
+round streams its users into a running secure sum, and is bounded the same
+way at two user counts; a fed-AVG call holds its local copy plus one step's
+gradients; a one-shot trial loop holds one trial's round at a time."""
 
 import dataclasses
 import tracemalloc
@@ -18,9 +19,10 @@ from hypothesis import strategies as st
 from imprintlab import scenarios
 from imprintlab.cli import main
 from imprintlab.dataio import canonical_json
+from imprintlab.defense import DefenseConfig, apply_defense
 from imprintlab.distributions import Normal
 from imprintlab.errors import ConfigError
-from imprintlab.federation import UpdatePayload
+from imprintlab.federation import UpdatePayload, fed_avg
 from imprintlab.imprint import ImprintModule, build_hard_threshold, build_relu, make_layout
 from imprintlab.measurement import build_measurement
 from imprintlab.metrics import _pairwise_sq, score
@@ -29,7 +31,7 @@ from imprintlab.numerics import BLOCK_ROWS as B
 from imprintlab.numerics import RngStream
 from imprintlab.recovery import recover_bins
 from oracles import (loop_readout, unblocked_exact_psnr, unblocked_imprint_pass,
-                     unblocked_pairwise_sq, unblocked_softmax_ce)
+                     unblocked_pairwise_sq, unblocked_softmax_ce, whole_draw_noise)
 
 EDGES = (0, 1, B - 1, B, B + 1)
 
@@ -185,6 +187,23 @@ def test_normal_draw_is_the_out_of_place_product(sd, dtype):
     assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("noise, sigma", [("gaussian", 0.3), ("laplace", 1e-3)])
+@pytest.mark.parametrize("rows", EDGES + (2 * B + 3,))
+def test_block_streamed_noise_is_one_whole_draw(rows, noise, sigma, dtype):
+    stream = RngStream(6, rows)
+    tensors = {"w": stream.derive(0).normal((rows, 7), dtype=dtype),
+               "b": stream.derive(1).normal((rows,), dtype=dtype),
+               "h": stream.derive(2).normal((3, 1), dtype=dtype)}
+    payload = UpdatePayload(kind="gradient", tensors=tensors)
+    config = DefenseConfig(noise=noise, sigma=sigma)
+    out = apply_defense(payload, config, RngStream(7, rows)).tensors
+    ref = whole_draw_noise(payload, config, RngStream(7, rows))
+    assert out.keys() == ref.keys()
+    for key, t in ref.items():
+        assert out[key].dtype == t.dtype == dtype and out[key].tobytes() == t.tobytes(), key
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 300), classes=st.integers(1, 12),
        dtype=st.sampled_from([np.float32, np.float64]), gain=st.floats(0.0, 1e6),
@@ -321,12 +340,12 @@ def test_trial_loop_holds_one_round_at_a_time():
     assert peaks[2] <= peaks[1] + SMALL, peaks
 
 
-def _fed_avg_round(users, shard, m=4096, k=64):
+def _fed_avg_round(users, shard, m=4096, k=64, variant="hard_threshold"):
     """The inputs `_federate` takes for a float64 fed-AVG round of `users`
     users x `shard` examples in 2 local steps, under clip and Laplace noise."""
     raw = scenarios.bundled_config("fedavg8x8")
     raw["data"] = dict(raw["data"], n=users * shard, m=m)
-    raw["model"]["imprint"]["k"] = k
+    raw["model"]["imprint"] = {"variant": variant, "k": k}
     raw["federation"] = dict(raw["federation"], users=users, steps=2)
     raw["defense"] = {"clip": 1.0, "noise": "laplace", "sigma": 1e-12}
     cfg = scenarios.validate_config(raw)
@@ -343,12 +362,44 @@ def test_federate_peaks_at_the_sum_plus_one_users_pass(users):
     cfg, model, imp, batch, stream = _fed_avg_round(users, shard)
     update = sum(p.nbytes for p in model.params.values())  # one payload, or the sum
     # one user's pass: the local model copy, a step's gradient, the delta,
-    # the defended copy, and the (shard, rows) active mask twice over (each
-    # step's and their concatenation). The defense's Laplace draw of one
-    # tensor comes after the local copy and the step gradient are freed.
+    # the defended copy, one block of Laplace noise (here the whole imprint
+    # weight: its 64 rows are fewer than BLOCK_ROWS), and the (shard, rows)
+    # active mask twice over (each step's and their concatenation). The
+    # defense runs after the local copy and the step gradient are freed.
     one_pass = 4 * update + 2 * shard * imp.n_rows
     peak = _peak_bytes(scenarios._federate, cfg, model, imp, batch, stream)
     assert peak <= update + one_pass + SMALL, (peak, update)
+
+
+@pytest.mark.parametrize("variant", ["hard_threshold", "relu"])
+@pytest.mark.parametrize("steps", [2, 4])
+def test_fed_avg_peaks_at_its_copy_plus_one_steps_gradient(steps, variant):
+    _, model, _, batch, _ = _fed_avg_round(1, 8, variant=variant)
+    update = sum(p.nbytes for p in model.params.values())
+    # the local copy and one step's gradients (each step's are freed before
+    # the next pass), then the copy and the delta. A step that touches at
+    # most a quarter of the imprint rows gathers their gradient and weight
+    # rows: at most half the imprint weight. Here a hard-threshold chunk
+    # touches at most its 4 or 2 examples' rows of 64, a ReLU chunk most rows.
+    gathers = model.params["imprint.weight"].nbytes // 2
+    peak = _peak_bytes(fed_avg, model, batch.x, batch.labels, steps=steps, lr=1e-4)
+    assert peak <= 2 * update + gathers + SMALL, (peak, update)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_defense_peaks_at_its_copies_plus_one_noise_block(dtype):
+    rows, w = 4 * B + 1, 512
+    stream = RngStream(8, 0)
+    payload = UpdatePayload(kind="gradient", tensors={
+        "w": stream.derive(0).normal((rows, w), dtype=dtype),
+        "b": stream.derive(1).normal((rows,), dtype=dtype)})
+    copies = sum(t.nbytes for t in payload.tensors.values())
+    # one block of float64 noise and its cast to the tensor's dtype
+    block = B * w * (8 + (np.dtype(dtype).itemsize if dtype != np.float64 else 0))
+    for noise in ("gaussian", "laplace"):  # unclipped: in float32 the norm's cast would peak
+        config = DefenseConfig(noise=noise, sigma=1e-3)
+        peak = _peak_bytes(apply_defense, payload, config, RngStream(9, 0))
+        assert peak <= copies + block + SMALL, (noise, peak, copies)
 
 
 @pytest.mark.parametrize("exc, code", [(ConfigError("model.head.gain: bad"), 2),
