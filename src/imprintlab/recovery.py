@@ -24,6 +24,7 @@ from .imprint import ImprintModule
 from .numerics import BLOCK_ROWS
 
 TAU0 = 1e-9  # relative floor under which a denominator counts as inactive
+SCORE_CELLS = 1 << 18  # float64 scores per token-lookup product (2 MiB)
 
 
 class NoActiveRow(RuntimeError):
@@ -123,28 +124,35 @@ def recover_unique_labels(grad_w: np.ndarray, grad_b: np.ndarray) -> Readout:
     return out
 
 
-def token_lookup(vector: np.ndarray, table: np.ndarray, seq_len: int, *,
-                 table_sq: np.ndarray) -> np.ndarray:
-    """Map one recovered embedding concatenation back to its seq_len token ids.
+def token_lookup(vectors: np.ndarray, table: np.ndarray, seq_len: int) -> np.ndarray:
+    """Map recovered embedding concatenations, (c, seq_len * d), back to their
+    (c, seq_len) int64 token ids.
 
-    Splits the vector into seq_len blocks of the embedding width and takes
-    the nearest table row (Euclidean) per block. `table_sq` is the table's
-    per-row squared norm, (table * table).sum(axis=1): a caller decoding many
-    vectors against one table (float64, so no call converts it) computes it once.
+    Each vector splits into seq_len blocks of the embedding width d, and each
+    block takes the nearest table row (Euclidean). The c * seq_len blocks are
+    scored in products of at most SCORE_CELLS float64 cells, each written
+    into one reused buffer, so the scores held stay bounded whatever c is.
     """
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2:
         raise ValueError(f"embedding table must be 2-d, got {table.shape}")
-    if np.shape(table_sq) != (table.shape[0],):
-        raise ValueError(f"table_sq shape {np.shape(table_sq)} != ({table.shape[0]},)")
-    vec = np.asarray(vector, dtype=np.float64).ravel()
-    d = table.shape[1]
-    if vec.size != seq_len * d:
-        raise ValueError(f"vector length {vec.size} != seq_len {seq_len} * width {d}")
-    blocks = vec.reshape(seq_len, d)
-    # ||b - t||^2 = ||b||^2 - 2 b.t + ||t||^2; first term constant per row
-    scores = -2.0 * blocks @ table.T + table_sq
-    return np.argmin(scores, axis=1).astype(np.int64)
+    vocab, d = table.shape
+    vecs = np.asarray(vectors, dtype=np.float64)
+    if vecs.ndim != 2 or vecs.shape[1] != seq_len * d:
+        raise ValueError(f"vectors {vecs.shape}: each row's length must be "
+                         f"seq_len {seq_len} * width {d}")
+    n = len(vecs) * seq_len
+    blocks = vecs.reshape(n, d)
+    table_sq = (table * table).sum(axis=1)
+    step = max(1, min(n, SCORE_CELLS // vocab))
+    scores = np.empty((step, vocab))  # the one buffer every product writes into
+    ids = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, step):
+        # ||b - t||^2 = ||b||^2 - 2 b.t + ||t||^2; first term constant per row
+        out = np.matmul(-2.0 * blocks[lo:lo + step], table.T, out=scores[:min(step, n - lo)])
+        out += table_sq
+        ids[lo:lo + step] = np.argmin(out, axis=1)
+    return ids.reshape(len(vecs), seq_len)
 
 
 def decoding_verified(vector: np.ndarray, ids: np.ndarray, table: np.ndarray, *,

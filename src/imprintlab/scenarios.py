@@ -580,16 +580,15 @@ def _draw_pool(cfg, model, batch):
 
 
 def _token_block(cfg, batch, selected, rep):
-    # one float64 table and one set of row norms for every decoded row
+    # one blocked lookup decodes every selected row against one float64
+    # table; the re-embedding check and the correct-token count go row by row
     table = np.asarray(batch.meta["table"], dtype=np.float64)
-    table_sq = (table * table).sum(axis=1)
-    seq_len = batch.meta["seq_len"]
     truth_ids = batch.meta["ids"]
     total = int(truth_ids.size)
     correct = 0
     verified = 0
-    for vector, row in zip(selected.vectors, rep.truth_row):
-        ids = token_lookup(vector, table, seq_len, table_sq=table_sq)
+    decoded = token_lookup(selected.vectors, table, batch.meta["seq_len"])
+    for vector, ids, row in zip(selected.vectors, decoded, rep.truth_row):
         if decoding_verified(vector, ids, table, rel_tol=cfg["metrics"]["verify_rel_tol"]):
             verified += 1
             correct += int((ids == truth_ids[row]).sum())

@@ -204,6 +204,18 @@ def loop_select(rows, n):
     return sorted(rows, key=lambda r: (-r[3], r[0]))[:n]
 
 
+def loop_token_lookup(vectors, table, seq_len):
+    """Token ids one vector at a time, one product per vector, each block
+    scored `-2.0 * blocks @ table.T + table_sq` against a float64 table."""
+    table = np.asarray(table, dtype=np.float64)
+    table_sq = (table * table).sum(axis=1)
+    out = np.empty((len(vectors), seq_len), dtype=np.int64)
+    for i, vec in enumerate(vectors):
+        blocks = np.asarray(vec, dtype=np.float64).reshape(seq_len, table.shape[1])
+        out[i] = np.argmin(-2.0 * blocks @ table.T + table_sq, axis=1)
+    return out
+
+
 def loop_fed_avg(model, x, labels, *, steps, lr):
     """Textbook local SGD: copy the params, step with params -= lr * g, and
     take the delta against the start copy. Returns (delta, each step's loss,

@@ -363,7 +363,9 @@ def test_empty_readout_scores_nothing(monkeypatch, name):
     assert (rec["spurious"], rec["iip"]) == (0, 0.0)
     assert rec["mean_psnr"] is None and rec["mean_psnr_exact"] is None
     if name == "text128":
-        assert rep["tokens"]["correct_tokens"] == rep["tokens"]["verified_candidates"] == 0
+        tokens = rep["tokens"]
+        assert tokens["correct_tokens"] == tokens["verified_candidates"] == 0
+        assert tokens["token_accuracy"] == 0.0 and tokens["total_tokens"] > 0
 
 
 @pytest.mark.parametrize("federation", [
