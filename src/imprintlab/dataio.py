@@ -134,28 +134,10 @@ def load_token_sequences(n_seq: int, seq_len: int, *, vocab: int, embed_dim: int
 def canonical_json(obj) -> str:
     """obj as strict JSON with sorted keys, all strings (int keys would sort
     numerically); numpy values via .tolist(). A NaN or infinity raises
-    ValueError naming the path of the first one written."""
-    try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                          default=lambda v: v.tolist()) + "\n"
-    except ValueError as err:
-        path = _non_finite_path(obj)
-        raise ValueError(f"{path}: {err}") if path else err
-
-
-def _non_finite_path(obj, path=""):
-    """Path (`a.b[i]`) of obj's first non-finite float in the order
-    canonical_json writes it, or None."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()
-    if isinstance(obj, float):
-        return None if math.isfinite(obj) else path
-    subs = ()
-    if isinstance(obj, dict):
-        subs = ((f"{path}.{k}" if path else str(k), v) for k, v in sorted(obj.items()))
-    elif isinstance(obj, (list, tuple)):
-        subs = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
-    return next(filter(None, (_non_finite_path(v, sub) for sub, v in subs)), None)
+    ValueError; a run's report holds none, since its federated pass traps
+    overflow as a config error."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=lambda v: v.tolist()) + "\n"
 
 
 def write_report(report: dict, path: str) -> None:

@@ -348,40 +348,63 @@ def _build_attack(cfg, m_feat, n, dtype):
     if assumed["kind"] == "empirical":
         surrogate = RngStream(seed, STREAM_SURROGATE).normal(
             (assumed["surrogate_n"], m_feat))
-    dist = assumed_distribution(h, assumed, surrogate=surrogate)
-
     imp_cfg = model_cfg["imprint"]
-    with np.errstate(over="ignore"):  # a parameter past the dtype's range is named below
+    with np.errstate(over="ignore", invalid="ignore"):  # past the dtype's range: named below
+        try:  # closed-form layouts are validated; an empirical one is measured through c0
+            dist = assumed_distribution(h, assumed, surrogate=surrogate)
+            if imp_cfg["variant"] != "one_shot":
+                bounds = make_layout(dist, imp_cfg["k"], p_min=imp_cfg["p_min"])
+        except ValueError as exc:
+            _fail("model.measurement.c0", f"{meas_cfg['c0']} degenerates the measured assumed "
+                  f"distribution ({exc})")
         if imp_cfg["variant"] == "one_shot":
             mass = imp_cfg["target_mass"]
             if mass == "1/n":
                 mass = 1.0 / n
             imp = fuse_one_shot(dist, h, mass, placement=imp_cfg["placement"], dtype=dtype)
         else:
-            bounds = make_layout(dist, imp_cfg["k"], p_min=imp_cfg["p_min"])
             perm_stream = RngStream(seed, STREAM_IMPRINT_PERM) if imp_cfg["permute"] else None
             if imp_cfg["variant"] == "relu":
                 imp = build_relu(bounds, h, decoys=imp_cfg["decoys"], perm_stream=perm_stream,
                                  decoy_stream=RngStream(seed, STREAM_DECOYS), dtype=dtype)
             else:
                 imp = build_hard_threshold(bounds, h, perm_stream=perm_stream, dtype=dtype)
-    if not (np.isfinite(imp.weight).all() and np.isfinite(imp.bias).all()):
-        # the measurement row itself, else the assumed boundaries or bin widths
-        if np.abs(h.row()).max() > np.finfo(dtype).max or assumed["kind"] == "empirical":
-            leaf, value = "measurement.c0", meas_cfg["c0"]
-        else:
-            key = _layout_blame(assumed)
-            leaf, value = f"assumed.{key}", assumed[key]
-        _fail(f"model.{leaf}", f"{value} puts imprint weights or biases past the {dtype} range")
+        if not (np.isfinite(imp.weight).all() and np.isfinite(imp.bias).all()):
+            # the measurement row itself, else the assumed boundaries or bin widths
+            if np.abs(h.row()).max() > np.finfo(dtype).max or assumed["kind"] == "empirical":
+                leaf, value = "measurement.c0", meas_cfg["c0"]
+            else:
+                key = _layout_blame(assumed)
+                leaf, value = f"assumed.{key}", assumed[key]
+            _fail(f"model.{leaf}", f"{value} puts imprint weights or biases past the "
+                  f"{dtype} range")
 
     stages = tuple(FrontStage(st["kind"], st["factor"]) for st in model_cfg["front"])
     head = model_cfg["head"]
-    model = make_imprint_model(
-        imp, label_classes=cfg["data"]["label_classes"], bridge=model_cfg["bridge"],
-        bridge_dim=model_cfg.get("bridge_dim"), head=head["kind"],
-        gain=head.get("gain"), head_stream=RngStream(seed, STREAM_HEAD),
-        head_scale=head.get("scale"), stages=stages, dtype=dtype)
+    try:
+        with np.errstate(over="raise"):  # a random head's draws past the dtype's range
+            model = make_imprint_model(
+                imp, label_classes=cfg["data"]["label_classes"], bridge=model_cfg["bridge"],
+                bridge_dim=model_cfg.get("bridge_dim"), head=head["kind"],
+                gain=head.get("gain"), head_stream=RngStream(seed, STREAM_HEAD),
+                head_scale=head.get("scale"), stages=stages, dtype=dtype)
+    except FloatingPointError:
+        _fail("model.head.scale", f"{head['scale']:g} draws head weights past the {dtype} range")
     return imp, model
+
+
+def _blame_overflow(cfg, batch, exc: FloatingPointError) -> ConfigError:
+    """A federated pass left the run dtype's range: blame the largest factor it
+    multiplies by, among a set (not "auto") |c0|, the head's gain or scale,
+    fed-AVG's lr and a CSV batch's largest |value| (named data.path)."""
+    c0 = cfg["model"]["measurement"]["c0"]
+    factors = {f"model.head.{k}": v for k, v in cfg["model"]["head"].items() if k != "kind"}
+    factors.update({"model.measurement.c0": 0.0 if c0 == "auto" else abs(c0),
+                    "federation.lr": cfg["federation"].get("lr", 0.0),
+                    "data.path": np.abs(batch.x).max() if cfg["data"]["kind"] == "csv" else 0.0})
+    leaf = max(factors, key=factors.get)
+    return ConfigError(f"{leaf}: {factors[leaf]:g} is the largest factor of a federated pass "
+                       f"that left the {cfg['dtype']} range ({exc})")
 
 
 def _federate(cfg, model, imp, batch, defense_base: RngStream):
@@ -411,7 +434,11 @@ def _federate(cfg, model, imp, batch, defense_base: RngStream):
         bins.append(b)
         return apply_defense(payload, dconf, defense_base.derive(u))
 
-    agg = secure_aggregate(defended(u) for u in range(fed["users"]))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            agg = secure_aggregate(defended(u) for u in range(fed["users"]))
+    except FloatingPointError as exc:
+        raise _blame_overflow(cfg, batch, exc) from None
     return agg, losses, drifted, np.concatenate(examples), np.concatenate(bins)
 
 
@@ -453,27 +480,8 @@ def _columns(k, bins, **columns) -> dict:
     return out
 
 
-def _check_reach(cfg, model, x: float):
-    """Exit 2 naming model.measurement.c0, when set (not "auto", which
-    standardizes h), if the imprint layer or the bridge could leave the run
-    dtype's range on features of magnitude up to x: a row's pre-activation is
-    at most ||w_j||_1 x + |b_j|, a hard-threshold row's output at most 1, and
-    a bridge output at most its row's weighted sum of those."""
-    p = model.params
-    with np.errstate(over="ignore", invalid="ignore"):
-        pre = (np.abs(p["imprint.weight"]).sum(axis=1, dtype=np.float64) * x
-               + np.abs(p["imprint.bias"]))
-        act = pre if model.imprint.variant == "relu" else np.minimum(pre, 1.0)
-        reach = max(pre.max(), (np.abs(p.get("bridge.weight", 1.0)) * act).sum(axis=-1).max())
-    if not reach <= np.finfo(model.dtype).max:
-        _fail("model.measurement.c0", f"{cfg['model']['measurement']['c0']} lets the imprint "
-              f"layer reach {reach:g} on this batch, past the {model.dtype} range")
-
-
 def _round(cfg, imp, model, batch, defense_base: RngStream) -> _Round:
     feats = model.forward_features(batch.x)
-    if cfg["model"]["measurement"]["c0"] != "auto":
-        _check_reach(cfg, model, max(float(feats.max()), -float(feats.min())))
     agg, losses, drifted, examples, bins = _federate(cfg, model, imp, batch, defense_base)
     live = recover_bins(agg, imp)
     del agg  # the update and the live read-out are freed before scoring builds its arrays

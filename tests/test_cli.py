@@ -4,11 +4,12 @@ import os
 import re
 import sys
 
-import numpy as np
 import pytest
 
 from imprintlab._svg import line_chart
 from imprintlab.cli import main
+from imprintlab.dataio import write_csv
+from imprintlab.numerics import RngStream
 from imprintlab.scenarios import bundled_config
 
 
@@ -145,12 +146,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
      "model.measurement.c0: 1e+300 puts imprint weights or biases past the float32 range"),
     # the weights fit, but the bridge's sum of 128 ReLU rows on this batch does not
     ("fullbatch64", "measurement", {"c0": 1e37},
-     "model.measurement.c0: 1e+37 lets the imprint layer reach 4.52512e+39 on this batch, "
-     "past the float32 range"),
+     "model.measurement.c0: 1e+37 is the largest factor of a federated pass that left the "
+     "float32 range (overflow encountered in matmul)"),
     # the Laplace boundaries overflow the float32 biases
     ("text128", "assumed", {"kind": "laplace", "scale": 1e300},
      "model.assumed.scale: 1e+300 puts imprint weights or biases past the float32 range"),
-], ids=["fullbatch64-c0", "fullbatch64-c0-bridge", "text128-laplace-scale"])
+    # a scale finite in float32, whose normal draws are not
+    ("fullbatch64", "head", {"kind": "random", "scale": 3e38},
+     "model.head.scale: 3e+38 draws head weights past the float32 range"),
+], ids=["fullbatch64-c0", "fullbatch64-c0-bridge", "text128-laplace-scale",
+        "fullbatch64-random-head-draws"])
 def test_imprint_overflowing_the_run_dtype_exits_2(tmp_path, capsys, name, section, over,
                                                    expected):
     cfg = bundled_config(name)
@@ -190,46 +195,102 @@ def test_non_object_section_exits_2(tmp_path, capsys, over, expected):
     assert expected in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c0", [5e-324, 1.7976931348623157e308])
+def test_empirical_layout_degenerated_by_c0_exits_2(tmp_path, capsys, c0):
+    # the surrogate measured through c0 collapses, or overflows, to one boundary
+    cfg = bundled_config("fullbatch64")
+    cfg["dtype"], cfg["model"]["assumed"] = "float64", {"kind": "empirical"}
+    cfg["model"]["measurement"]["c0"] = c0
+    assert main(["run", "--config", _small_cfg_file(tmp_path, **cfg)]) == 2
+    assert (f"config error: model.measurement.c0: {c0} degenerates the measured assumed "
+            "distribution (bin boundaries are not strictly increasing") in capsys.readouterr().err
+
+
+def _huge_csv(tmp_path):
+    """64 rows of 8 features, the largest of magnitude 2.70543e+38."""
+    path = tmp_path / "huge.csv"
+    with open(path, "w", newline="") as fh:
+        write_csv(fh, [f"f{j}" for j in range(8)],
+                  (RngStream(3, 0).normal((64, 8)) * 7.5e37).tolist())
+    return {"kind": "csv", "path": str(path)}
+
+
+@pytest.mark.parametrize("name, dtype, over, leaf, value", [
+    # the loss overflows in the batch mean past the bridge
+    ("fullbatch64", "float32", {"model.measurement.c0": 1e35}, "model.measurement.c0", "1e+35"),
+    ("fullbatch64", "float32", {"model.bridge": "identical_row_linear",
+                                "model.measurement.c0": 1e37}, "model.measurement.c0", "1e+37"),
+    ("text128", "float32", {"model.measurement.c0": 1e33}, "model.measurement.c0", "1e+33"),
+    # a gain finite in the run dtype still overflows the head
+    ("fullbatch64", "float64", {"model.head.gain": 1e308}, "model.head.gain", "1e+308"),
+    ("fullbatch64", "float32", {"model.head.gain": 1e37}, "model.head.gain", "1e+37"),
+    ("fullbatch64", "float32", {"model.head": {"kind": "random", "scale": 1e38}},
+     "model.head.scale", "1e+38"),
+    # the local steps overflow before 1/(lr*steps) scales the delta back; the head's
+    # gain of 1 is a factor too, and the largest one is named
+    ("fedavg8x8", "float32", {"federation.lr": 1e20}, "federation.lr", "1e+20"),
+    ("fedavg8x8", "float32", {"federation.lr": 1e38}, "federation.lr", "1e+38"),
+    ("fullbatch64", "float32", {"data": "huge.csv"}, "data.path", "2.70543e+38"),
+    # a one-shot trial whose only overflow is its batch loss: the pass still fails
+    ("oneshot", "float32", {"model.head.gain": 1e36, "trials": 3}, "model.head.gain", "1e+36"),
+    ("oneshot", "float64", {"model.measurement.c0": 1e307, "trials": 3},
+     "model.measurement.c0", "1e+307"),
+], ids=["fullbatch64-c0", "fullbatch64-c0-linear-bridge", "text128-c0", "float64-gain",
+        "float32-gain", "random-head-scale", "fedavg-lr-1e20", "fedavg-lr-1e38", "csv-values",
+        "oneshot-float32-gain", "oneshot-float64-c0"])
+def test_overflowing_pass_exits_2_naming_its_largest_factor(tmp_path, capsys, name, dtype,
+                                                            over, leaf, value):
+    cfg = bundled_config(name)
+    cfg["dtype"] = dtype
+    for path, v in over.items():
+        *sections, key = path.split(".")
+        node = cfg
+        for section in sections:
+            node = node[section]
+        node[key] = _huge_csv(tmp_path) if v == "huge.csv" else v
+    assert main(["run", "--config", _small_cfg_file(tmp_path, **cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"config error: {leaf}: {value} is the largest factor of a federated pass that "
+            f"left the {dtype} range (overflow encountered in ") in captured.err
+
+
+def test_overflowing_sweep_point_exits_2_from_a_worker_thread(tmp_path, capsys):
+    # numpy's error state is per thread: the trap holds in each sweep worker
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", "fullbatch64", "--axis", "model.measurement.c0",
+                 "--values", "1,1e37", "--jobs", "2", "--out", str(out)]) == 2
+    assert ("config error: model.measurement.c0: 1e+37 is the largest factor of a federated "
+            "pass that left the float32 range") in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_3(tmp_path, capsys):
     cfg = _small_cfg_file(tmp_path, data={"kind": "csv", "path": str(tmp_path / "no.csv"),
                                           "label_classes": 4})
     assert main(["run", "--config", cfg]) == 3
     assert "runtime error" in capsys.readouterr().err
 
-    # a gain finite in float64 still overflows the forward pass; the read-out
-    # refuses the non-finite payload instead of scoring it
-    cfg = bundled_config("fullbatch64")
-    cfg["model"]["head"]["gain"] = 1e308
-    cfg = _small_cfg_file(tmp_path, **cfg)
-    with np.errstate(all="ignore"):
-        assert main(["run", "--config", cfg, "--f64"]) == 3
-    assert "(ValueError): non-finite gradient in the payload" in capsys.readouterr().err
 
+def test_non_finite_report_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a run's pass traps overflow, so a report that holds an infinity stands for a
+    # program fault; JSON has no infinity, so it is refused before any file is opened
+    import imprintlab.cli as cli
 
-def test_non_finite_report_exits_3_and_writes_nothing(tmp_path, capsys):
-    # in float32 these imprint weights fit, but the loss overflows to inf;
-    # JSON has no infinity, so the report is refused before any file is opened
-    cfg = bundled_config("fullbatch64")
-    cfg["model"]["measurement"]["c0"] = 1e35
-    cfg = _small_cfg_file(tmp_path, **cfg)
+    real = cli.run_scenario
+
+    def poisoned(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.report["federation"]["mean_loss"] = float("inf")
+        return result
+
+    monkeypatch.setattr(cli, "run_scenario", poisoned)
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
-        assert "not JSON compliant" in capsys.readouterr().err
-        assert not out.exists()
-        assert main(["run", "--config", cfg]) == 3
+    assert main(["run", "--scenario", "fullbatch64", "--out", str(out)]) == 3
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", "--scenario", "fullbatch64"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "not JSON compliant" in captured.err
-
-
-def test_non_finite_report_names_its_field(tmp_path, capsys):
-    cfg = bundled_config("fullbatch64")
-    cfg["model"]["measurement"]["c0"] = 1e35  # float32: the loss overflows
-    cfg = _small_cfg_file(tmp_path, **cfg)
-    with np.errstate(all="ignore"):
-        assert main(["run", "--config", cfg]) == 3
-    assert ("runtime error (ValueError): federation.mean_loss: Out of range float "
-            "values are not JSON compliant: inf") in capsys.readouterr().err
 
 
 def test_non_finite_csv_cell_is_a_config_error(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from imprintlab.scenarios import CONFIG_LEAVES, bundled_config, run_scenario
+from imprintlab.scenarios import CONFIG_LEAVES, _blame_overflow, bundled_config, run_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,3 +42,35 @@ def test_readme_names_every_federation_report_key():
     assert {k for k in keys if f"`federation.{k}`" not in text} == set()
     leaves = {lf.path.split(".")[1] for lf in CONFIG_LEAVES if lf.path.startswith("federation.")}
     assert set(re.findall(r"`federation\.(\w+)`", text)) <= keys | leaves
+
+
+def test_readme_names_every_leaf_an_overflow_can_blame():
+    """Each factor of a federated pass is made the largest in turn; the
+    README's cross-field checks name every leaf `_blame_overflow` then blames."""
+    def c0(cfg):
+        cfg["model"]["measurement"]["c0"] = -1e30
+
+    def gain(cfg):
+        cfg["model"]["head"]["gain"] = 1e30
+
+    def scale(cfg):
+        cfg["model"]["head"] = {"kind": "random", "scale": 1e30}
+
+    def lr(cfg):
+        cfg["federation"]["lr"] = 1e30
+
+    def csv(cfg):
+        cfg["data"] = {"kind": "csv"}  # the batch's largest magnitude, 1e30, is the factor
+
+    batch = SimpleNamespace(x=np.full((2, 3), -1e30))
+    blamed = set()
+    for make_largest in (c0, gain, scale, lr, csv):
+        cfg = bundled_config("fedavg8x8")  # fed-AVG, so lr is a factor
+        make_largest(cfg)
+        err = _blame_overflow(cfg, batch, FloatingPointError("overflow encountered in matmul"))
+        blamed.add(str(err).split(": ")[0])
+    assert blamed == {"model.measurement.c0", "model.head.gain", "model.head.scale",
+                      "federation.lr", "data.path"}
+    text = README.read_text()
+    checks = text[text.index("A few checks span leaves"):text.index("| path | type |")]
+    assert {leaf for leaf in blamed if f"`{leaf}`" not in checks} == set()

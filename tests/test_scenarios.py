@@ -249,6 +249,17 @@ def _configs(draw):
         defense.pop("sigma", None)
     if imprint["variant"] != "one_shot" or data["kind"] != "synthetic_gaussian":
         raw.pop("trials", None)
+    # the factors the federated pass multiplies by also reach within 12 decades
+    # of the run dtype's top, where the pass may leave its range
+    fed, head = raw["federation"], raw["model"]["head"]
+    factors = [(raw["model"]["measurement"], "c0"),
+               (head, "scale" if head.get("kind") == "random" else "gain")]
+    if "lr" in fed:
+        factors.append((fed, "lr"))
+    top = float(np.finfo(raw.get("dtype", "float32")).max)
+    for node, key in factors:
+        if draw(st.integers(0, 3)) == 0:
+            node[key] = top / 10.0 ** draw(st.floats(0, 12))
     return raw
 
 
@@ -297,17 +308,20 @@ def _csv_path(tmp_path_factory):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(raw=_configs())
 def test_every_drawn_config_fails_at_a_leaf_or_runs_clean(raw, _csv_path):
-    """Bad input fails at the boundary: the run (its validation included)
-    rejects the draw naming a leaf or returns a report, with no RuntimeWarning."""
+    """Bad input fails at a leaf: the run (its validation and its federated
+    pass included) rejects the draw naming a leaf, or returns a report that
+    strict JSON can write, with no RuntimeWarning."""
     if raw["data"]["kind"] == "csv":
         raw["data"]["path"] = _csv_path
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            run_scenario(raw)
+            report = run_scenario(raw).report
         except ConfigError as exc:
             where = str(exc).split(": ")[0].removeprefix("config.")
             assert re.sub(r"\[\d+\]", "[]", where) in _BY_PATH, str(exc)
+            return
+    canonical_json(report)
 
 
 def test_fullbatch_report_structure():
