@@ -3,8 +3,12 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from imprintlab.distributions import Empirical, Laplace, Normal
+from imprintlab.distributions import Empirical, Laplace, Normal, ndtri
+from imprintlab.imprint import DEFAULT_P_MIN, make_layout
 from imprintlab.numerics import RngStream
 from oracles import bisect_quantile, cdf, normal_cdf_quadrature
 
@@ -124,3 +128,40 @@ def test_array_quantile_matches_scalar():
         assert qs.tolist() == [d.quantile(float(p)) for p in ps]
         with pytest.raises(ValueError):
             d.quantile(np.array([0.5, 1.0]))
+
+
+def _same_bits(p):
+    ours, ref = ndtri(p), scipy.special.ndtri(p)
+    assert np.shape(ours) == np.shape(ref)
+    bad = np.asarray(ours).view(np.int64) != np.asarray(ref).view(np.int64)
+    assert not bad.any(), np.asarray(p)[bad][:5]
+
+
+E2 = math.exp(-2.0)
+X8 = math.exp(-32.0)  # where x = sqrt(-2 log y) crosses 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+@example([5e-324, 2.2250738585072014e-308, 1e-300, 1 - 2.0 ** -53, 0.5])
+@example([float(np.nextafter(E2, 0.0)), E2, float(np.nextafter(E2, 1.0)),
+          float(np.nextafter(1 - E2, 0.0)), 1 - E2, float(np.nextafter(1 - E2, 1.0))])
+@example([float(np.nextafter(X8, 0.0)), X8, float(np.nextafter(X8, 1.0)), 1.2664165549e-14,
+          1 - X8, 1 - 1.2664165549e-14])
+def test_ndtri_matches_scipy_bit_for_bit(ps):
+    _same_bits(np.array(ps))
+
+
+def test_ndtri_matches_scipy_on_every_layout_grid():
+    """make_layout's probabilities, floored at p_min or not, for k <= 2,100
+    and the paper's larger k, in 0-d, 1-d and 2-d."""
+    for k in [*range(2, 2101), 4096, 8192, 10_000]:
+        grid = np.arange(k, dtype=np.float64) / k
+        floored = np.maximum(grid, DEFAULT_P_MIN)
+        ref = scipy.special.ndtri(floored)
+        assert (make_layout(Normal(), k).view(np.int64) == ref.view(np.int64)).all(), k
+        _same_bits(grid[1:])
+    _same_bits(np.float64(0.3))
+    _same_bits(np.array(1e-20))
+    _same_bits(RngStream(3, 0).uniform(120).reshape(8, 15))
