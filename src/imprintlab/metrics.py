@@ -6,9 +6,13 @@ member is spurious, paired with its nearest truth row for PSNR, and never
 exact or an identification hit. PSNR uses a fixed sentinel (300 dB) for
 exact-zero error. `score` computes the candidate-truth distances once and
 reads the pairing, exactness, PSNR and identification off them as arrays.
-Only the distance matrices, and each float64 cast of truth or pool while its
-own product runs, are full size; everything else runs BLOCK_ROWS candidate
-rows at a time, with every value bit-identical to whole arrays.
+It runs in this order: truth's float64 cast and the candidate-truth
+distances; their reduction to the pairing, each candidate's first nearest
+truth row and its paired distance; freeing the cast and the distances; then
+the pool (drawn only now when it comes as a function) and its distances. So
+one distance matrix and one full-size float64 operand are live at a time;
+everything else runs in row blocks, with every value bit-identical to whole
+arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BLOCK_ROWS, assignment
+from .numerics import BLOCK_ROWS, SCORE_CELLS, assignment
 
 PSNR_EXACT_SENTINEL = 300.0
 EXACT_REL_TOL = 1e-4
@@ -30,31 +34,33 @@ def _rows(a) -> np.ndarray:
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between the float64 rows of a and of b, as
     max(aa + bb - 2 ab, 0) in that order. The product is one call, since a row
-    block of it can differ in the last bit; the rest runs a block of rows at a time."""
+    block of it can differ in the last bit; the rest runs in row blocks of at
+    most SCORE_CELLS cells."""
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    step = max(1, SCORE_CELLS // max(1, b.shape[1]))
     bb = np.empty(len(b))
-    for lo in range(0, len(b), BLOCK_ROWS):
-        bb[lo:lo + BLOCK_ROWS] = np.sum(b[lo:lo + BLOCK_ROWS] ** 2, axis=1)
+    for lo in range(0, len(b), step):
+        bb[lo:lo + step] = np.sum(b[lo:lo + step] ** 2, axis=1)
     out = a @ b.T
     out *= 2.0
-    for lo in range(0, len(a), BLOCK_ROWS):
-        rows = out[lo:lo + BLOCK_ROWS]
-        aa = np.sum(a[lo:lo + BLOCK_ROWS] ** 2, axis=1)[:, None]
+    step = max(1, SCORE_CELLS // max(1, a.shape[1], len(b)))  # a's squared rows, then aa + bb
+    for lo in range(0, len(a), step):
+        rows = out[lo:lo + step]
+        aa = np.sum(a[lo:lo + step] ** 2, axis=1)[:, None]
         np.subtract(aa + bb, rows, out=rows)
         np.maximum(rows, 0.0, out=rows)
     return out
 
 
-def _iip(dists, cols, spurious, candidates, pool) -> float:
-    """Fraction of candidates, spurious ones never, whose nearest row among
-    truth plus pool is their paired truth row cols[i]. Truth wins a tie with
-    the pool, as the first minimum over [truth; pool] would."""
-    hits = (np.argmin(dists, axis=1) == cols) & ~spurious
+def _iip(hits, paired, candidates, pool) -> float:
+    """Fraction of candidates whose nearest row among truth plus pool is their
+    paired truth row: `hits` marks those whose first nearest truth row it is
+    (spurious ones never), `paired` holds their distances to it. Truth wins a
+    tie with the pool, as the first minimum over [truth; pool] would."""
     if pool is not None and len(pool):
-        nearest_pool = _pairwise_sq(candidates, _rows(pool)).min(axis=1)
-        hits &= dists[np.arange(len(cols)), cols] <= nearest_pool
-    return int(hits.sum()) / max(1, len(cols))
+        hits &= paired <= _pairwise_sq(candidates, _rows(pool)).min(axis=1)
+    return int(hits.sum()) / max(1, len(hits))
 
 
 def match(candidates: np.ndarray, truth: np.ndarray) -> list[tuple[int, int]]:
@@ -132,9 +138,12 @@ def score(candidates, truth, members, *, pool=None, rel_tol: float = EXACT_REL_T
     pair of index arrays (candidate, truth row), one per member of each
     candidate's bin. psnr_transform optionally maps vectors into the space PSNR
     is quoted in (e.g. [0,1] scaling); the rest uses the raw vectors. Truth
-    and pool may come in any float dtype: each is cast to float64 (exactly,
-    from float32) only as the argument of its own distance product, and truth
-    again one paired row block at a time.
+    and pool may come in any float dtype, and `pool` as rows, None, or a
+    zero-argument function returning either. Truth is cast to float64
+    (exactly, from float32) as the argument of its distance product, and again
+    one paired row block at a time. The candidate-truth distances are reduced,
+    and freed along with that cast, before a pool function is called or the
+    pool is cast for its own product.
     """
     candidates = _rows(candidates)
     truth = np.atleast_2d(truth)
@@ -144,11 +153,15 @@ def score(candidates, truth, members, *, pool=None, rel_tol: float = EXACT_REL_T
     nearest = np.full(len(candidates), np.inf)
     np.minimum.at(nearest, cand, d)
     spurious = np.bincount(cand, minlength=len(candidates)) == 0
+    first = np.argmin(dists, axis=1)
     # a spurious candidate keeps its nearest truth row, the rest the lowest nearest member
-    cols = np.where(spurious, np.argmin(dists, axis=1), np.iinfo(np.int64).max)
+    cols = np.where(spurious, first, np.iinfo(np.int64).max)
     tie = d == nearest[cand]
     np.minimum.at(cols, cand[tie], row[tie])
-    iip = _iip(dists, cols, spurious, candidates, pool)
+    paired = dists[np.arange(len(cols)), cols]
+    del dists  # what the rest of scoring reads of it is in first, cols and paired
+    iip = _iip((first == cols) & ~spurious, paired, candidates,
+               pool() if callable(pool) else pool)
     tf = psnr_transform or (lambda v: v)
     n = len(cols)
     rel_err, exact, psnrs = np.empty(n), np.empty(n, dtype=bool), np.empty(n)

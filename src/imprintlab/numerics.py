@@ -13,6 +13,7 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 BLOCK_ROWS = 256  # rows per block where the read-out and scoring stream row blocks
+SCORE_CELLS = 1 << 18  # float64 cells (2 MiB) per block where blocks are sized by row width
 
 # Children are packed into disjoint bit ranges of the 64-bit stream id, so a
 # (master_seed, stream_id) pair never collides across the derivation tree as
@@ -68,9 +69,10 @@ class RngStream:
     def laplace(self, shape, *, scale: float, gen=None) -> np.ndarray:
         return (gen if gen is not None else self.generator()).laplace(0.0, scale, shape)
 
-    def integers(self, shape, *, low: int, high: int) -> np.ndarray:
+    def integers(self, shape, *, low: int, high: int, gen=None) -> np.ndarray:
         """Uniform integers in [low, high)."""
-        return self.generator().integers(low, high, size=shape, dtype=np.int64)
+        return (gen if gen is not None else self.generator()).integers(
+            low, high, size=shape, dtype=np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         return self.generator().permutation(n)

@@ -21,10 +21,9 @@ import numpy as np
 
 from .federation import UpdatePayload, to_gradient_form
 from .imprint import ImprintModule
-from .numerics import BLOCK_ROWS
+from .numerics import BLOCK_ROWS, SCORE_CELLS
 
 TAU0 = 1e-9  # relative floor under which a denominator counts as inactive
-SCORE_CELLS = 1 << 18  # float64 scores per token-lookup product (2 MiB)
 
 
 class NoActiveRow(RuntimeError):

@@ -17,6 +17,7 @@ import copy
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .imprint import (DEFAULT_P_MIN, build_hard_threshold, build_relu,
 from .measurement import assumed_distribution, build_measurement
 from .metrics import EXACT_REL_TOL, ScoreReport, score
 from .model import FrontStage, make_imprint_model
-from .numerics import _DERIVE_SPAN, RngStream
+from .numerics import _DERIVE_SPAN, SCORE_CELLS, RngStream
 from .recovery import (Readout, bin_members, decoding_verified, recover_bins,
                        select_candidates, token_lookup)
 
@@ -493,7 +494,7 @@ def _round(cfg, imp, model, batch, defense_base: RngStream) -> _Round:
     del live
     pool = tf = scale = None
     if not cfg["trials"]:  # a trial's record holds neither IIP nor PSNR
-        pool = _draw_pool(cfg, model, batch)
+        pool = partial(_draw_pool, cfg, model, batch)  # score draws it once truth is freed
         lo, hi = float(feats.min()), float(feats.max())
         tf = (lambda v: (v - lo) / (hi - lo)) if hi > lo else None
         scale = {"lo": lo, "hi": hi}
@@ -570,21 +571,35 @@ def _round_report(cfg, batch, rnd: _Round) -> dict:
 
 
 def _draw_pool(cfg, model, batch):
-    """The `metrics.pool` rows IIP is scored against, through the front stages
-    and in the run dtype (`score` casts them for their own product); None at 0."""
+    """The `metrics.pool` rows IIP is scored against, as float64 rows through
+    the front stages; None at 0. The rows are built a block of at most
+    SCORE_CELLS input cells at a time from the pool stream's one generator:
+    each block is drawn, cast to the run dtype, run through the front stages
+    and written into the float64 result, so its values are one whole draw's
+    and no whole pool exists in the run dtype."""
     p = cfg["metrics"]["pool"]
     if p == 0:
         return None
     stream = RngStream(cfg["seed"], STREAM_POOL)
+    gen = stream.generator()
     dtype = np.dtype(cfg["dtype"])
     data = cfg["data"]
-    if data["kind"] == "token_sequences":
-        table = batch.meta["table"]
-        ids = stream.integers((p, data["seq_len"]), low=0, high=data["vocab"])
-        raw = np.asarray(table, dtype=dtype)[ids].reshape(p, -1)
-    else:
-        raw = stream.normal((p, batch.m), dtype=dtype)
-    return model.forward_features(raw)
+    tokens = data["kind"] == "token_sequences"
+    table = np.asarray(batch.meta["table"], dtype=dtype) if tokens else None
+    step = max(1, SCORE_CELLS // batch.m)
+    out = None
+    for lo in range(0, p, step):
+        rows = min(step, p - lo)
+        if tokens:
+            ids = stream.integers((rows, data["seq_len"]), low=0, high=data["vocab"], gen=gen)
+            raw = table[ids].reshape(rows, -1)
+        else:
+            raw = stream.normal((rows, batch.m), dtype=dtype, gen=gen)
+        block = model.forward_features(raw)
+        if out is None:
+            out = np.empty((p, block.shape[1]))
+        out[lo:lo + rows] = block
+    return out
 
 
 def _token_block(cfg, batch, selected, rep):

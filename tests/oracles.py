@@ -13,6 +13,8 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from imprintlab.distributions import Empirical, Laplace, Normal
+from imprintlab.numerics import RngStream
+from imprintlab.scenarios import STREAM_POOL
 
 
 def naive_matmul(a, b):
@@ -391,3 +393,19 @@ def whole_draw_noise(payload, config, stream):
             noise = gen.laplace(0.0, config.sigma, t.shape)
         out[key] = t + noise.astype(t.dtype)
     return out
+
+
+def whole_pool(cfg, model, batch):
+    """The IIP pool as one whole draw: all `metrics.pool` rows from the pool
+    stream in the run dtype (for token data, all id sequences gathered from the
+    table in the run dtype), through the front stages at once, then cast to
+    float64."""
+    p, data = cfg["metrics"]["pool"], cfg["data"]
+    stream = RngStream(cfg["seed"], STREAM_POOL)
+    dtype = np.dtype(cfg["dtype"])
+    if data["kind"] == "token_sequences":
+        ids = stream.integers((p, data["seq_len"]), low=0, high=data["vocab"])
+        raw = np.asarray(batch.meta["table"], dtype=dtype)[ids].reshape(p, -1)
+    else:
+        raw = stream.normal((p, batch.m), dtype=dtype)
+    return np.asarray(model.forward_features(raw), np.float64)

@@ -1,10 +1,12 @@
-"""Print one SHA-256 per report of the 56-config set, and per CLI output, for
+"""Print one SHA-256 per report of the 58-config set, and per CLI output, for
 byte-identity checks.
 
 The set is the four bundled scenarios x seeds 0 and 1 x float32 and float64,
 the three benchmark workload configs (from `imprintbench/workloads.py`) x
 seeds 0 and 1, and runs that reach what those do not: `fullbatch64` with
-4 fed-SGD users, float32 `fedavg8x8` at head gain 1000 at seeds 0 and 2
+4 fed-SGD users, float32 `fullbatch64` with an `avg_pool 2` front and a
+5000-row pool (more than one pool block, not a whole number of them) at
+seeds 0 and 1, float32 `fedavg8x8` at head gain 1000 at seeds 0 and 2
 (`drifted` 2 and 4), `fedavg8x8` with 4 users x 4 steps, `fedavg8x8` at
 n=96 with 3 users (the set's one user count whose 1/users rounds), six variants
 (`VARIANTS`: front stages, a DCT measurement with decoys and a permutation,
@@ -104,6 +106,12 @@ def configs(tmp: str):
     cfg = bundled_config("fullbatch64")
     cfg["federation"]["users"] = 4
     yield "fullbatch64 seed=0 float32 users=4", cfg
+    for seed in (0, 1):  # the pool's 4096-row blocks (input width 64): one full, one part
+        cfg = bundled_config("fullbatch64")
+        cfg.update(seed=seed, dtype="float32")
+        cfg["model"]["front"] = [{"kind": "avg_pool", "factor": 2}]
+        cfg["metrics"] = {"pool": 5000}
+        yield f"fullbatch64 seed={seed} float32 front=avg_pool2 pool=5000", cfg
     for seed in (0, 2):
         cfg = bundled_config("fedavg8x8")
         cfg.update(seed=seed, dtype="float32")

@@ -10,10 +10,10 @@ from imprintlab.federation import fed_avg, fed_sgd, secure_aggregate, to_gradien
 from imprintlab.imprint import build_hard_threshold, build_relu, make_layout
 from imprintlab.measurement import build_measurement
 from imprintlab.model import make_imprint_model, make_logistic_model
-from imprintlab.numerics import RngStream
-from imprintlab.recovery import (SCORE_CELLS, NoActiveRow, Readout, bin_members,
-                                 decoding_verified, recover_bins, recover_unique_labels,
-                                 select_candidates, token_lookup)
+from imprintlab.numerics import SCORE_CELLS, RngStream
+from imprintlab.recovery import (NoActiveRow, Readout, bin_members, decoding_verified,
+                                 recover_bins, recover_unique_labels, select_candidates,
+                                 token_lookup)
 from oracles import loop_readout, loop_select, loop_token_lookup
 
 

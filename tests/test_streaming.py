@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from imprintlab import scenarios
 from imprintlab.cli import main
-from imprintlab.dataio import canonical_json
+from imprintlab.dataio import Batch, canonical_json
 from imprintlab.defense import DefenseConfig, apply_defense
 from imprintlab.distributions import Normal
 from imprintlab.errors import ConfigError
@@ -26,12 +26,13 @@ from imprintlab.federation import UpdatePayload, fed_avg
 from imprintlab.imprint import ImprintModule, build_hard_threshold, build_relu, make_layout
 from imprintlab.measurement import build_measurement
 from imprintlab.metrics import _pairwise_sq, score
-from imprintlab.model import PIN_OFFSET, _softmax_ce, make_imprint_model
+from imprintlab.model import PIN_OFFSET, FrontStage, ModelGraph, _softmax_ce, make_imprint_model
 from imprintlab.numerics import BLOCK_ROWS as B
-from imprintlab.numerics import RngStream
+from imprintlab.numerics import SCORE_CELLS, RngStream
 from imprintlab.recovery import recover_bins
 from oracles import (loop_readout, unblocked_exact_psnr, unblocked_imprint_pass,
-                     unblocked_pairwise_sq, unblocked_softmax_ce, whole_draw_noise)
+                     unblocked_pairwise_sq, unblocked_softmax_ce, whole_draw_noise,
+                     whole_pool)
 
 EDGES = (0, 1, B - 1, B, B + 1)
 
@@ -123,8 +124,10 @@ def test_non_finite_entry_in_a_dead_bin_exits_3(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("rows", EDGES + (2 * B + 3,))
-@pytest.mark.parametrize("others", [3, B + 7])
+@pytest.mark.parametrize("others", [3, B + 7, SCORE_CELLS // 33 + 1])
 def test_pairwise_distances_are_the_unblocked_expression(rows, others):
+    """Rows square in blocks of SCORE_CELLS cells: the widest `others` takes
+    two such blocks, and splits the candidate rows into blocks of 33."""
     rng = np.random.default_rng([rows, others])
     a = rng.standard_normal((rows, 33))
     b = rng.standard_normal((others, 33))
@@ -202,6 +205,40 @@ def test_block_streamed_noise_is_one_whole_draw(rows, noise, sigma, dtype):
     assert out.keys() == ref.keys()
     for key, t in ref.items():
         assert out[key].dtype == t.dtype == dtype and out[key].tobytes() == t.tobytes(), key
+
+
+def _pool_inputs(kind, front, dtype, blocks, extra):
+    """_draw_pool's config, model and batch for a pool of `blocks` whole blocks
+    plus `extra` rows: synthetic rows of width 4096 (64 per block), or 7-token
+    sequences over a width-512 float64 table (width 3584, 73 per block, so an
+    odd count of ids in every block)."""
+    if kind == "synthetic_gaussian":
+        data, m, table = {"kind": kind}, 4096, None
+    else:
+        data, m = {"kind": kind, "seq_len": 7, "vocab": 300}, 7 * 512
+        table = np.random.default_rng(0).standard_normal((300, 512))
+    p = blocks * (SCORE_CELLS // m) + extra
+    cfg = {"metrics": {"pool": p}, "dtype": np.dtype(dtype).name, "data": data}
+    model = ModelGraph(n_classes=2, params={}, dtype=dtype,
+                       stages=tuple(FrontStage(kind, factor) for kind, factor in front))
+    return cfg, model, Batch(x=np.empty((1, m), dtype), labels=None, meta={"table": table})
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("front", [[], [("avg_pool", 2)]])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["synthetic_gaussian", "token_sequences"])
+def test_block_built_pool_is_one_whole_draw(kind, dtype, front, blocks, extra, seed):
+    cfg, model, batch = _pool_inputs(kind, front, dtype, blocks, extra)
+    cfg["seed"] = seed
+    pool = scenarios._draw_pool(cfg, model, batch)
+    if blocks == extra == 0:
+        assert pool is None
+        return
+    ref = whole_pool(cfg, model, batch)
+    assert pool.dtype == ref.dtype == np.float64
+    assert pool.shape == ref.shape and pool.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -296,26 +333,34 @@ def test_readout_peaks_at_the_live_readout_plus_two_blocks():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("p", [0, 1000])
 def test_score_peaks_at_its_distance_matrices_plus_two_blocks(p, dtype):
-    # truth wider than the distances and two blocks: one (n, m) temporary would show
-    c, n, m = 288, 1024, 2048
+    """One distance matrix and one full-size float64 operand at a time: the
+    candidate-truth distances and truth's float64 cast are freed before the
+    pool is drawn or cast. The pool comes as rows in dtype, and as a function
+    returning float64 rows (as a run passes it), whose bytes count."""
+    # truth wider than the distances and two blocks: one (n, m) temporary
+    # would show, and so would a second distance matrix
+    c, n, m = 1000, 1024, 2048
     rng = np.random.default_rng(1)
     truth = rng.standard_normal((n, m)).astype(dtype)
-    pool = rng.standard_normal((p, m)).astype(dtype) if p else None
+    rows = rng.standard_normal((p, m)) if p else None
     cands = truth[rng.permutation(n)[:c]] + np.float64(1e-6)  # float64, as read-outs are
     pairs = (rng.integers(0, c, n), np.arange(n))
-    # the candidate-truth and candidate-pool distance matrices
-    dists = c * (n + p) * 8
+    # one distance matrix: candidate-truth or candidate-pool
+    dists = c * max(n, p) * 8
     # a block of candidate rows against the widest operand: its squared
     # rows, a product row block, a paired truth block, its difference
     blocks = 2 * B * max(m, n, p) * 8
     # index and value arrays over candidates, truth, pool rows and pairs
     per_row = 16 * (c + n + p + len(pairs[0])) * 8
-    # the float64 cast of float32 truth or pool: each lives only during its
-    # own distance product, so only the larger counts
-    cast = 0 if dtype == np.float64 else max(n, p) * m * 8
-    peak = _peak_bytes(score, cands, truth, pairs, pool=pool, rel_tol=1e-4,
-                       psnr_transform=lambda v: v * 0.5)
-    assert peak <= dists + blocks + per_row + cast + SMALL, (peak, dists)
+    truth_cast = 0 if dtype == np.float64 else n * m * 8
+    for pool, pool_bytes in ((None if rows is None else rows.astype(dtype),
+                              0 if dtype == np.float64 else p * m * 8),
+                             (lambda: None if rows is None else rows.copy(), p * m * 8)):
+        # the larger float64 operand: truth's cast, or the pool's rows or cast
+        operand = max(truth_cast, pool_bytes)
+        peak = _peak_bytes(score, cands, truth, pairs, pool=pool, rel_tol=1e-4,
+                           psnr_transform=lambda v: v * 0.5)
+        assert peak <= dists + operand + blocks + per_row + SMALL, (peak, dists, operand)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
