@@ -148,9 +148,11 @@ def write_report(report: dict, path: str) -> None:
 
 
 def write_csv(fh, header: list, rows: list) -> None:
-    """CSV with repr-formatted floats (deterministic, round-trippable) to an
-    open text file; open it with newline=""."""
+    """CSV to an open text file, with repr-formatted floats (deterministic,
+    round-trippable) and None as an empty cell; open it with newline=""."""
     def fmt(v):
+        if v is None:
+            return ""
         if isinstance(v, (float, np.floating)):
             return repr(float(v))
         if isinstance(v, (int, np.integer)):

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .federation import UpdatePayload
-from .numerics import BLOCK_ROWS, RngStream, l2_norm
+from .numerics import RngStream, l2_norm, row_blocks
 
 # the largest noise draw in scales: numpy's Laplace is at most 52 ln 2 (its
 # uniforms are multiples of 2**-53), its normal less
@@ -49,9 +49,9 @@ def apply_defense(payload: UpdatePayload, config: DefenseConfig,
     Scaling uses min(1, clip/norm), so under-norm payloads pass through
     untouched. Noise draws come from one child stream per tensor (sorted key
     order), so the result is independent of dict ordering. Each tensor's
-    noise is drawn from its child's one generator BLOCK_ROWS rows at a time
-    and added into the copy, so no full-size noise array is made; the values
-    are those of one whole draw.
+    noise is drawn from its child's one generator a `row_blocks` block of
+    rows at a time and added into the copy, so no full-size noise array is
+    made; the values are those of one whole draw.
     """
     tensors = payload.tensors
     scale = 1.0
@@ -73,8 +73,8 @@ def apply_defense(payload: UpdatePayload, config: DefenseConfig,
                 draw = partial(child.normal, sd=config.sigma, gen=gen)
             else:
                 draw = partial(child.laplace, scale=config.sigma, gen=gen)
-            for lo in range(0, len(v), BLOCK_ROWS):
-                block = v[lo:lo + BLOCK_ROWS]  # a view: v is our own copy
+            for blk in row_blocks(len(v), math.prod(v.shape[1:])):
+                block = v[blk]  # a view: v is our own copy
                 block += draw(block.shape).astype(t.dtype, copy=False)
         out[key] = v
     return replace(payload, tensors=out)

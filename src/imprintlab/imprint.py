@@ -134,6 +134,6 @@ def fuse_one_shot(distribution, measurement: Measurement, target_mass: float, *,
     q = (1.0 - p) / 2.0 if placement is None else float(placement)
     if not (0.0 < q and q + p < 1.0):
         raise ValueError(f"placement {q} with mass {p} leaves the interval outside (0, 1)")
-    bounds = np.array([distribution.quantile(q), distribution.quantile(q + p)])
+    bounds = distribution.quantile(np.array([q, q + p]))
     # a two-bin ReLU imprint whose bin 0 is the interval
     return replace(build_relu(bounds, measurement, dtype=dtype), fused_mass=p)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BLOCK_ROWS, SCORE_CELLS, assignment
+from .numerics import assignment, row_blocks
 
 PSNR_EXACT_SENTINEL = 300.0
 EXACT_REL_TOL = 1e-4
@@ -34,20 +34,18 @@ def _rows(a) -> np.ndarray:
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between the float64 rows of a and of b, as
     max(aa + bb - 2 ab, 0) in that order. The product is one call, since a row
-    block of it can differ in the last bit; the rest runs in row blocks of at
-    most SCORE_CELLS cells."""
+    block of it can differ in the last bit; the rest runs in `row_blocks`
+    blocks."""
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    step = max(1, SCORE_CELLS // max(1, b.shape[1]))
     bb = np.empty(len(b))
-    for lo in range(0, len(b), step):
-        bb[lo:lo + step] = np.sum(b[lo:lo + step] ** 2, axis=1)
+    for blk in row_blocks(len(b), b.shape[1]):
+        bb[blk] = np.sum(b[blk] ** 2, axis=1)
     out = a @ b.T
     out *= 2.0
-    step = max(1, SCORE_CELLS // max(1, a.shape[1], len(b)))  # a's squared rows, then aa + bb
-    for lo in range(0, len(a), step):
-        rows = out[lo:lo + step]
-        aa = np.sum(a[lo:lo + step] ** 2, axis=1)[:, None]
+    for blk in row_blocks(len(a), max(a.shape[1], len(b))):  # a's squared rows, then aa + bb
+        rows = out[blk]
+        aa = np.sum(a[blk] ** 2, axis=1)[:, None]
         np.subtract(aa + bb, rows, out=rows)
         np.maximum(rows, 0.0, out=rows)
     return out
@@ -165,7 +163,7 @@ def score(candidates, truth, members, *, pool=None, rel_tol: float = EXACT_REL_T
     tf = psnr_transform or (lambda v: v)
     n = len(cols)
     rel_err, exact, psnrs = np.empty(n), np.empty(n, dtype=bool), np.empty(n)
-    for blk in (slice(lo, lo + BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)):
+    for blk in row_blocks(n, candidates.shape[1]):
         c, t = candidates[blk], _rows(truth[cols[blk]])  # t is a fresh float64 copy, c a view
         rel_err[blk], exact[blk] = _errors(c, t, rel_tol)
         t = tf(t)  # rebinding drops the raw copy before c's transform exists

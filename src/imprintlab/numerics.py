@@ -12,13 +12,19 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
-BLOCK_ROWS = 256  # rows per block where the read-out and scoring stream row blocks
-SCORE_CELLS = 1 << 18  # float64 cells (2 MiB) per block where blocks are sized by row width
+BLOCK_CELLS = 1 << 18  # float64 cells (2 MiB) a streamed row block holds
 
 # Children are packed into disjoint bit ranges of the 64-bit stream id, so a
 # (master_seed, stream_id) pair never collides across the derivation tree as
 # long as indices stay below _DERIVE_SPAN and nesting stays shallow (<= 3).
 _DERIVE_SPAN = 1 << 20
+
+
+def row_blocks(n: int, width: int) -> list[slice]:
+    """The slices of range(n), in order, that a loop streaming rows of
+    `width` cells takes: at most BLOCK_CELLS cells each, and at least one row."""
+    step = max(1, BLOCK_CELLS // max(1, width))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .federation import UpdatePayload, to_gradient_form
 from .imprint import ImprintModule
-from .numerics import BLOCK_ROWS, SCORE_CELLS
+from .numerics import row_blocks
 
 TAU0 = 1e-9  # relative floor under which a denominator counts as inactive
 
@@ -45,17 +45,17 @@ class Readout:
 
 def _read_rows(num_rows, den: np.ndarray, floor: float, width: int) -> Readout:
     """Row i reads num[i] / den[i], num_rows(lo, hi) giving num's float64 rows
-    lo to hi a block at a time; only rows with |den| above floor are kept. A
-    non-finite gradient in any row is an error: it would otherwise reach
-    scoring as garbage (or, as NaN, slip the floor)."""
+    lo to hi one `row_blocks` block at a time; only rows with |den| above
+    floor are kept. A non-finite gradient in any row is an error: it would
+    otherwise reach scoring as garbage (or, as NaN, slip the floor)."""
     live = np.flatnonzero(np.abs(den) > floor)
     vectors, confidences = np.empty((len(live), width)), np.empty(len(live))
-    for lo in range(0, len(den), BLOCK_ROWS):
-        block = num_rows(lo, lo + BLOCK_ROWS)
-        if not (np.isfinite(block).all() and np.isfinite(den[lo:lo + BLOCK_ROWS]).all()):
+    for blk in row_blocks(len(den), width):
+        block = num_rows(blk.start, blk.stop)
+        if not (np.isfinite(block).all() and np.isfinite(den[blk]).all()):
             raise ValueError("non-finite gradient in the payload; no row can be read out")
-        i, j = np.searchsorted(live, (lo, lo + BLOCK_ROWS))
-        vectors[i:j] = block[live[i:j] - lo]
+        i, j = np.searchsorted(live, (blk.start, blk.stop))
+        vectors[i:j] = block[live[i:j] - blk.start]
         del block  # freed before the next block is built
         confidences[i:j] = np.abs(vectors[i:j]).mean(axis=1)
         vectors[i:j] /= den[live[i:j], None]
@@ -78,7 +78,7 @@ def _by_bin(rows: np.ndarray, imprint: ImprintModule, dtype, lo=0, hi=None):
 def recover_bins(payload: UpdatePayload, imprint: ImprintModule) -> Readout:
     """One candidate per bin that captured mass, in bin order (ascending
     measurement value): the bin's weight over its bias gradient, by
-    `_by_bin`, read BLOCK_ROWS bins at a time. Denominators at or below
+    `_by_bin`, read in `row_blocks` blocks of bins. Denominators at or below
     TAU0 * max|bias grad| are suppressed. The payload is left untouched.
     """
     g = to_gradient_form(payload).tensors
@@ -129,8 +129,8 @@ def token_lookup(vectors: np.ndarray, table: np.ndarray, seq_len: int) -> np.nda
 
     Each vector splits into seq_len blocks of the embedding width d, and each
     block takes the nearest table row (Euclidean). The c * seq_len blocks are
-    scored in products of at most SCORE_CELLS float64 cells, each written
-    into one reused buffer, so the scores held stay bounded whatever c is.
+    scored in products of one `row_blocks` block of vocab-wide score rows,
+    each into one reused buffer, so the scores held stay bounded whatever c is.
     """
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2:
@@ -143,14 +143,14 @@ def token_lookup(vectors: np.ndarray, table: np.ndarray, seq_len: int) -> np.nda
     n = len(vecs) * seq_len
     blocks = vecs.reshape(n, d)
     table_sq = (table * table).sum(axis=1)
-    step = max(1, min(n, SCORE_CELLS // vocab))
-    scores = np.empty((step, vocab))  # the one buffer every product writes into
+    slices = row_blocks(n, vocab)
+    scores = np.empty((slices[0].stop if n else 0, vocab))  # every product writes into it
     ids = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, step):
+    for blk in slices:
         # ||b - t||^2 = ||b||^2 - 2 b.t + ||t||^2; first term constant per row
-        out = np.matmul(-2.0 * blocks[lo:lo + step], table.T, out=scores[:min(step, n - lo)])
+        out = np.matmul(-2.0 * blocks[blk], table.T, out=scores[:blk.stop - blk.start])
         out += table_sq
-        ids[lo:lo + step] = np.argmin(out, axis=1)
+        ids[blk] = np.argmin(out, axis=1)
     return ids.reshape(len(vecs), seq_len)
 
 

@@ -30,7 +30,7 @@ from .imprint import (DEFAULT_P_MIN, build_hard_threshold, build_relu,
 from .measurement import assumed_distribution, build_measurement
 from .metrics import EXACT_REL_TOL, ScoreReport, score
 from .model import FrontStage, make_imprint_model
-from .numerics import _DERIVE_SPAN, SCORE_CELLS, RngStream
+from .numerics import _DERIVE_SPAN, RngStream, row_blocks
 from .recovery import (Readout, bin_members, decoding_verified, recover_bins,
                        select_candidates, token_lookup)
 
@@ -572,11 +572,11 @@ def _round_report(cfg, batch, rnd: _Round) -> dict:
 
 def _draw_pool(cfg, model, batch):
     """The `metrics.pool` rows IIP is scored against, as float64 rows through
-    the front stages; None at 0. The rows are built a block of at most
-    SCORE_CELLS input cells at a time from the pool stream's one generator:
-    each block is drawn, cast to the run dtype, run through the front stages
-    and written into the float64 result, so its values are one whole draw's
-    and no whole pool exists in the run dtype."""
+    the front stages; None at 0. The rows are built a `row_blocks` block of
+    input rows at a time from the pool stream's one generator: each block is
+    drawn, cast to the run dtype, run through the front stages and written
+    into the float64 result, so its values are one whole draw's and no whole
+    pool exists in the run dtype."""
     p = cfg["metrics"]["pool"]
     if p == 0:
         return None
@@ -586,10 +586,9 @@ def _draw_pool(cfg, model, batch):
     data = cfg["data"]
     tokens = data["kind"] == "token_sequences"
     table = np.asarray(batch.meta["table"], dtype=dtype) if tokens else None
-    step = max(1, SCORE_CELLS // batch.m)
     out = None
-    for lo in range(0, p, step):
-        rows = min(step, p - lo)
+    for blk in row_blocks(p, batch.m):
+        rows = blk.stop - blk.start
         if tokens:
             ids = stream.integers((rows, data["seq_len"]), low=0, high=data["vocab"], gen=gen)
             raw = table[ids].reshape(rows, -1)
@@ -598,7 +597,7 @@ def _draw_pool(cfg, model, batch):
         block = model.forward_features(raw)
         if out is None:
             out = np.empty((p, block.shape[1]))
-        out[lo:lo + rows] = block
+        out[blk] = block
     return out
 
 
@@ -732,19 +731,13 @@ def _sweep_row(axis, value, report):
     th = report["theory"]
     prop1 = th.get("prop1_expected")
     iid = th.get("iid_expected")
-    gap = (prop1 - iid) if (prop1 is not None and iid is not None) else ""
-    row = [axis, value,
-           prop1 if prop1 is not None else "",
-           iid if iid is not None else "",
-           gap,
-           th.get("one_shot_success", "")]
+    gap = prop1 - iid if prop1 is not None and iid is not None else None
+    row = [axis, value, prop1, iid, gap, th.get("one_shot_success")]
     if "trials" in report:
         tr = report["trials"]
-        return row + [tr["successes"], tr["success_rate"], "", "", tr["success_rate"]]
+        return row + [tr["successes"], tr["success_rate"], None, None, tr["success_rate"]]
     rec = report["recovery"]
-    return row + [rec["exact_count"], rec["exact_fraction"],
-                  rec["mean_psnr"] if rec["mean_psnr"] is not None else "",
-                  rec["iip"], ""]
+    return row + [rec["exact_count"], rec["exact_fraction"], rec["mean_psnr"], rec["iip"], None]
 
 
 def sweep_scenario(raw_cfg: dict, axis: str, values, *, jobs: int = 1,

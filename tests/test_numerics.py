@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imprintlab.numerics import RngStream, assignment, dct_row, l2_norm, matmul
+from imprintlab.numerics import (BLOCK_CELLS, RngStream, assignment, dct_row, l2_norm, matmul,
+                                 row_blocks)
 from oracles import brute_assignment, naive_matmul
 
 # First ten float64 draws per (master_seed, stream_id), frozen once from the
@@ -191,3 +194,14 @@ def test_l2_norm():
     arrays = [np.array([3.0]), np.array([[4.0]])]
     assert l2_norm(arrays) == 5.0
 
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 3 * BLOCK_CELLS), width=st.integers(0, 2 * BLOCK_CELLS))
+def test_row_blocks_tile_the_rows_in_bounded_blocks(n, width):
+    blocks = row_blocks(n, width)
+    starts = [b.start for b in blocks]
+    stops = [b.stop for b in blocks]
+    assert [0] + stops == starts + [n] and all(b.step is None for b in blocks)
+    sizes = np.subtract(stops, starts)
+    assert (sizes >= 1).all() and ((sizes * width <= BLOCK_CELLS) | (sizes == 1)).all()

@@ -10,7 +10,7 @@ from imprintlab.federation import fed_avg, fed_sgd, secure_aggregate, to_gradien
 from imprintlab.imprint import build_hard_threshold, build_relu, make_layout
 from imprintlab.measurement import build_measurement
 from imprintlab.model import make_imprint_model, make_logistic_model
-from imprintlab.numerics import SCORE_CELLS, RngStream
+from imprintlab.numerics import BLOCK_CELLS, RngStream
 from imprintlab.recovery import (NoActiveRow, Readout, bin_members, decoding_verified,
                                  recover_bins, recover_unique_labels, select_candidates,
                                  token_lookup)
@@ -398,9 +398,9 @@ def test_token_lookup_roundtrip_and_noise_margin():
 @st.composite
 def _lookup_shapes(draw):
     """(vocab, c, seq_len) with c * seq_len at 0, 1, or just below, at or
-    just above one or two product blocks of SCORE_CELLS // vocab rows."""
+    just above one or two product blocks of BLOCK_CELLS // vocab rows."""
     vocab = draw(st.integers(1, 64) | st.sampled_from([3000, 4096, 40000]))
-    rows = SCORE_CELLS // vocab
+    rows = BLOCK_CELLS // vocab
     edges = [t for t in (0, 1, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1)
              if t <= 400]
     total = draw(st.sampled_from(edges) | st.integers(0, 24))
@@ -431,7 +431,7 @@ def test_blocked_token_lookup_is_row_by_row(shape, d, noise, seed, dtype):
 
 def test_token_lookup_scores_one_bounded_block_at_a_time(monkeypatch):
     vocab, d, seq_len = 4096, 4, 16
-    rows = SCORE_CELLS // vocab
+    rows = BLOCK_CELLS // vocab
     table = RngStream(44, 0).normal((vocab, d))
     argmins = []
     real_argmin = np.argmin
@@ -457,7 +457,7 @@ def test_token_lookup_scores_one_bounded_block_at_a_time(monkeypatch):
         assert max(argmins, default=0) <= rows
         # one block's scores and its scaled operand, the row norms, the ids,
         # the broadcast add's ufunc buffer, and interpreter objects
-        cells = SCORE_CELLS + rows * d + vocab + c * seq_len + np.getbufsize()
+        cells = BLOCK_CELLS + rows * d + vocab + c * seq_len + np.getbufsize()
         assert peak <= 8 * cells + 64 * 1024
 
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import os
 import re
 import warnings
 import weakref
@@ -725,6 +726,19 @@ def test_one_shot_theory_leaves_the_iid_model_empty():
     assert theory["iid_expected"] is None
     assert theory["one_shot_success"] == one_shot_success(64, 1.0 / 64)
     header, rows, _ = sweep_scenario(cfg, "mass", [1.0 / 64])
-    assert rows[0][header.index("iid_expected")] == ""
-    assert rows[0][header.index("model_gap")] == ""
+    assert rows[0][header.index("iid_expected")] is None
+    assert rows[0][header.index("model_gap")] is None
     assert rows[0][header.index("one_shot_expected")] == theory["one_shot_success"]
+
+
+def test_digest_configs_validate_under_distinct_labels(tmp_path, monkeypatch):
+    """`tests/report_digests.py`, the byte-identity check, keeps working: each
+    config it yields validates, and no two share a label. It runs none."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):  # undone after the test,
+        monkeypatch.setenv(var, os.environ.get(var, "1"))  # whatever the import sets
+    import report_digests
+    labels = []
+    for label, raw in report_digests.configs(str(tmp_path)):
+        validate_config(raw)
+        labels.append(label)
+    assert len(labels) == len(set(labels)) > 0

@@ -1,5 +1,5 @@
 """The read-out, the scoring, the forward/backward pass and the defense's
-noise work in row blocks of BLOCK_ROWS and reuse their buffers; the softmax
+noise work in `row_blocks` blocks and reuse their buffers; the softmax
 and the normal draw work in place, and scoring casts its truth and pool to
 float64 only for their own products. These tests hold them to the
 whole-array expressions bit for bit at the block edges, and bound the bytes
@@ -27,14 +27,23 @@ from imprintlab.imprint import ImprintModule, build_hard_threshold, build_relu, 
 from imprintlab.measurement import build_measurement
 from imprintlab.metrics import _pairwise_sq, score
 from imprintlab.model import PIN_OFFSET, FrontStage, ModelGraph, _softmax_ce, make_imprint_model
-from imprintlab.numerics import BLOCK_ROWS as B
-from imprintlab.numerics import SCORE_CELLS, RngStream
+from imprintlab.numerics import BLOCK_CELLS, RngStream, row_blocks
 from imprintlab.recovery import recover_bins
 from oracles import (loop_readout, unblocked_exact_psnr, unblocked_imprint_pass,
                      unblocked_pairwise_sq, unblocked_softmax_ce, whole_draw_noise,
                      whole_pool)
 
-EDGES = (0, 1, B - 1, B, B + 1)
+WIDTHS = (40, 768, 3072)  # 6553, 341 and 85 rows a block
+
+
+def _edges(width):
+    """Row counts at the block edges of rows of `width`: none, one, one below,
+    at and one above a block, and one above two blocks."""
+    r = BLOCK_CELLS // width
+    return (0, 1, r - 1, r, r + 1, 2 * r + 1)
+
+
+AT_EDGES = [(m, count) for m in WIDTHS for count in _edges(m)]
 
 
 def _imprint(variant, k, rng, decoys=1):
@@ -66,9 +75,9 @@ def _payload(imp, live, m, dtype, rng):
                                   "imprint.bias": gb.astype(dtype)})
 
 
-def _live_bins(k, count, rng):
-    """`count` bins, the block edges and the top bin first."""
-    edges = [B - 1, B, k - 1, 0, 2 * B - 1, 2 * B]
+def _live_bins(k, r, count, rng):
+    """`count` bins, the edges of blocks of r bins and the top bin first."""
+    edges = [r - 1, r, k - 1, 0, 2 * r - 1, 2 * r]
     rest = [b for b in rng.permutation(k).tolist() if b not in edges]
     return np.sort(np.array((edges + rest)[:count], dtype=np.int64))
 
@@ -78,17 +87,19 @@ def _readout_rows(readout):
             zip(readout.bins, readout.vectors, readout.denominators, readout.confidences)]
 
 
-@pytest.mark.parametrize("count", EDGES)
+@pytest.mark.parametrize("m, count", AT_EDGES)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("variant", ["relu", "hard_threshold"])
-def test_readout_is_the_unblocked_readout_at_block_edges(variant, dtype, count):
+def test_readout_is_the_unblocked_readout_at_block_edges(variant, dtype, m, count):
     rng = np.random.default_rng([count, variant == "relu", dtype == np.float32])
-    imp = _imprint(variant, 2 * B + 5, rng)  # three blocks, the last one partial
-    live = _live_bins(imp.k, count, rng)
-    payload = _payload(imp, live, 9, dtype, rng)
+    r = BLOCK_CELLS // m
+    imp = _imprint(variant, 2 * r + 5, rng)  # three blocks, the last one partial
+    assert len(row_blocks(imp.k, m)) == 3
+    live = _live_bins(imp.k, r, count, rng)
+    payload = _payload(imp, live, m, dtype, rng)
     readout = recover_bins(payload, imp)
     assert readout.bins.tolist() == live.tolist()
-    assert readout.vectors.shape == (count, 9)
+    assert readout.vectors.shape == (count, m)
     assert _readout_rows(readout) == [(b, v.tobytes(), d, c)
                                       for b, v, d, c in loop_readout(payload, imp)]
 
@@ -97,11 +108,14 @@ def test_readout_is_the_unblocked_readout_at_block_edges(variant, dtype, count):
                                            ("imprint.weight", np.nan),
                                            ("imprint.bias", np.nan)])
 @pytest.mark.parametrize("variant", ["relu", "hard_threshold"])
-def test_non_finite_entry_in_a_dead_bin_still_raises(variant, tensor, value):
+@pytest.mark.parametrize("m", WIDTHS)
+def test_non_finite_entry_in_a_dead_bin_still_raises(m, variant, tensor, value):
     rng = np.random.default_rng(7)
-    imp = _imprint(variant, 2 * B + 5, rng)
-    payload = _payload(imp, np.array([B - 1]), 9, np.float32, rng)
-    dead = 2 * B + 2  # it and the bin below it (which a ReLU row also feeds) are dead
+    r = BLOCK_CELLS // m
+    imp = _imprint(variant, 2 * r + 5, rng)
+    assert len(row_blocks(imp.k, m)) == 3
+    payload = _payload(imp, np.array([r - 1]), m, np.float32, rng)
+    dead = 2 * r + 2  # it and the bin below it (which a ReLU row also feeds) are dead
     payload.tensors[tensor][imp.row_of_bin[dead], ...] = value
     with pytest.raises(ValueError, match="non-finite gradient"):
         recover_bins(payload, imp)
@@ -123,26 +137,35 @@ def test_non_finite_entry_in_a_dead_bin_exits_3(tmp_path, monkeypatch, capsys):
     assert "(ValueError): non-finite gradient in the payload" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rows", EDGES + (2 * B + 3,))
-@pytest.mark.parametrize("others", [3, B + 7, SCORE_CELLS // 33 + 1])
-def test_pairwise_distances_are_the_unblocked_expression(rows, others):
-    """Rows square in blocks of SCORE_CELLS cells: the widest `others` takes
-    two such blocks, and splits the candidate rows into blocks of 33."""
+def _pairwise_cases():
+    """(rows, others, m): b's `others` rows of width m span three blocks, and
+    a's `rows` sit at the block edges of a's pass, which is as wide as b's
+    row count or m, whichever is larger (13107 at m 40, m at 768 and 3072)."""
+    for m in WIDTHS:
+        others = 2 * (BLOCK_CELLS // m) + 1
+        for rows in _edges(max(m, others)):
+            yield rows, others, m
+
+
+@pytest.mark.parametrize("rows, others, m", _pairwise_cases())
+def test_pairwise_distances_are_the_unblocked_expression(rows, others, m):
+    assert len(row_blocks(others, m)) == 3
     rng = np.random.default_rng([rows, others])
-    a = rng.standard_normal((rows, 33))
-    b = rng.standard_normal((others, 33))
+    a = rng.standard_normal((rows, m))
+    b = rng.standard_normal((others, m))
     a[:rows // 2] = b[0]  # exact copies: distances that clip at 0
     assert _pairwise_sq(a, b).tobytes() == unblocked_pairwise_sq(a, b).tobytes()
 
 
-def _score_inputs(count, rng, dtype=np.float64):
-    """B + 9 truth rows of width 40 in dtype, `count` float64 candidates that
-    copy truth rows (about half of them off by 1e-3), and their member pairs."""
-    n, m = B + 9, 40
+def _score_inputs(count, m, rng, dtype=np.float64):
+    """64 truth rows of width m in dtype, `count` float64 candidates that copy
+    truth rows drawn with replacement (about half of them off by 1e-3), and
+    their member pairs. Few truth rows keep 13107 candidates' distances small."""
+    n = 64
     truth = rng.standard_normal((n, m)).astype(dtype)
     truth[3] = 0.0  # a zero row: only an exact zero is exact
     truth[4, ::2] = -0.0
-    rows = rng.permutation(n)[:count]
+    rows = rng.integers(0, n, count)
     cands = truth[rows] + np.where(rng.random((count, 1)) < 0.5, 0.0, 1e-3)
     pairs = (np.arange(count), rows)
     if count > 2:  # candidate 0 holds two rows, the last candidate none
@@ -151,11 +174,11 @@ def _score_inputs(count, rng, dtype=np.float64):
 
 
 @pytest.mark.parametrize("transform", [None, lambda v: (v + 4.0) / 8.0])
-@pytest.mark.parametrize("count", EDGES)
-def test_score_is_the_unblocked_exactness_and_psnr_at_block_edges(count, transform):
-    rng = np.random.default_rng(count)
-    truth, cands, pairs = _score_inputs(count, rng)
-    rep = score(cands, truth, pairs, pool=rng.standard_normal((50, 40)), rel_tol=1e-4,
+@pytest.mark.parametrize("m, count", AT_EDGES)
+def test_score_is_the_unblocked_exactness_and_psnr_at_block_edges(m, count, transform):
+    rng = np.random.default_rng([count, m])
+    truth, cands, pairs = _score_inputs(count, m, rng)
+    rep = score(cands, truth, pairs, pool=rng.standard_normal((50, m)), rel_tol=1e-4,
                 psnr_transform=transform)
     exact, psnr = unblocked_exact_psnr(cands, truth, rep.truth_row, rel_tol=1e-4,
                                        psnr_transform=transform)
@@ -169,11 +192,11 @@ def _fields(rep):
 
 
 @pytest.mark.parametrize("p", [0, 50])
-@pytest.mark.parametrize("count", EDGES)
-def test_score_on_float32_truth_and_pool_is_score_on_their_float64_casts(count, p):
-    rng = np.random.default_rng([count, p])
-    truth, cands, pairs = _score_inputs(count, rng, np.float32)
-    pool = rng.standard_normal((p, 40)).astype(np.float32) if p else None
+@pytest.mark.parametrize("m, count", AT_EDGES)
+def test_score_on_float32_truth_and_pool_is_score_on_their_float64_casts(m, count, p):
+    rng = np.random.default_rng([count, m, p])
+    truth, cands, pairs = _score_inputs(count, m, rng, np.float32)
+    pool = rng.standard_normal((p, m)).astype(np.float32) if p else None
     kw = dict(rel_tol=1e-4, psnr_transform=lambda v: (v + 4.0) / 8.0)
     rep = score(cands, truth, pairs, pool=pool, **kw)
     ref = score(cands, truth.astype(np.float64), pairs,
@@ -184,7 +207,7 @@ def test_score_on_float32_truth_and_pool_is_score_on_their_float64_casts(count, 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("sd", [1.0, 1e-2, 40 ** -0.25, 3.0])
 def test_normal_draw_is_the_out_of_place_product(sd, dtype):
-    stream, shape = RngStream(5, 11), (B + 1, 40)
+    stream, shape = RngStream(5, 11), (257, 40)
     ref = np.asarray(stream.generator().standard_normal(shape) * sd, dtype=dtype)
     out = stream.normal(shape, sd=sd, dtype=dtype)
     assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
@@ -192,12 +215,15 @@ def test_normal_draw_is_the_out_of_place_product(sd, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("noise, sigma", [("gaussian", 0.3), ("laplace", 1e-3)])
-@pytest.mark.parametrize("rows", EDGES + (2 * B + 3,))
-def test_block_streamed_noise_is_one_whole_draw(rows, noise, sigma, dtype):
+@pytest.mark.parametrize("m, rows", AT_EDGES)
+def test_block_streamed_noise_is_one_whole_draw(m, rows, noise, sigma, dtype):
+    """`w` has rows at the block edges of its width; `b`, one cell a row,
+    spans three blocks."""
     stream = RngStream(6, rows)
-    tensors = {"w": stream.derive(0).normal((rows, 7), dtype=dtype),
-               "b": stream.derive(1).normal((rows,), dtype=dtype),
+    tensors = {"w": stream.derive(0).normal((rows, m), dtype=dtype),
+               "b": stream.derive(1).normal((2 * BLOCK_CELLS + 1,), dtype=dtype),
                "h": stream.derive(2).normal((3, 1), dtype=dtype)}
+    assert len(row_blocks(len(tensors["b"]), 1)) == 3
     payload = UpdatePayload(kind="gradient", tensors=tensors)
     config = DefenseConfig(noise=noise, sigma=sigma)
     out = apply_defense(payload, config, RngStream(7, rows)).tensors
@@ -210,14 +236,14 @@ def test_block_streamed_noise_is_one_whole_draw(rows, noise, sigma, dtype):
 def _pool_inputs(kind, front, dtype, blocks, extra):
     """_draw_pool's config, model and batch for a pool of `blocks` whole blocks
     plus `extra` rows: synthetic rows of width 4096 (64 per block), or 7-token
-    sequences over a width-512 float64 table (width 3584, 73 per block, so an
+    sequences over a width-448 float64 table (width 3136, 83 per block, so an
     odd count of ids in every block)."""
     if kind == "synthetic_gaussian":
         data, m, table = {"kind": kind}, 4096, None
     else:
-        data, m = {"kind": kind, "seq_len": 7, "vocab": 300}, 7 * 512
-        table = np.random.default_rng(0).standard_normal((300, 512))
-    p = blocks * (SCORE_CELLS // m) + extra
+        data, m = {"kind": kind, "seq_len": 7, "vocab": 300}, 7 * 448
+        table = np.random.default_rng(0).standard_normal((300, 448))
+    p = blocks * (BLOCK_CELLS // m) + extra
     cfg = {"metrics": {"pool": p}, "dtype": np.dtype(dtype).name, "data": data}
     model = ModelGraph(n_classes=2, params={}, dtype=dtype,
                        stages=tuple(FrontStage(kind, factor) for kind, factor in front))
@@ -320,9 +346,9 @@ def test_readout_peaks_at_the_live_readout_plus_two_blocks():
     payload.tensors["imprint.weight"] = rng.standard_normal((k, m), dtype=np.float32)
     # the result: (c, m) float64 vectors and three (c,) arrays
     readout_bytes = len(live) * (m + 3) * 8
-    # a float64 block of BLOCK_ROWS bins plus the ReLU row above it, and one
-    # more such block for the gather of its live rows or their |.|
-    blocks = 2 * (B + 1) * m * 8
+    # a float64 block of at most BLOCK_CELLS cells plus the ReLU row above
+    # it, and one more block for the gather of its live rows or their |.|
+    blocks = (2 * BLOCK_CELLS + m) * 8
     # per-bin arrays: the denominators, |den|, the live mask and indices and
     # the bias-row gather, each at most k float64 or int64
     per_bin = 8 * k * 8
@@ -347,9 +373,10 @@ def test_score_peaks_at_its_distance_matrices_plus_two_blocks(p, dtype):
     pairs = (rng.integers(0, c, n), np.arange(n))
     # one distance matrix: candidate-truth or candidate-pool
     dists = c * max(n, p) * 8
-    # a block of candidate rows against the widest operand: its squared
-    # rows, a product row block, a paired truth block, its difference
-    blocks = 2 * B * max(m, n, p) * 8
+    # two blocks of at most BLOCK_CELLS cells: candidate rows squared, then
+    # their row norms plus the operand's; or a paired truth block beside its
+    # difference, its transform, or the candidates' transform
+    blocks = 2 * BLOCK_CELLS * 8
     # index and value arrays over candidates, truth, pool rows and pairs
     per_row = 16 * (c + n + p + len(pairs[0])) * 8
     truth_cast = 0 if dtype == np.float64 else n * m * 8
@@ -407,8 +434,8 @@ def test_federate_peaks_at_the_sum_plus_one_users_pass(users):
     cfg, model, imp, batch, stream = _fed_avg_round(users, shard)
     update = sum(p.nbytes for p in model.params.values())  # one payload, or the sum
     # one user's pass: the local model copy, a step's gradient, the delta,
-    # the defended copy, one block of Laplace noise (here the whole imprint
-    # weight: its 64 rows are fewer than BLOCK_ROWS), and the (shard, rows)
+    # the defended copy, one block of Laplace noise (here half the imprint
+    # weight: 32 of its 64 rows of width 4096), and the (shard, rows)
     # active mask twice over (each step's and their concatenation). The
     # defense runs after the local copy and the step gradient are freed.
     one_pass = 4 * update + 2 * shard * imp.n_rows
@@ -431,16 +458,17 @@ def test_fed_avg_peaks_at_its_copy_plus_one_steps_gradient(steps, variant):
     assert peak <= 2 * update + gathers + SMALL, (peak, update)
 
 
+@pytest.mark.parametrize("w", [512, 3072])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_defense_peaks_at_its_copies_plus_one_noise_block(dtype):
-    rows, w = 4 * B + 1, 512
+def test_defense_peaks_at_its_copies_plus_one_noise_block(dtype, w):
+    rows = 4 * (BLOCK_CELLS // w) + 1
     stream = RngStream(8, 0)
     payload = UpdatePayload(kind="gradient", tensors={
         "w": stream.derive(0).normal((rows, w), dtype=dtype),
         "b": stream.derive(1).normal((rows,), dtype=dtype)})
     copies = sum(t.nbytes for t in payload.tensors.values())
     # one block of float64 noise and its cast to the tensor's dtype
-    block = B * w * (8 + (np.dtype(dtype).itemsize if dtype != np.float64 else 0))
+    block = BLOCK_CELLS * (8 + (np.dtype(dtype).itemsize if dtype != np.float64 else 0))
     for noise in ("gaussian", "laplace"):  # unclipped: in float32 the norm's cast would peak
         config = DefenseConfig(noise=noise, sigma=1e-3)
         peak = _peak_bytes(apply_defense, payload, config, RngStream(9, 0))
