@@ -32,10 +32,28 @@ def make_layout(distribution, k: int, *, p_min: float = DEFAULT_P_MIN) -> np.nda
     if not (0.0 < p_min < 1.0 / k):
         raise ValueError(f"p_min must lie in (0, 1/k), got {p_min}")
     probs = np.maximum(np.arange(k, dtype=np.float64) / k, p_min)
-    boundaries = distribution.quantile(probs)
+    return _increasing(distribution.quantile(probs))
+
+
+def _increasing(boundaries: np.ndarray) -> np.ndarray:
     if not np.all(np.diff(boundaries) > 0):
         raise ValueError("bin boundaries are not strictly increasing; distribution too degenerate")
     return boundaries
+
+
+def trap_ends(distribution, target_mass: float, *, placement: float | None = None) -> np.ndarray:
+    """The one-shot trap's two ends, float64 and strictly increasing: the
+    quantiles at q and q + target_mass, q the lower tail mass (placement),
+    by default (1 - target_mass)/2, which centers the interval in probability.
+    A distribution of None gives the two probabilities themselves."""
+    p = float(target_mass)
+    if not (0.0 < p < 1.0):
+        raise ValueError(f"target_mass must lie in (0, 1), got {p}")
+    q = (1.0 - p) / 2.0 if placement is None else float(placement)
+    if not (0.0 < q and q + p < 1.0):
+        raise ValueError(f"placement {q} with mass {p} leaves the interval outside (0, 1)")
+    ends = np.array([q, q + p])
+    return _increasing(ends if distribution is None else distribution.quantile(ends))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,18 +140,10 @@ def build_hard_threshold(boundaries: np.ndarray, measurement: Measurement, *,
 
 def fuse_one_shot(distribution, measurement: Measurement, target_mass: float, *,
                   placement: float | None = None, dtype=DEFAULT_DTYPE) -> ImprintModule:
-    """Two-row trap for single-shot capture: one interval of mass target_mass.
-
-    The interval is centered in probability by default (placement = lower
-    tail mass, defaulting to (1 - target_mass)/2). Recovery succeeds exactly
-    when one example of the batch lands in the interval alone.
+    """Two-row trap for single-shot capture: one interval of mass target_mass,
+    between `trap_ends`. Recovery succeeds exactly when one example of the
+    batch lands in the interval alone.
     """
-    p = float(target_mass)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"target_mass must lie in (0, 1), got {p}")
-    q = (1.0 - p) / 2.0 if placement is None else float(placement)
-    if not (0.0 < q and q + p < 1.0):
-        raise ValueError(f"placement {q} with mass {p} leaves the interval outside (0, 1)")
-    bounds = distribution.quantile(np.array([q, q + p]))
+    ends = trap_ends(distribution, target_mass, placement=placement)
     # a two-bin ReLU imprint whose bin 0 is the interval
-    return replace(build_relu(bounds, measurement, dtype=dtype), fused_mass=p)
+    return replace(build_relu(ends, measurement, dtype=dtype), fused_mass=float(target_mass))

@@ -6,11 +6,11 @@ server kept. The core identity: for a genuine imprint row, the weight gradient
 is (sum over contributing examples of weight * example) and the bias gradient
 is (sum of weights), so their ratio is a weighted average of the examples the
 row saw. Differencing adjacent ReLU rows narrows "saw" down to one bin.
-`recover_bins` is the one read-out for binned imprints (ReLU and
-hard-threshold); it and `recover_unique_labels` divide rows through the same
-`_read_rows` and return one `Readout`: parallel arrays of bins, vectors,
-denominators and confidences, which `select_candidates` ranks and scoring
-takes as they are.
+`_read` is the one read-out body over a row map, bin i served by one row:
+`recover_bins` reads a binned imprint's bin rows (ReLU and hard-threshold),
+`recover_unique_labels` a linear layer's class rows, each row its own bin.
+Both return one `Readout`: parallel arrays of bins, vectors, denominators and
+confidences, which `select_candidates` ranks and scoring takes as they are.
 """
 
 from __future__ import annotations
@@ -43,15 +43,29 @@ class Readout:
         return len(self.bins)
 
 
-def _read_rows(num_rows, den: np.ndarray, floor: float, width: int) -> Readout:
-    """Row i reads num[i] / den[i], num_rows(lo, hi) giving num's float64 rows
-    lo to hi one `row_blocks` block at a time; only rows with |den| above
-    floor are kept. A non-finite gradient in any row is an error: it would
-    otherwise reach scoring as garbage (or, as NaN, slip the floor)."""
+def _by_bin(rows: np.ndarray, row_of_bin: np.ndarray, relu: bool, dtype, lo=0, hi=None):
+    """Rows regrouped per bin as `dtype`, bins lo to hi (default all) of the
+    row map row_of_bin: a row is its own bin, except that a ReLU row sees all
+    above its boundary, so bin i is row i minus row i+1, the top bin its row."""
+    hi = len(row_of_bin) if hi is None else hi
+    picked = rows[row_of_bin[lo:hi + relu]]
+    out = picked[:hi - lo].astype(dtype)
+    if relu:
+        out[:len(picked) - 1] -= picked[1:]
+    return out
+
+
+def _read(gw: np.ndarray, gb: np.ndarray, row_of_bin: np.ndarray, relu: bool) -> Readout:
+    """Bin i's weight row over its bias row, both by `_by_bin` in float64, the
+    weight rows one `row_blocks` block at a time; a bin is kept only above the
+    floor TAU0 * max|bias grad|. A non-finite gradient in any row is an error:
+    it would otherwise reach scoring as garbage (or, as NaN, slip the floor)."""
+    den = _by_bin(gb, row_of_bin, relu, np.float64)
+    floor = TAU0 * float(np.abs(gb[row_of_bin]).max(initial=0.0))
     live = np.flatnonzero(np.abs(den) > floor)
-    vectors, confidences = np.empty((len(live), width)), np.empty(len(live))
-    for blk in row_blocks(len(den), width):
-        block = num_rows(blk.start, blk.stop)
+    vectors, confidences = np.empty((len(live), gw.shape[1])), np.empty(len(live))
+    for blk in row_blocks(len(den), gw.shape[1]):
+        block = _by_bin(gw, row_of_bin, relu, np.float64, lo=blk.start, hi=blk.stop)
         if not (np.isfinite(block).all() and np.isfinite(den[blk]).all()):
             raise ValueError("non-finite gradient in the payload; no row can be read out")
         i, j = np.searchsorted(live, (blk.start, blk.stop))
@@ -62,40 +76,23 @@ def _read_rows(num_rows, den: np.ndarray, floor: float, width: int) -> Readout:
     return Readout(bins=live, vectors=vectors, denominators=den[live], confidences=confidences)
 
 
-def _by_bin(rows: np.ndarray, imprint: ImprintModule, dtype, lo=0, hi=None):
-    """Rows regrouped per bin as `dtype`, bins lo to hi (default all): a
-    hard-threshold row is its own bin; a ReLU row sees all above its
-    boundary, so bin i is row i minus row i+1, the top bin its row alone."""
-    hi = imprint.k if hi is None else hi
-    relu = imprint.variant == "relu"
-    picked = rows[imprint.row_of_bin[lo:hi + relu]]
-    out = picked[:hi - lo].astype(dtype)
-    if relu:
-        out[:len(picked) - 1] -= picked[1:]
-    return out
-
-
 def recover_bins(payload: UpdatePayload, imprint: ImprintModule) -> Readout:
     """One candidate per bin that captured mass, in bin order (ascending
-    measurement value): the bin's weight over its bias gradient, by
-    `_by_bin`, read in `row_blocks` blocks of bins. Denominators at or below
-    TAU0 * max|bias grad| are suppressed. The payload is left untouched.
-    """
+    measurement value): `_read` over the imprint's bin rows, payload untouched."""
     g = to_gradient_form(payload).tensors
     try:
         gw, gb = g["imprint.weight"], g["imprint.bias"]
     except KeyError as exc:
         raise ValueError("payload has no imprint gradients") from exc
-    floor = TAU0 * float(np.abs(gb[imprint.row_of_bin]).max(initial=0.0))
-    return _read_rows(lambda lo, hi: _by_bin(gw, imprint, np.float64, lo=lo, hi=hi),
-                      _by_bin(gb, imprint, np.float64), floor, gw.shape[1])
+    return _read(gw, gb, imprint.row_of_bin, imprint.variant == "relu")
 
 
 def bin_members(active: np.ndarray, imprint: ImprintModule) -> tuple[np.ndarray, np.ndarray]:
     """(examples, bins): in example order, each (example, bin) pair of an example
     in the average the bin reads out, by `_by_bin` on the (n, rows) active
     mask of the pass behind the payload; an example in no bin is in no pair."""
-    return np.nonzero(_by_bin(active.T, imprint, np.int8).T)
+    return np.nonzero(_by_bin(active.T, imprint.row_of_bin, imprint.variant == "relu",
+                              np.int8).T)
 
 
 def select_candidates(readout: Readout, n: int) -> Readout:
@@ -114,10 +111,8 @@ def recover_unique_labels(grad_w: np.ndarray, grad_b: np.ndarray) -> Readout:
     With repeated labels a class row returns the gradient-weighted average of
     that class's examples.
     """
-    gb = np.asarray(grad_b, dtype=np.float64)
-    floor = TAU0 * float(np.abs(gb).max(initial=0.0))
-    gw = np.asarray(grad_w)
-    out = _read_rows(lambda lo, hi: gw[lo:hi].astype(np.float64), gb, floor, gw.shape[1])
+    gb = np.asarray(grad_b)
+    out = _read(np.asarray(grad_w), gb, np.arange(len(gb)), False)
     if not out:
         raise NoActiveRow("no class row carries signal")
     return out

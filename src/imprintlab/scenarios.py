@@ -26,7 +26,7 @@ from .defense import MAX_NOISE_SCALES, DefenseConfig, apply_defense
 from .errors import ConfigError
 from .federation import fed_avg, fed_sgd, secure_aggregate
 from .imprint import (DEFAULT_P_MIN, build_hard_threshold, build_relu,
-                      fuse_one_shot, make_layout)
+                      fuse_one_shot, make_layout, trap_ends)
 from .measurement import assumed_distribution, build_measurement
 from .metrics import EXACT_REL_TOL, ScoreReport, score
 from .model import FrontStage, make_imprint_model
@@ -239,6 +239,23 @@ def _layout_blame(assumed) -> str:
     return "mean" if abs(assumed["mean"]) > assumed[width] else width
 
 
+def _check_law(assumed, place):
+    """Fail, naming `_layout_blame`'s leaf, when a closed-form assumed law gives
+    boundaries place(law) that are not finite and strictly increasing (an
+    empirical law is measured through c0, so the build checks it)."""
+    if assumed["kind"] == "empirical":
+        return
+    try:
+        with np.errstate(all="ignore"):  # an overflow shows as an infinite boundary
+            ok = np.isfinite(place(assumed_distribution(None, assumed))).all()
+    except ValueError:  # the boundaries are not strictly increasing
+        ok = False
+    if not ok:
+        leaf = _layout_blame(assumed)
+        _fail(f"model.assumed.{leaf}", f"{assumed[leaf]:g} gives bin boundaries that are "
+              "not finite and strictly increasing")
+
+
 def validate_config(raw: dict) -> dict:
     """Full validation; returns the canonical config with defaults filled in."""
     cfg = _walk(raw, _SCHEMA, "config")
@@ -248,20 +265,12 @@ def validate_config(raw: dict) -> dict:
     imprint = model["imprint"]
     if "p_min" in imprint and imprint["p_min"] >= 1.0 / imprint["k"]:
         _fail("model.imprint.p_min", f"must be < 1/k, got {imprint['p_min']}")
-    assumed = model["assumed"]
-    if "k" in imprint and assumed["kind"] != "empirical":  # a closed-form layout
-        try:
-            with np.errstate(all="ignore"):  # an overflow shows as an infinite boundary
-                ok = np.isfinite(make_layout(assumed_distribution(None, assumed), imprint["k"],
-                                             p_min=imprint["p_min"])).all()
-        except ValueError:  # the boundaries are not strictly increasing
-            ok = False
-        if not ok:
-            leaf = _layout_blame(assumed)
-            _fail(f"model.assumed.{leaf}", f"{assumed[leaf]:g} gives bin boundaries that are "
-                  "not finite and strictly increasing")
+    if "k" in imprint:
+        _check_law(model["assumed"], partial(make_layout, k=imprint["k"], p_min=imprint["p_min"]))
     top = float(np.finfo(cfg["dtype"]).max)
-    if fed["protocol"] == "fed_avg" and 1.0 / (fed["lr"] * fed["steps"]) > top:
+    # fed-AVG's read factor: the server reads a delta as a gradient times 1/(lr*steps)
+    read = 1.0 / (fed["lr"] * fed["steps"]) if fed["protocol"] == "fed_avg" else 1.0
+    if read > top:
         _fail("federation.lr", f"1/(lr*steps) must be finite in {cfg['dtype']}, got lr "
               f"{fed['lr']:g} over {fed['steps']} steps")
     for key in ("gain", "scale"):
@@ -274,9 +283,7 @@ def validate_config(raw: dict) -> dict:
     # the largest noise the read-out forms, in noise scales: the users' draws summed,
     # or their mean over lr*steps under fed-AVG, differenced across two ReLU rows in
     # the run dtype only in float64 (float32 rows are differenced in float64)
-    readout = 1.0 / (fed["lr"] * fed["steps"]) if fed["protocol"] == "fed_avg" else 1.0
-    readout *= 2 if cfg["dtype"] == "float64" else 1
-    reach = MAX_NOISE_SCALES * max(fed["users"], readout)
+    reach = MAX_NOISE_SCALES * max(fed["users"], read * (2 if cfg["dtype"] == "float64" else 1))
     if sigma * reach > top:
         _fail("defense.sigma", f"must be at most {top / reach:g} in {cfg['dtype']} (the read-out "
               f"forms noise up to {reach:g} sigma), got {sigma:g}")
@@ -293,6 +300,13 @@ def validate_config(raw: dict) -> dict:
         if imprint["placement"] is not None and imprint["placement"] + mass >= 1.0:
             _fail("model.imprint.placement", f"{imprint['placement']} plus target_mass "
                   f"{mass} leaves the interval outside (0, 1)")
+        ends = partial(trap_ends, target_mass=mass, placement=imprint["placement"])
+        try:  # the two probabilities themselves: a mass lost next to the placement
+            ends(None)
+        except ValueError:
+            _fail("model.imprint.target_mass", f"{mass:g} gives bin boundaries that are not "
+                  "finite and strictly increasing")
+        _check_law(model["assumed"], ends)
     if cfg["trials"] is not None:
         if imprint["variant"] != "one_shot":
             _fail("trials", "trial loops only make sense for the one_shot imprint")
@@ -353,17 +367,15 @@ def _build_attack(cfg, m_feat, n, dtype):
     with np.errstate(over="ignore", invalid="ignore"):  # past the dtype's range: named below
         try:  # closed-form layouts are validated; an empirical one is measured through c0
             dist = assumed_distribution(h, assumed, surrogate=surrogate)
-            if imp_cfg["variant"] != "one_shot":
+            if imp_cfg["variant"] == "one_shot":
+                mass = 1.0 / n if imp_cfg["target_mass"] == "1/n" else imp_cfg["target_mass"]
+                imp = fuse_one_shot(dist, h, mass, placement=imp_cfg["placement"], dtype=dtype)
+            else:
                 bounds = make_layout(dist, imp_cfg["k"], p_min=imp_cfg["p_min"])
         except ValueError as exc:
             _fail("model.measurement.c0", f"{meas_cfg['c0']} degenerates the measured assumed "
                   f"distribution ({exc})")
-        if imp_cfg["variant"] == "one_shot":
-            mass = imp_cfg["target_mass"]
-            if mass == "1/n":
-                mass = 1.0 / n
-            imp = fuse_one_shot(dist, h, mass, placement=imp_cfg["placement"], dtype=dtype)
-        else:
+        if imp_cfg["variant"] != "one_shot":
             perm_stream = RngStream(seed, STREAM_IMPRINT_PERM) if imp_cfg["permute"] else None
             if imp_cfg["variant"] == "relu":
                 imp = build_relu(bounds, h, decoys=imp_cfg["decoys"], perm_stream=perm_stream,
@@ -397,12 +409,17 @@ def _build_attack(cfg, m_feat, n, dtype):
 def _blame_overflow(cfg, batch, exc: FloatingPointError) -> ConfigError:
     """A federated pass left the run dtype's range: blame the largest factor it
     multiplies by, among a set (not "auto") |c0|, the head's gain or scale,
-    fed-AVG's lr and a CSV batch's largest |value| (named data.path)."""
-    c0 = cfg["model"]["measurement"]["c0"]
+    fed-AVG's lr, a CSV batch's largest |value| (named data.path) and a
+    closed-form assumed law's `_layout_blame` leaf, whose boundaries are the
+    imprint's biases, at its magnitude; ties go to the first."""
+    c0, assumed = cfg["model"]["measurement"]["c0"], cfg["model"]["assumed"]
     factors = {f"model.head.{k}": v for k, v in cfg["model"]["head"].items() if k != "kind"}
     factors.update({"model.measurement.c0": 0.0 if c0 == "auto" else abs(c0),
                     "federation.lr": cfg["federation"].get("lr", 0.0),
                     "data.path": np.abs(batch.x).max() if cfg["data"]["kind"] == "csv" else 0.0})
+    if assumed["kind"] != "empirical":
+        leaf = _layout_blame(assumed)
+        factors[f"model.assumed.{leaf}"] = abs(assumed[leaf])
     leaf = max(factors, key=factors.get)
     return ConfigError(f"{leaf}: {factors[leaf]:g} is the largest factor of a federated pass "
                        f"that left the {cfg['dtype']} range ({exc})")

@@ -13,7 +13,9 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 from imprintlab.distributions import Empirical, Laplace, Normal
-from imprintlab.numerics import RngStream
+from imprintlab.federation import to_gradient_form
+from imprintlab.numerics import RngStream, row_blocks
+from imprintlab.recovery import NoActiveRow, Readout
 from imprintlab.scenarios import STREAM_POOL
 
 
@@ -199,6 +201,62 @@ def loop_readout(payload, imprint, tau0=1e-9):
             continue
         rows.append((i, gw[i] / gb[i], float(gb[i]), float(np.abs(gw[i]).mean())))
     return rows
+
+
+def _callback_read_rows(num_rows, den, floor, width):
+    """Row i reads num[i] / den[i], num_rows(lo, hi) giving num's float64 rows
+    lo to hi one `row_blocks` block at a time; rows with |den| above floor are
+    kept, and a non-finite gradient raises."""
+    live = np.flatnonzero(np.abs(den) > floor)
+    vectors, confidences = np.empty((len(live), width)), np.empty(len(live))
+    for blk in row_blocks(len(den), width):
+        block = num_rows(blk.start, blk.stop)
+        if not (np.isfinite(block).all() and np.isfinite(den[blk]).all()):
+            raise ValueError("non-finite gradient in the payload; no row can be read out")
+        i, j = np.searchsorted(live, (blk.start, blk.stop))
+        vectors[i:j] = block[live[i:j] - blk.start]
+        del block
+        confidences[i:j] = np.abs(vectors[i:j]).mean(axis=1)
+        vectors[i:j] /= den[live[i:j], None]
+    return Readout(bins=live, vectors=vectors, denominators=den[live], confidences=confidences)
+
+
+def _imprint_by_bin(rows, imprint, dtype, lo=0, hi=None):
+    """Bins lo to hi of an imprint's rows as `dtype`, ReLU rows differenced."""
+    hi = imprint.k if hi is None else hi
+    relu = imprint.variant == "relu"
+    picked = rows[imprint.row_of_bin[lo:hi + relu]]
+    out = picked[:hi - lo].astype(dtype)
+    if relu:
+        out[:len(picked) - 1] -= picked[1:]
+    return out
+
+
+def callback_recover_bins(payload, imprint, tau0=1e-9):
+    """The bin read-out as its own body: its own floor, and a callback that
+    builds the float64 numerator rows for `_callback_read_rows`."""
+    g = to_gradient_form(payload).tensors
+    try:
+        gw, gb = g["imprint.weight"], g["imprint.bias"]
+    except KeyError as exc:
+        raise ValueError("payload has no imprint gradients") from exc
+    floor = tau0 * float(np.abs(gb[imprint.row_of_bin]).max(initial=0.0))
+    return _callback_read_rows(
+        lambda lo, hi: _imprint_by_bin(gw, imprint, np.float64, lo=lo, hi=hi),
+        _imprint_by_bin(gb, imprint, np.float64), floor, gw.shape[1])
+
+
+def callback_recover_unique_labels(grad_w, grad_b, tau0=1e-9):
+    """The class-row read-out as its own body: the bias gradient cast to
+    float64 before its floor, and a callback that slices the weight rows."""
+    gb = np.asarray(grad_b, dtype=np.float64)
+    floor = tau0 * float(np.abs(gb).max(initial=0.0))
+    gw = np.asarray(grad_w)
+    out = _callback_read_rows(lambda lo, hi: gw[lo:hi].astype(np.float64), gb, floor,
+                              gw.shape[1])
+    if not out:
+        raise NoActiveRow("no class row carries signal")
+    return out
 
 
 def loop_select(rows, n):

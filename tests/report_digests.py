@@ -23,9 +23,18 @@ of `check`.
 
     PYTHONPATH=src python tests/report_digests.py > after.txt
 
-Pointing PYTHONPATH at another checkout's `src/` digests that tree instead;
-`diff` the two outputs. pytest does not collect this file (its name does not
-start with `test_`). It runs with one BLAS thread, as the benchmark does.
+Pointing PYTHONPATH at another checkout's `src/` digests that tree instead.
+`--against OTHER/src` does both in one command: it digests that tree in a
+subprocess while it digests this one, prints only the labels whose digests
+differ and exits 1 if any do. `--strip a.b.c`, repeatable, drops a dotted
+report key before hashing (in both trees), so a change that moves reports
+only by named keys can show that nothing else moved:
+
+    PYTHONPATH=src python tests/report_digests.py --against ../parent/src \
+        --strip recovery.spurious
+
+pytest does not collect this file (its name does not start with `test_`). It
+runs with one BLAS thread, as the benchmark does.
 """
 
 import os
@@ -33,9 +42,11 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
+import argparse  # noqa: E402
 import copy  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from contextlib import redirect_stdout  # noqa: E402
@@ -184,17 +195,53 @@ def cli_outputs(tmp: str):
         yield " ".join([*args, "stdout"]), _stdout(args)
 
 
-def digest(report: dict) -> str:
-    stable = {k: v for k, v in report.items() if k != "timing"}
-    if stable["config"]["data"]["kind"] == "csv":  # drop the temporary path
-        stable["config"] = copy.deepcopy(stable["config"])
-        del stable["config"]["data"]["path"]
+def digest(report: dict, strip=()) -> str:
+    """The SHA-256 of the report's canonical JSON without `timing`, a CSV run's
+    temporary `config.data.path` and each dotted key in strip (an absent key
+    is skipped)."""
+    stable = copy.deepcopy({k: v for k, v in report.items() if k != "timing"})
+    if stable["config"]["data"]["kind"] == "csv":
+        strip = ("config.data.path", *strip)
+    for path in strip:
+        *sections, key = path.split(".")
+        node = stable
+        for section in sections:
+            node = node.get(section) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node.pop(key, None)
     return hashlib.sha256(canonical_json(stable).encode()).hexdigest()
 
 
-if __name__ == "__main__":
+def digests(strip=()):
+    """(label, digest) for every report, then every CLI output, of the set."""
     with tempfile.TemporaryDirectory() as tmp:
         for label, cfg in configs(tmp):
-            print(f"{digest(run_scenario(cfg).report)}  {label}", flush=True)
+            yield label, digest(run_scenario(cfg).report, strip)
         for label, data in cli_outputs(tmp):
-            print(f"{hashlib.sha256(data).hexdigest()}  {label}", flush=True)
+            yield label, hashlib.sha256(data).hexdigest()
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Digest every report and CLI output of "
+                                     "the set, or compare them with another tree's.")
+    parser.add_argument("--against", metavar="SRC",
+                        help="another tree's src/: print the labels whose digests differ")
+    parser.add_argument("--strip", action="append", default=[], metavar="A.B.C",
+                        help="drop this dotted report key before hashing (repeatable)")
+    args = parser.parse_args()
+    if args.against is None:
+        for label, hexdigest in digests(args.strip):
+            print(f"{hexdigest}  {label}", flush=True)
+        sys.exit(0)
+    with subprocess.Popen([sys.executable, __file__, *(f"--strip={key}" for key in args.strip)],
+                          env={**os.environ, "PYTHONPATH": os.path.abspath(args.against)},
+                          stdout=subprocess.PIPE, text=True) as other:
+        ours = list(digests(args.strip))
+        out, _ = other.communicate()
+    if other.returncode != 0:
+        sys.exit(f"digesting {args.against} exited {other.returncode}")
+    theirs = dict(line.split("  ", 1)[::-1] for line in out.splitlines())
+    differ = [label for label, hexdigest in ours if theirs.pop(label, None) != hexdigest]
+    for label in differ + sorted(theirs):  # theirs now holds only labels we lack
+        print(label, flush=True)
+    sys.exit(1 if differ or theirs else 0)

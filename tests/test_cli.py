@@ -138,6 +138,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
         cfg["dtype"], cfg["model"]["assumed"] = "float64", assumed
         assert main(["run", "--config", _small_cfg_file(tmp_path, **cfg)]) == 2
         assert f"model.assumed.{named} gives bin boundaries" in capsys.readouterr().err
+    # the one-shot trap's two ends collapse the same way, or its probabilities do:
+    # q + 1e-17 == q in float64
+    for over, named in (({"assumed": {"kind": "normal", "sd": 5e-324}},
+                         "assumed.sd: 4.94066e-324"),
+                        ({"assumed": {"kind": "normal", "mean": 1e300}}, "assumed.mean: 1e+300"),
+                        ({"assumed": {"kind": "laplace", "scale": 5e-324}},
+                         "assumed.scale: 4.94066e-324"),
+                        ({"imprint": {"variant": "one_shot", "target_mass": 1e-17}},
+                         "imprint.target_mass: 1e-17")):
+        cfg = bundled_config("oneshot")
+        cfg["trials"] = 2
+        cfg["model"].update(over)
+        assert main(["run", "--config", _small_cfg_file(tmp_path, **cfg)]) == 2
+        assert (f"config error: model.{named} gives bin boundaries that are not finite and "
+                "strictly increasing") in capsys.readouterr().err
+    # an empirical law's trap is measured through c0, as its bins are
+    cfg = bundled_config("oneshot")
+    cfg["trials"], cfg["model"]["assumed"] = 2, {"kind": "empirical"}
+    cfg["model"]["measurement"]["c0"] = 5e-324
+    assert main(["run", "--config", _small_cfg_file(tmp_path, **cfg)]) == 2
+    assert ("config error: model.measurement.c0: 5e-324 degenerates the measured assumed "
+            "distribution (bin boundaries are not strictly increasing") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, section, over, expected", [
@@ -235,9 +257,19 @@ def _huge_csv(tmp_path):
     ("oneshot", "float32", {"model.head.gain": 1e36, "trials": 3}, "model.head.gain", "1e+36"),
     ("oneshot", "float64", {"model.measurement.c0": 1e307, "trials": 3},
      "model.measurement.c0", "1e+307"),
+    # the assumed law's boundaries are the imprint's biases: its width is a factor
+    ("fullbatch64", "float32", {"model.assumed": {"kind": "laplace", "scale": 1e36}},
+     "model.assumed.scale", "1e+36"),
+    ("fullbatch64", "float32", {"model.assumed": {"kind": "normal", "sd": 1e36}},
+     "model.assumed.sd", "1e+36"),
+    ("fullbatch64", "float64", {"model.assumed": {"kind": "normal", "sd": 1e306}},
+     "model.assumed.sd", "1e+306"),
+    ("text128", "float32", {"model.assumed": {"kind": "laplace", "scale": 1e35}},
+     "model.assumed.scale", "1e+35"),
 ], ids=["fullbatch64-c0", "fullbatch64-c0-linear-bridge", "text128-c0", "float64-gain",
         "float32-gain", "random-head-scale", "fedavg-lr-1e20", "fedavg-lr-1e38", "csv-values",
-        "oneshot-float32-gain", "oneshot-float64-c0"])
+        "oneshot-float32-gain", "oneshot-float64-c0", "laplace-scale", "normal-sd",
+        "float64-normal-sd", "text128-laplace-scale"])
 def test_overflowing_pass_exits_2_naming_its_largest_factor(tmp_path, capsys, name, dtype,
                                                             over, leaf, value):
     cfg = bundled_config(name)

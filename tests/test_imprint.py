@@ -5,7 +5,7 @@ import pytest
 
 from imprintlab.distributions import Empirical, Laplace, Normal
 from imprintlab.imprint import (DEFAULT_P_MIN, build_hard_threshold, build_relu,
-                                fuse_one_shot, make_layout)
+                                fuse_one_shot, make_layout, trap_ends)
 from imprintlab.measurement import build_measurement
 from imprintlab.numerics import RngStream
 from oracles import bisect_quantile, cdf
@@ -197,3 +197,10 @@ def test_one_shot_placement():
         fuse_one_shot(d, h, 0.5, placement=0.7)  # interval spills past 1
     with pytest.raises(ValueError):
         fuse_one_shot(d, h, 1.5)
+    # two ends that collapse raise as make_layout's boundaries do
+    for law, mass in ((Normal(sd=5e-324), 0.01), (Normal(mean=1e300), 0.01), (d, 1e-17)):
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            fuse_one_shot(law, h, mass)
+    # without a law, the trap's two probabilities
+    assert trap_ends(None, 0.25).tolist() == [0.375, 0.625]
+    assert trap_ends(None, 0.25, placement=0.5).tolist() == [0.5, 0.75]

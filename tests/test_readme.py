@@ -62,15 +62,25 @@ def test_readme_names_every_leaf_an_overflow_can_blame():
     def csv(cfg):
         cfg["data"] = {"kind": "csv"}  # the batch's largest magnitude, 1e30, is the factor
 
+    def mean(cfg):
+        cfg["model"]["assumed"] = {"kind": "laplace", "mean": -1e30, "scale": 1.0}
+
+    def sd(cfg):
+        cfg["model"]["assumed"] = {"kind": "normal", "mean": 0.0, "sd": 1e30}
+
+    def law_scale(cfg):
+        cfg["model"]["assumed"] = {"kind": "laplace", "mean": 0.0, "scale": 1e30}
+
     batch = SimpleNamespace(x=np.full((2, 3), -1e30))
     blamed = set()
-    for make_largest in (c0, gain, scale, lr, csv):
+    for make_largest in (c0, gain, scale, lr, csv, mean, sd, law_scale):
         cfg = bundled_config("fedavg8x8")  # fed-AVG, so lr is a factor
         make_largest(cfg)
         err = _blame_overflow(cfg, batch, FloatingPointError("overflow encountered in matmul"))
         blamed.add(str(err).split(": ")[0])
     assert blamed == {"model.measurement.c0", "model.head.gain", "model.head.scale",
-                      "federation.lr", "data.path"}
+                      "federation.lr", "data.path", "model.assumed.mean", "model.assumed.sd",
+                      "model.assumed.scale"}
     text = README.read_text()
     checks = text[text.index("A few checks span leaves"):text.index("| path | type |")]
     assert {leaf for leaf in blamed if f"`{leaf}`" not in checks} == set()

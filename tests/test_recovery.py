@@ -2,19 +2,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imprintlab.distributions import Normal
-from imprintlab.federation import fed_avg, fed_sgd, secure_aggregate, to_gradient_form
-from imprintlab.imprint import build_hard_threshold, build_relu, make_layout
+from imprintlab.federation import (UpdatePayload, fed_avg, fed_sgd, secure_aggregate,
+                                  to_gradient_form)
+from imprintlab.imprint import ImprintModule, build_hard_threshold, build_relu, make_layout
 from imprintlab.measurement import build_measurement
 from imprintlab.model import make_imprint_model, make_logistic_model
-from imprintlab.numerics import BLOCK_CELLS, RngStream
+from imprintlab.numerics import BLOCK_CELLS, RngStream, row_blocks
 from imprintlab.recovery import (NoActiveRow, Readout, bin_members, decoding_verified,
                                  recover_bins, recover_unique_labels, select_candidates,
                                  token_lookup)
-from oracles import loop_readout, loop_select, loop_token_lookup
+from oracles import (callback_recover_bins, callback_recover_unique_labels, loop_readout,
+                     loop_select, loop_token_lookup)
 
 
 def _place_in_bins(bounds, h, bins, stream):
@@ -337,10 +339,78 @@ def test_every_bin_reads_the_mean_of_its_members(variant, shard, users, k, m, pe
         assert err <= tol * np.linalg.norm(inside, axis=1).max()
 
 
+_WIDE = BLOCK_CELLS // 3 + 1  # two rows to a `row_blocks` block
+
+
+def _outcome(read, *args):
+    """A read-out's (dtype, bytes) of bins, vectors, denominators and
+    confidences, or the type and message of what it raised."""
+    try:
+        out = read(*args)
+    except (ValueError, NoActiveRow) as exc:
+        return type(exc), str(exc)
+    return [(a.dtype.str, a.tobytes())
+            for a in (out.bins, out.vectors, out.denominators, out.confidences)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(["relu", "hard_threshold"]), k=st.integers(2, 24),
+       m=st.sampled_from([1, 2, 5, 12, _WIDE]), permute=st.booleans(),
+       decoys=st.integers(0, 3), dead=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       users=st.sampled_from([1, 3]), poison=st.sampled_from([None, "weight", "bias"]),
+       seed=st.integers(0, 2 ** 16), dtype=st.sampled_from([np.float32, np.float64]))
+# k of 7 to 9 bins at the wide width spans four or five blocks
+@example(variant="relu", k=7, m=_WIDE, permute=True, decoys=2, dead=0.3, users=3,
+         poison=None, seed=1, dtype=np.float32)
+@example(variant="hard_threshold", k=8, m=_WIDE, permute=True, decoys=0, dead=0.3, users=1,
+         poison=None, seed=2, dtype=np.float64)
+@example(variant="relu", k=9, m=_WIDE, permute=False, decoys=1, dead=0.0, users=1,
+         poison="weight", seed=3, dtype=np.float64)
+def test_one_read_out_body_matches_the_callback_bodies(variant, k, m, permute, decoys, dead,
+                                                       users, poison, seed, dtype):
+    """`recover_bins` and `recover_unique_labels` equal, byte for byte or in what
+    they raise, the two bodies that each built their own floor and numerator rows."""
+    rng = np.random.default_rng(seed)
+    rows = k + decoys
+    perm = rng.permutation(rows) if permute else np.arange(rows)
+    imp = ImprintModule(variant=variant, weight=np.empty((rows, 0), dtype=dtype),
+                        bias=np.empty(rows, dtype=dtype),
+                        boundaries=np.arange(k, dtype=np.float64),
+                        row_of_bin=perm[:k], decoy_rows=np.sort(perm[k:]))
+    gw = rng.standard_normal((rows, m)).astype(dtype)
+    gb = rng.standard_normal(rows).astype(dtype)
+    gb[perm[k:]] *= dtype(1e3)  # a floor taken over the decoys too would be higher
+    dead_bins = rng.random(k) < dead
+    faint = rng.random(k) < 0.2  # a denominator near the TAU0 floor
+    for i in range(k - 1, -1, -1):  # from the top, so a ReLU copy takes a final row
+        row = perm[i]
+        gb[row] *= dtype(1e-9) if faint[i] else dtype(1)
+        if dead_bins[i]:  # a ReLU bin whose row equals the next is empty
+            up = perm[i + 1] if variant == "relu" and i + 1 < k else None
+            gw[row], gb[row] = (0, 0) if up is None else (gw[up], gb[up])
+    if poison is not None:
+        bad = rng.choice([np.nan, np.inf, -np.inf])
+        target = gw if poison == "weight" else gb
+        target[(perm[rng.integers(k)],) + ((rng.integers(m),) if poison == "weight" else ())] \
+            = bad
+    if k >= 5 and m == _WIDE:
+        assert len(row_blocks(k, m)) >= 3
+    payload = UpdatePayload(kind="gradient", users=users,
+                            tensors={"imprint.weight": gw, "imprint.bias": gb})
+    assert _outcome(recover_bins, payload, imp) == \
+        _outcome(callback_recover_bins, payload, imp)
+    # the same rows as a linear layer's class rows, dead ones zero; all dead at 1.0
+    cls_w, cls_b = gw.copy(), gb.copy()
+    cls_w[perm[:k][dead_bins]], cls_b[perm[:k][dead_bins]] = 0, 0
+    if dead == 1.0:
+        cls_w[:], cls_b[:] = 0, 0
+    assert _outcome(recover_unique_labels, cls_w, cls_b) == \
+        _outcome(callback_recover_unique_labels, cls_w, cls_b)
+
+
 def test_missing_imprint_grads_error():
     relu = build_relu(make_layout(Normal(), 4), build_measurement("mean", 8, c0="auto"),
                       dtype=np.float64)
-    from imprintlab.federation import UpdatePayload
     bare = UpdatePayload(kind="gradient", tensors={"head.bias": np.ones(3)})
     with pytest.raises(ValueError, match="imprint gradients"):
         recover_bins(bare, relu)

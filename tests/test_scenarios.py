@@ -4,18 +4,20 @@ import os
 import re
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from imprintlab import model as model_module
 from imprintlab import scenarios
 from imprintlab.dataio import canonical_json, write_csv
 from imprintlab.errors import ConfigError
 from imprintlab.measurement import build_measurement
 from imprintlab.numerics import RngStream
-from imprintlab.recovery import Readout
+from imprintlab.recovery import Readout, bin_members
 from imprintlab.scenarios import (BUNDLED, CONFIG_LEAVES, SWEEP_HEADER, bundled_config,
                                   check_bundled, run_scenario, sweep_scenario,
                                   validate_config)
@@ -686,7 +688,7 @@ def _noise_free_fed_sgd(draw):
     if variant == "relu":
         imprint["decoys"] = draw(st.integers(0, 3))
     return _small_cfg(
-        dtype="float64", seed=draw(st.integers(0, 10_000)),
+        dtype=draw(st.sampled_from(["float32", "float64"])), seed=draw(st.integers(0, 10_000)),
         data={"kind": "synthetic_gaussian", "n": n, "m": draw(st.integers(1, 8)),
               "label_classes": 4},
         model={"measurement": {"kind": draw(st.sampled_from(["mean", "random_gaussian"]))},
@@ -695,21 +697,93 @@ def _noise_free_fed_sgd(draw):
         metrics={"pool": 0, "rel_tol": 1e-4})
 
 
+def _singleton_errors(cfg):
+    """Run a noise-free fed-SGD cfg; return its result and, for each singleton
+    bin, (bin, rel_err, bound): its read-out's relative error to its member
+    (None when the bin is not read out) and a bound on that error from the
+    sums that form the read-out (Higham 2002, section 3.1, u the run dtype's
+    unit roundoff and gamma_j = j u / (1 - j u)):
+      - a user's row entry, a sum of `shard` products d_e f_e, is off by at most
+        gamma_shard times the sum of |d_e f_e| (its bias entry likewise);
+      - the secure sum over U users adds gamma_(U-1) times the sum of the
+        users' |entries|, and the factor c = dtype(1/U) rounds each entry once
+        more; c scales numerator and denominator alike, so it cancels:
+        together gamma_(shard+U) (gamma_shard for one user), times c;
+      - the ReLU difference of two rows adds both rows' bounds; in exact
+        arithmetic it leaves c d_e f_e over c d_e, which is f_e;
+      - the float64 difference and division round once each, and the factor
+        1 + 1e-12 covers the float64 sums here and in the error itself.
+    With eps and eps_b the numerator's and the denominator's bounds, D = c d_e,
+    rel_err <= (|eps| / |f| + eps_b) / (|D| - eps_b)."""
+    seen, last = [], []
+    real_matmul, real_pass = model_module.matmul, model_module.ModelGraph.loss_and_grads
+
+    def spy(a, b):
+        last[:] = [a]
+        return real_matmul(a, b)
+
+    def recorded(self, x, labels):  # the pass's last product is dpre.T @ feats
+        out = real_pass(self, x, labels)
+        seen.append((np.abs(last[0]).astype(np.float64), out[2]))
+        return out
+
+    with mock.patch.object(model_module, "matmul", spy), \
+            mock.patch.object(model_module.ModelGraph, "loss_and_grads", recorded):
+        res = run_scenario(cfg)
+    dtype, users = np.dtype(cfg["dtype"]), cfg["federation"]["users"]
+    terms = cfg["data"]["n"] // users + (users if users > 1 else 0)
+    u, u64 = np.finfo(dtype).eps / 2, np.finfo(np.float64).eps / 2
+    gamma, c = terms * u / (1 - terms * u), float(dtype.type(1.0 / users))
+    dpre = np.concatenate([d for d, _ in seen], axis=1)  # (rows, n): |d_e| where active
+    imp, feats = res.artifacts["imprint"], res.artifacts["feats"].astype(np.float64)
+    w, wb = c * gamma * (dpre @ np.abs(feats)), c * gamma * dpre.sum(axis=1)
+    examples, bins = bin_members(np.concatenate([act for _, act in seen]), imp)
+    cand = res.artifacts["candidates"]
+    out = []
+    for b in np.flatnonzero(np.bincount(bins, minlength=imp.k) == 1):
+        e = examples[bins == b][0]
+        rows = imp.row_of_bin[b:b + 1 + (imp.variant == "relu")]
+        f, big_d = feats[e], c * dpre[rows, e].max()
+        eps = w[rows].sum(axis=0) * (1 + u64) + u64 * big_d * np.abs(f)
+        eps_b = wb[rows].sum() * (1 + u64) + u64 * big_d
+        norm = np.linalg.norm(f)
+        bound = math.inf if eps_b >= big_d else \
+            ((np.linalg.norm(eps) / norm + eps_b) / (big_d - eps_b) * (1 + u64) + u64) * \
+            (1 + 1e-12)
+        at = np.flatnonzero(cand.bins == b)
+        err = float(np.linalg.norm(cand.vectors[at[0]] - f) / norm) if len(at) else None
+        out.append((int(b), err, bound))
+    return res, out
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(cfg=_noise_free_fed_sgd())
+# float32 singleton bin 6 (member -0.00477) reads rel_err 1.0e-4, past rel_tol, under its
+# bound of 5.7e-3: its two rows sum 20 and 19 terms, with features up to 430 times its own
+@example(cfg=_small_cfg(dtype="float32", seed=0,
+                        data={"kind": "synthetic_gaussian", "n": 40, "m": 1, "label_classes": 4},
+                        model={"imprint": {"variant": "relu", "k": 13},
+                               "head": {"kind": "pinned", "gain": 40.0}},
+                        federation={"protocol": "fed_sgd", "users": 4},
+                        metrics={"pool": 0, "rel_tol": 1e-4}))
 def test_exact_bins_are_the_singleton_bins_without_noise(cfg):
-    res = run_scenario(cfg)
+    res, singles = _singleton_errors(cfg)
     occ, rec = res.report["occupancy"], res.report["recovery"]
     assert rec["spurious"] == 0
+    assert [b for b, _, _ in singles] == occ["singleton_bins"]
+    # every singleton read out is within its bound, and one whose bound is
+    # within rel_tol is exact; in float64 that is every singleton
+    tol = cfg["metrics"]["rel_tol"]
+    assert all(err <= bound for _, err, bound in singles if err is not None)
+    assert cfg["dtype"] == "float32" or all(bound <= tol for _, _, bound in singles)
+    assert {b for b, _, bound in singles if bound <= tol} <= set(rec["exact_bins"])
+    extra = set(rec["exact_bins"]) - set(occ["singleton_bins"])
     if cfg["data"]["m"] >= 2:
-        assert rec["exact_bins"] == occ["singleton_bins"]
+        assert extra == set()
         return
     # m = 1: a bin is an interval of the one feature, so a collision's members
     # can agree with their average to rel_tol; that read-out counts as exact
-    # (it reproduces a member), so every singleton is exact and each other
-    # exact bin is a collision
-    extra = set(rec["exact_bins"]) - set(occ["singleton_bins"])
-    assert set(occ["singleton_bins"]) <= set(rec["exact_bins"])
+    # (it reproduces a member), so each exact bin that is no singleton is a collision
     assert all(res.artifacts["occupancy_counts"][b] >= 2 for b in extra)
 
 
