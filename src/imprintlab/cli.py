@@ -154,12 +154,11 @@ def _cmd_plan(args) -> int:
                      f"{theory.one_shot_success(args.n, args.p):.4f}")
         p_star, v_star = theory.one_shot_optimum(args.n)
         lines.append(f"optimal mass p* = {p_star:.6g} with success {v_star:.4f}")
-    over = theory.overhead(args.m, args.k or 2, decoys=args.decoys,  # a trap is two rows
-                           bridge_params=args.bridge_params,
-                           base_params=args.base_params)
-    lines.append(f"imprint parameter overhead: {over['absolute']}")
-    if "relative" in over:
-        lines.append(f"relative to base model: {over['relative'] * 100:.2f}%")
+    absolute = theory.overhead(args.m, args.k or 2, decoys=args.decoys,  # a trap is two rows
+                               bridge_params=args.bridge_params)
+    lines.append(f"imprint parameter overhead: {absolute}")
+    if args.base_params is not None:
+        lines.append(f"relative to base model: {absolute / args.base_params * 100:.2f}%")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -37,17 +37,20 @@ class Batch:
 
 def normalize(x: np.ndarray, kind: str) -> np.ndarray:
     """Per-feature normalization in the dtype of x; a zero-spread column keeps
-    scale 1."""
+    scale 1, and an offset or scale past the dtype's range raises ValueError."""
     if kind == "none":
         return x
-    if kind == "standardize":
-        offset = x.mean(axis=0)
-        scale = x.std(axis=0)
-    elif kind == "unit_interval":
-        offset = x.min(axis=0)
-        scale = x.max(axis=0) - offset
-    else:
-        raise ValueError(f"unknown normalization {kind!r}; expected one of {NORMALIZATIONS}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "standardize":
+            offset = x.mean(axis=0)
+            scale = x.std(axis=0)
+        elif kind == "unit_interval":
+            offset = x.min(axis=0)
+            scale = x.max(axis=0) - offset
+        else:
+            raise ValueError(f"unknown normalization {kind!r}; expected one of {NORMALIZATIONS}")
+    if not (np.isfinite(offset).all() and np.isfinite(scale).all()):
+        raise ValueError(f"{kind} overflows {x.dtype}: a column's offset or scale is not finite")
     offset = offset.astype(np.float64)
     scale = np.where(scale == 0, 1.0, scale).astype(np.float64)
     return ((x - offset) / scale).astype(x.dtype)
@@ -62,8 +65,9 @@ def load_synthetic_gaussian(n: int, m: int, *, label_classes: int, stream: RngSt
     return Batch(x=x, labels=labels)
 
 
-def _bad_cell(path: str, lineno: int, header: list, label_idx, row: list) -> ValueError:
-    """The error for the leftmost bad cell of a row that failed to convert."""
+def _bad_cell(path: str, lineno: int, header: list, label_idx, row: list,
+              dtype: np.dtype) -> ValueError:
+    """The error for the leftmost bad cell of a row that failed to convert to dtype."""
     for col, cell in enumerate(row):
         where = f"{path}:{lineno}: column {header[col]!r}: "
         try:
@@ -77,12 +81,16 @@ def _bad_cell(path: str, lineno: int, header: list, label_idx, row: list) -> Val
             return ValueError(where + f"bad float {cell!r}")
         elif not math.isfinite(value):
             return ValueError(where + f"non-finite value {cell!r}")
+        elif not np.isfinite(dtype.type(value)):
+            return ValueError(where + f"value {cell!r} overflows {dtype}")
 
 
 def load_csv(path: str, *, dtype=np.float32, normalization: str = "none") -> Batch:
     """CSV with a header row: float feature columns and an optional "label"
-    column of integers >= 0. Rows convert whole; a failed row is searched cell by cell."""
-    with open(path, newline="") as fh:
+    column of integers >= 0, in UTF-8 with or without a byte-order mark. Rows
+    convert whole to dtype; a failed row is searched cell by cell."""
+    dtype = np.dtype(dtype)
+    with open(path, newline="", encoding="utf-8-sig") as fh, np.errstate(over="ignore"):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -101,11 +109,11 @@ def load_csv(path: str, *, dtype=np.float32, normalization: str = "none") -> Bat
             feats = row if label_idx is None else row[:label_idx] + row[label_idx + 1:]
             try:
                 label = 0 if label_idx is None else int(row[label_idx])
-                values = np.fromiter(map(float, feats), np.float64)
+                values = np.fromiter(map(float, feats), dtype)
             except ValueError:
                 label = -1
             if label < 0 or not np.isfinite(values).all():
-                raise _bad_cell(path, lineno, header, label_idx, row)
+                raise _bad_cell(path, lineno, header, label_idx, row, dtype)
             rows.append(values)
             labels.append(label)
     if not rows:

@@ -100,9 +100,6 @@ class ModelGraph:
     def copy(self) -> "ModelGraph":
         return replace(self, params={k: v.copy() for k, v in self.params.items()})
 
-    def param_count(self) -> int:
-        return sum(int(v.size) for v in self.params.values())
-
     def forward_features(self, x: np.ndarray) -> np.ndarray:
         """Output of the front stages: what the imprint layer sees, and what
         recovery reconstructs."""

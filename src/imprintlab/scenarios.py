@@ -535,11 +535,9 @@ def _theory_block(imp, model, n, m_feat):
     if imp.fused_mass is not None:
         block["one_shot_success"] = theory.one_shot_success(n, imp.fused_mass)
     bridge = model.params.get("bridge.weight")
-    over = theory.overhead(m_feat, k, decoys=len(imp.decoy_rows),
-                           bridge_params=0 if bridge is None else int(bridge.size),
-                           base_params=model.param_count())
-    block["overhead_params"] = over["absolute"]
-    block["overhead_relative"] = over["relative"]
+    block["overhead_params"] = theory.overhead(
+        m_feat, k, decoys=len(imp.decoy_rows),
+        bridge_params=0 if bridge is None else int(bridge.size))
     return block
 
 

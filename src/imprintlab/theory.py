@@ -63,19 +63,8 @@ def one_shot_optimum(n: int) -> tuple[float, float]:
     return p, one_shot_success(n, p)
 
 
-def overhead(m: int, k: int, *, decoys: int = 0, bridge_params: int = 0,
-             base_params: int | None = None) -> dict:
-    """Parameter cost of an imprint block, computed without allocating it.
-
-    absolute = (k + decoys) * (m + 1) + bridge_params; relative is against
-    base_params when given.
-    """
+def overhead(m: int, k: int, *, decoys: int = 0, bridge_params: int = 0) -> int:
+    """Parameter count of an imprint block: (k + decoys) * (m + 1) + bridge_params."""
     if m < 1 or k < 1 or decoys < 0 or bridge_params < 0:
         raise ValueError("dimensions must be positive (decoys/bridge_params >= 0)")
-    absolute = (k + decoys) * (m + 1) + bridge_params
-    out = {"absolute": absolute}
-    if base_params is not None:
-        if base_params <= 0:
-            raise ValueError(f"base_params must be positive, got {base_params}")
-        out["relative"] = absolute / base_params
-    return out
+    return (k + decoys) * (m + 1) + bridge_params

@@ -431,6 +431,9 @@ def loop_load_csv(path, *, dtype=np.float32):
                     raise ValueError(where + f"bad float {cell!r}") from None
                 if not math.isfinite(value):
                     raise ValueError(where + f"non-finite value {cell!r}")
+                with np.errstate(over="ignore"):
+                    if not np.isfinite(np.dtype(dtype).type(value)):
+                        raise ValueError(where + f"value {cell!r} overflows {np.dtype(dtype)}")
                 feats.append(value)
             rows.append(feats)
     x = np.asarray(rows, dtype=dtype)

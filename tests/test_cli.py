@@ -63,6 +63,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
         fh.write("{not json")
     assert main(["run", "--config", bad_json]) == 2
     assert "config error" in capsys.readouterr().err
+    with open(bad_json, "w") as fh:
+        fh.write("[1]")
+    assert main(["run", "--config", bad_json]) == 2
+    assert "config error: config: top level must be a JSON object" in capsys.readouterr().err
 
     cfg = _small_cfg_file(tmp_path, model={"imprint": {"variant": "relu", "k": 1}})
     assert main(["run", "--config", cfg]) == 2
@@ -211,6 +215,7 @@ def test_defense_sigma_past_the_read_out_range_exits_2(tmp_path, capsys, name, u
 @pytest.mark.parametrize("over, expected", [
     ({"data": 3}, "config error: data: expected an object, got int"),
     ({"model": {"imprint": [1]}}, "config error: model.imprint: expected an object, got list"),
+    ({"model": {"front": {}}}, "config error: model.front: expected a list, got dict"),
 ])
 def test_non_object_section_exits_2(tmp_path, capsys, over, expected):
     assert main(["run", "--config", _small_cfg_file(tmp_path, **over)]) == 2
@@ -335,6 +340,35 @@ def test_non_finite_csv_cell_is_a_config_error(tmp_path, capsys):
     assert "data.path:" in err and "nan.csv:3: column 'b': non-finite value 'nan'" in err
 
 
+@pytest.mark.parametrize("dtype, normalization, scale, expected", [
+    # every cell fits the dtype, but a column's spread does not
+    ("float32", "standardize", 1e19, "standardize overflows float32: a column's offset"),
+    ("float32", "standardize", 1e20, "standardize overflows float32: a column's offset"),
+    ("float64", "standardize", 1e160, "standardize overflows float64: a column's offset"),
+    # a cell rounds past the dtype's range
+    ("float32", "unit_interval", 1e38,
+     "x.csv:15: column 'f0': value '-3.607233984918752e+38' overflows float32"),
+    ("float32", "standardize", 1e39,
+     "x.csv:2: column 'f0': value '1.0122937017490638e+39' overflows float32"),
+    ("float32", "none", 1e39,
+     "x.csv:2: column 'f0': value '1.0122937017490638e+39' overflows float32"),
+])
+def test_csv_past_the_dtype_range_exits_2(tmp_path, capsys, dtype, normalization, scale,
+                                          expected):
+    path = tmp_path / "x.csv"
+    with open(path, "w", newline="") as fh:
+        write_csv(fh, [f"f{j}" for j in range(8)],
+                  (RngStream(3, 0).normal((64, 8)) * scale).tolist())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dtype": dtype,
+        "data": {"kind": "csv", "path": str(path), "normalization": normalization},
+        "model": {"imprint": {"variant": "relu", "k": 128}, "head": {"gain": 64.0}}}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: data.path: ") and expected in err
+
+
 @pytest.mark.parametrize("text, measurement, expected", [
     ("a,label\n0.1,1\n0.3,-1\n", None,
      "data.path: {path}:3: column 'label': bad label '-1'"),
@@ -375,6 +409,17 @@ def test_plan_binned_with_fallback(capsys):
     out = capsys.readouterr().out
     assert "composition model): 32.0040" in out
     assert "relative to base model:" in out
+
+
+@pytest.mark.parametrize("base, lo, hi", [(11_700_000, 2.57, 2.57), (25_600_000, 1.00, 1.30)])
+def test_plan_relative_overhead_divides_by_the_carrier(capsys, base, lo, hi):
+    # the published-scale trap: 2 rows of (150528 + 1) against a carrier model
+    assert main(["plan", "--n", "64", "--k", "2", "--m", "150528",
+                 "--base-params", str(base)]) == 0
+    out = capsys.readouterr().out
+    assert "imprint parameter overhead: 301058\n" in out
+    pct = re.search(r"^relative to base model: (\d+\.\d\d)%$", out, re.M).group(1)
+    assert lo <= float(pct) <= hi
 
 
 @pytest.mark.parametrize("args, absolute", [

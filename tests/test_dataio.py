@@ -101,6 +101,15 @@ def test_csv_values_match_the_per_cell_reader(tmp_path, text, dtype):
         assert batch.labels.tolist() == labels.tolist()
 
 
+def test_csv_with_a_byte_order_mark_keeps_its_label_column(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("label,a,b\n1,0.5,0.25\n0,1.5,2.5\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    batch = load_csv(str(path))
+    assert batch.labels.tolist() == [1, 0]
+    assert batch.x.tolist() == [[0.5, 0.25], [1.5, 2.5]]
+
+
 @pytest.mark.parametrize("text", [
     "a,b\n1,2\n3,inf\n", "a,b\n1, nan \n", "a,b\n1e400,2\n", "a,b\n-1e400,2\n",
     "a,b\n1,x\n", "a,b\n1,1__0\n", "a,label\n1,1.0\n", "a,label\n1,-1\n",
@@ -111,6 +120,8 @@ def test_csv_values_match_the_per_cell_reader(tmp_path, text, dtype):
     "a,b\n1,inf\n2,x\n",    # and the first bad row
     "a,b\n1,x\n2,3,4\n",
     "a,b\n1,2\n\n3\n",
+    "a,b\n1,2\n3,3.5e38\n",   # finite in float64, past the float32 range
+    "a,label,b\n-1e39,0,x\n",
 ])
 def test_csv_errors_match_the_per_cell_reader(tmp_path, text):
     path = tmp_path / "bad.csv"
@@ -140,6 +151,16 @@ def test_normalize_unit_interval_and_guards():
     assert normalize(x, "none") is x
     with pytest.raises(ValueError, match="unknown normalization"):
         normalize(x, "whiten")
+
+
+@pytest.mark.parametrize("kind", ["standardize", "unit_interval"])
+def test_normalize_refuses_a_spread_past_the_dtype_range(kind):
+    # each cell is finite in float32; the column's spread is not (nor, in
+    # float32, its squares), and no overflow warning escapes
+    x = np.array([[3e38, 1.0], [-3e38, 2.0]], dtype=np.float32)
+    with pytest.raises(ValueError, match=f"{kind} overflows float32: a column's offset"):
+        normalize(x, kind)
+    assert normalize(x.astype(np.float64), kind).dtype == np.float64
 
 
 def test_canonical_json_is_stable_and_sorted():

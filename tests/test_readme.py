@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from pathlib import Path
@@ -5,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from imprintlab.cli import build_parser
 from imprintlab.scenarios import CONFIG_LEAVES, _blame_overflow, bundled_config, run_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -23,6 +25,19 @@ def test_readme_library_sketch_runs():
     examples, bins = namespace["examples"], namespace["bins"]
     for b, v in zip(readout.bins, readout.vectors):
         assert np.allclose(v, x[examples[bins == b]].mean(axis=0), rtol=1e-12, atol=1e-12)
+
+
+def test_readme_cli_section_names_exactly_the_parser_long_options():
+    """Every long option of every subcommand (argparse's --help aside) is in
+    README `## CLI`, and that section names no option the parser lacks."""
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {opt for sub in subparsers.choices.values() for action in sub._actions
+               for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+    assert len(options) == 15
+    text = README.read_text()
+    section = text[text.index("## CLI"):text.index("## Config reference")]
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section)) == options
 
 
 def test_readme_config_reference_lists_every_leaf_and_its_default():

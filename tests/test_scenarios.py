@@ -342,6 +342,8 @@ def test_fullbatch_report_structure():
     assert rec["singleton_match"] == (rec["exact_bins"] == occ["singleton_bins"])
     assert 0.0 <= rec["iip"] <= 1.0
     assert rep["theory"]["overhead_params"] == 32 * (16 + 1)
+    # the block's count is the one overhead figure: a relative one needs the carrier's
+    assert set(rep["theory"]) == {"iid_expected", "prop1_expected", "overhead_params"}
     assert rep["config"] == validate_config(_small_cfg())
     # artifacts expose the live objects
     assert res.artifacts["model"].params["imprint.weight"].shape == (32, 16)

@@ -140,16 +140,11 @@ def test_one_shot_domain():
 
 
 def test_overhead_accounting():
-    assert overhead(5, 2) == {"absolute": 12}
-    assert overhead(10, 4, decoys=3)["absolute"] == 7 * 11
-    assert overhead(10, 4, bridge_params=9)["absolute"] == 4 * 11 + 9
-    assert overhead(150528, 2)["absolute"] == 301_058
-    assert overhead(150528, 128)["absolute"] == 19_267_712
-    rel = overhead(150528, 2, base_params=11_700_000)["relative"]
-    assert abs(rel - 301_058 / 11_700_000) < 1e-15
-    assert 0.02 < rel < 0.03
-    assert 0.010 < overhead(150528, 2, base_params=25_600_000)["relative"] < 0.013
-    with pytest.raises(ValueError, match="base_params"):
-        overhead(4, 4, base_params=0)
+    assert overhead(5, 2) == 12
+    assert isinstance(overhead(5, 2), int)
+    assert overhead(10, 4, decoys=3) == 7 * 11
+    assert overhead(10, 4, bridge_params=9) == 4 * 11 + 9
+    assert overhead(150528, 2) == 301_058
+    assert overhead(150528, 128) == 19_267_712
     with pytest.raises(ValueError):
         overhead(0, 4)
