@@ -46,7 +46,6 @@ def _load_config(args) -> dict:
 def _add_run_options(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="output directory (run, sweep: default stdout)")
-    p.add_argument("--f64", action="store_true", help="run in 64-bit precision")
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -58,7 +57,7 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    result = run_scenario(cfg, seed=args.seed, use_float64=args.f64)
+    result = run_scenario(cfg, seed=args.seed)
     name = result.report["config"]["name"]
     if args.out:
         path = os.path.join(args.out, f"{name}_report.json")
@@ -88,7 +87,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     values = _parse_values(args.values, args.axis)
     header, rows, reports = sweep_scenario(cfg, args.axis, values, jobs=args.jobs,
-                                           seed=args.seed, use_float64=args.f64)
+                                           seed=args.seed)
     name = reports[0]["config"]["name"]
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -166,8 +165,7 @@ def _cmd_plan(args) -> int:
 def _cmd_check(args) -> int:
     failures = 0
     for name in sorted(BUNDLED):
-        result = run_scenario(bundled_config(name), seed=args.seed,
-                              use_float64=args.f64)
+        result = run_scenario(bundled_config(name), seed=args.seed)
         if args.out:
             write_report(result.report, os.path.join(args.out, f"{name}_report.json"))
         for label, ok, detail in check_bundled(result):

@@ -36,8 +36,9 @@ class Batch:
 
 
 def normalize(x: np.ndarray, kind: str) -> np.ndarray:
-    """Per-feature normalization in the dtype of x; a zero-spread column keeps
-    scale 1, and an offset or scale past the dtype's range raises ValueError."""
+    """Per-feature normalization in the dtype of x; a constant column keeps
+    scale 1. An offset or scale past the dtype's range raises ValueError, as
+    does a scale that underflows to 0 on a column that is not constant."""
     if kind == "none":
         return x
     with np.errstate(over="ignore", invalid="ignore"):
@@ -51,6 +52,8 @@ def normalize(x: np.ndarray, kind: str) -> np.ndarray:
             raise ValueError(f"unknown normalization {kind!r}; expected one of {NORMALIZATIONS}")
     if not (np.isfinite(offset).all() and np.isfinite(scale).all()):
         raise ValueError(f"{kind} overflows {x.dtype}: a column's offset or scale is not finite")
+    if ((scale == 0) & (x.max(axis=0) > x.min(axis=0))).any():
+        raise ValueError(f"{kind} underflows {x.dtype}: a varying column's scale is 0")
     offset = offset.astype(np.float64)
     scale = np.where(scale == 0, 1.0, scale).astype(np.float64)
     return ((x - offset) / scale).astype(x.dtype)

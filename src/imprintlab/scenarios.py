@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -259,6 +260,8 @@ def _check_law(assumed, place):
 def validate_config(raw: dict) -> dict:
     """Full validation; returns the canonical config with defaults filled in."""
     cfg = _walk(raw, _SCHEMA, "config")
+    if {os.sep, os.altsep, "\0"} & set(cfg["name"]):  # the name names output files
+        _fail("config.name", f"must not hold a path separator or NUL, got {cfg['name']!r}")
 
     # cross-field consistency
     data, model, fed = cfg["data"], cfg["model"], cfg["federation"]
@@ -618,22 +621,19 @@ def _draw_pool(cfg, model, batch):
 
 def _token_block(cfg, batch, selected, rep):
     # one blocked lookup decodes every selected row against one float64
-    # table; the re-embedding check and the correct-token count go row by row
+    # table; the re-embedding check goes row by row, and only verified rows count
     table = np.asarray(batch.meta["table"], dtype=np.float64)
     truth_ids = batch.meta["ids"]
     total = int(truth_ids.size)
-    correct = 0
-    verified = 0
     decoded = token_lookup(selected.vectors, table, batch.meta["seq_len"])
-    for vector, ids, row in zip(selected.vectors, decoded, rep.truth_row):
-        if decoding_verified(vector, ids, table, rel_tol=cfg["metrics"]["verify_rel_tol"]):
-            verified += 1
-            correct += int((ids == truth_ids[row]).sum())
+    ok = np.array([decoding_verified(vector, ids, table, rel_tol=cfg["metrics"]["verify_rel_tol"])
+                   for vector, ids in zip(selected.vectors, decoded)], dtype=bool)
+    correct = int((decoded[ok] == truth_ids[rep.truth_row[ok]]).sum())
     return {
         "total_tokens": total,
         "correct_tokens": correct,
         "token_accuracy": correct / total,
-        "verified_candidates": verified,
+        "verified_candidates": int(ok.sum()),
     }
 
 
@@ -662,18 +662,12 @@ def _trials_block(records, imp, expected_success):
     }
 
 
-def _resolve(raw_cfg: dict, seed: int | None, use_float64: bool) -> dict:
-    """The validated config under the --seed and --f64 overrides."""
-    raw_cfg = dict(raw_cfg)
-    if seed is not None:
-        raw_cfg["seed"] = seed
-    if use_float64:
-        raw_cfg["dtype"] = "float64"
-    return validate_config(raw_cfg)
+def _resolve(raw_cfg: dict, seed: int | None) -> dict:
+    """The validated config under the --seed override."""
+    return validate_config(raw_cfg if seed is None else {**raw_cfg, "seed": seed})
 
 
-def run_scenario(raw_cfg: dict, *, seed: int | None = None,
-                 use_float64: bool = False) -> ScenarioResult:
+def run_scenario(raw_cfg: dict, *, seed: int | None = None) -> ScenarioResult:
     """Validate, run, and score one scenario end to end.
 
     A plain run is one round on the data stream. A trial run (the one-shot
@@ -681,7 +675,7 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None,
     each reduced to its trial record.
     """
     t0 = time.perf_counter()
-    cfg = _resolve(raw_cfg, seed, use_float64)
+    cfg = _resolve(raw_cfg, seed)
     seed = cfg["seed"]
     dtype = np.dtype(cfg["dtype"])
     trials = cfg["trials"]
@@ -756,7 +750,7 @@ def _sweep_row(axis, value, report):
 
 
 def sweep_scenario(raw_cfg: dict, axis: str, values, *, jobs: int = 1,
-                   seed: int | None = None, use_float64: bool = False):
+                   seed: int | None = None):
     """Run the scenario once per axis value; returns (header, rows, reports).
 
     Rows come back in input order regardless of how many worker threads run
@@ -768,7 +762,7 @@ def sweep_scenario(raw_cfg: dict, axis: str, values, *, jobs: int = 1,
     values = list(values)
     if not values:
         raise ConfigError("sweep.values: need at least one value")
-    base = _resolve(raw_cfg, seed, use_float64)
+    base = _resolve(raw_cfg, seed)
     configs = [_sweep_config(base, axis, v) for v in values]
 
     from concurrent.futures import ThreadPoolExecutor

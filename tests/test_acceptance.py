@@ -296,14 +296,14 @@ def test_criterion_12_reports_are_deterministic():
     names = ("fullbatch64", "oneshot", "fedavg8x8", "text128")
     all_same = True
     for name in names:
-        a = run_scenario(bundled_config(name), use_float64=True).report
-        b = run_scenario(bundled_config(name), use_float64=True).report
+        cfg = {**bundled_config(name), "dtype": "float64"}
+        a = run_scenario(cfg).report
+        b = run_scenario(cfg).report
         a.pop("timing"), b.pop("timing")
         all_same &= canonical_json(a) == canonical_json(b)
-    _, rows1, _ = sweep_scenario(bundled_config("fullbatch64"), "bins", [64, 128],
-                                 jobs=1, use_float64=True)
-    _, rows2, _ = sweep_scenario(bundled_config("fullbatch64"), "bins", [64, 128],
-                                 jobs=2, use_float64=True)
+    cfg = {**bundled_config("fullbatch64"), "dtype": "float64"}
+    _, rows1, _ = sweep_scenario(cfg, "bins", [64, 128], jobs=1)
+    _, rows2, _ = sweep_scenario(cfg, "bins", [64, 128], jobs=2)
     ok = all_same and rows1 == rows2
     _verdict(12, "byte-identical reports across reruns and sweep thread counts",
              ok, f"{len(names)} scenarios x2 runs, sweep jobs 1 vs 2")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from imprintlab._svg import line_chart
-from imprintlab.cli import main
+from imprintlab.cli import build_parser, main
 from imprintlab.dataio import write_csv
 from imprintlab.numerics import RngStream
 from imprintlab.scenarios import bundled_config
@@ -80,6 +81,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "unknown bundled" in capsys.readouterr().err
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
+    # a name holding a path separator or NUL would name files outside --out
+    out = tmp_path / "out"
+    for name, cmd in (("../escaped", ["run"]), ("sub/x", ["sweep", "--axis", "bins",
+                                                          "--values", "32"]),
+                      ("nul\0byte", ["run"])):
+        cfg = _small_cfg_file(tmp_path, name=name)
+        assert main([*cmd, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: config.name: must not hold a path separator or NUL, got " \
+               f"{name!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "cfg.json"]
+
     # a seed past the 64-bit stream key
     assert main(["run", "--scenario", "fullbatch64", "--seed", str(1 << 64)]) == 2
     assert "config.seed: must be <= 18446744073709551615" in capsys.readouterr().err
@@ -345,6 +357,11 @@ def test_non_finite_csv_cell_is_a_config_error(tmp_path, capsys):
     ("float32", "standardize", 1e19, "standardize overflows float32: a column's offset"),
     ("float32", "standardize", 1e20, "standardize overflows float32: a column's offset"),
     ("float64", "standardize", 1e160, "standardize overflows float64: a column's offset"),
+    # a column's spread underflows: its squared deviations round to 0
+    ("float32", "standardize", [1e-25] + [1.0] * 7,
+     "standardize underflows float32: a varying column's scale is 0"),
+    ("float64", "standardize", [1e-170] + [1.0] * 7,
+     "standardize underflows float64: a varying column's scale is 0"),
     # a cell rounds past the dtype's range
     ("float32", "unit_interval", 1e38,
      "x.csv:15: column 'f0': value '-3.607233984918752e+38' overflows float32"),
@@ -543,6 +560,8 @@ def test_chart_breaks_its_lines_at_missing_points():
                       ("b", [1, 2, 3, 4], [0.5, 0.6, None, 0.7])],
                      title="t", x_label="x", y_label="y")
     assert svg.count("<polyline ") == 2 and svg.count("<circle ") == 6
+    with pytest.raises(ValueError, match="nothing to plot: every y value is missing"):
+        line_chart([("a", [1, 2], [None, None])], title="t", x_label="x", y_label="y")
 
 
 def test_sweep_stdout_mode(tmp_path, capsys):
@@ -648,3 +667,18 @@ def test_argparse_rejects_unknown_command():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_each_subcommand_takes_exactly_its_own_options():
+    """A knob added to one subcommand fails here even when another has it."""
+    run = {"--config", "--scenario", "--seed", "--out"}
+    expected = {"run": run, "sweep": run | {"--axis", "--values", "--jobs"},
+                "check": {"--seed", "--out"},
+                "plan": {"--n", "--k", "--p", "--m", "--decoys", "--bridge-params",
+                         "--base-params"}}
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    got = {name: {opt for action in sub._actions for opt in action.option_strings
+                  if opt.startswith("--") and opt != "--help"}
+           for name, sub in subparsers.choices.items()}
+    assert got == expected

@@ -153,14 +153,24 @@ def test_normalize_unit_interval_and_guards():
         normalize(x, "whiten")
 
 
-@pytest.mark.parametrize("kind", ["standardize", "unit_interval"])
-def test_normalize_refuses_a_spread_past_the_dtype_range(kind):
+@pytest.mark.parametrize("kind, spread, message", [
     # each cell is finite in float32; the column's spread is not (nor, in
     # float32, its squares), and no overflow warning escapes
-    x = np.array([[3e38, 1.0], [-3e38, 2.0]], dtype=np.float32)
-    with pytest.raises(ValueError, match=f"{kind} overflows float32: a column's offset"):
+    pytest.param("standardize", 3e38, "standardize overflows float32: a column's offset",
+                 id="standardize"),
+    pytest.param("unit_interval", 3e38, "unit_interval overflows float32: a column's offset",
+                 id="unit_interval"),
+    # the column varies, but its squared deviations underflow to 0 in float32
+    pytest.param("standardize", 1e-25, "standardize underflows float32: a varying column's",
+                 id="standardize-underflow"),
+])
+def test_normalize_refuses_a_spread_past_the_dtype_range(kind, spread, message):
+    x = np.array([[spread, 1.0], [-spread, 2.0]], dtype=np.float32)
+    with pytest.raises(ValueError, match=message):
         normalize(x, kind)
     assert normalize(x.astype(np.float64), kind).dtype == np.float64
+    # a constant column keeps scale 1, however small its values
+    assert normalize(np.array([[1e-25, 1.0], [1e-25, 2.0]], dtype=np.float32), kind)[0, 0] == 0
 
 
 def test_canonical_json_is_stable_and_sorted():

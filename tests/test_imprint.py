@@ -111,6 +111,8 @@ def test_relu_decoys():
         assert -hi <= imp.bias[r] <= -lo
     with pytest.raises(ValueError):
         build_relu(lay, h, decoys=2)  # no decoy stream
+    with pytest.raises(ValueError, match="decoys must be >= 0, got -1"):
+        build_relu(lay, h, decoys=-1, decoy_stream=RngStream(0, 0))
 
 
 def test_relu_rank_camouflage():

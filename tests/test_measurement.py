@@ -111,6 +111,8 @@ def test_assumed_distribution_empirical_requires_surrogate():
     h = build_measurement("mean", 8, c0=1.0)
     with pytest.raises(ValueError):
         assumed_distribution(h, {"kind": "empirical"})
+    with pytest.raises(ValueError, match="unknown assumed-distribution kind 'uniform'"):
+        assumed_distribution(h, {"kind": "uniform"})
 
 
 def test_build_validation():

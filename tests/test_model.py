@@ -131,6 +131,8 @@ def test_front_validation():
         FrontStage("conv")
     with pytest.raises(ValueError):
         FrontStage("avg_pool", 3).out_dim(8)
+    with pytest.raises(ValueError, match="avg_pool factor must be >= 1, got 0"):
+        FrontStage("avg_pool", 0)
 
 
 def test_pinned_head_weights_every_example_equally():
@@ -152,6 +154,10 @@ def test_label_validation():
         model.loss_and_grads(x, np.array([0]))  # length mismatch
     with pytest.raises(ValueError):
         model.forward_features(np.zeros(8))  # not a batch
+    with pytest.raises(ValueError, match="label_classes must be >= 1, got 0"):
+        _relu_model(classes=0)
+    with pytest.raises(ValueError, match="label_classes must be >= 2, got 1"):
+        make_logistic_model(6, 1, head_stream=RngStream(1, 0))
 
 
 def test_imprint_arrays_are_held_once():
@@ -195,3 +201,8 @@ def test_unknown_bridge_is_refused_by_name():
             ModelGraph(imprint=imp, bridge=bridge, n_classes=4, params=params)
     with pytest.raises(ValueError, match="bridge without an imprint layer"):
         ModelGraph(bridge="sum", n_classes=4, params=params)
+    # the head is refused by name too, and a random one needs its stream
+    with pytest.raises(ValueError, match="unknown head 'square'"):
+        make_imprint_model(imp, label_classes=3, head="square")
+    with pytest.raises(ValueError, match="random head requires head_stream"):
+        make_imprint_model(imp, label_classes=3, head="random")

@@ -119,6 +119,8 @@ def test_matmul_errors():
         matmul(np.zeros((2, 3)), np.zeros((4, 2)))
     with pytest.raises(ValueError):
         matmul(np.zeros(3), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="matmul operands must be floating point"):
+        matmul(np.ones((2, 3), dtype=np.int64), np.ones((3, 2)))
 
 
 def test_dct_zero_frequency_row():
@@ -143,6 +145,8 @@ def test_dct_range_error():
         dct_row(8, 8)
     with pytest.raises(ValueError):
         dct_row(8, -1)
+    with pytest.raises(ValueError, match="m must be positive, got 0"):
+        dct_row(0, 0)
 
 
 def test_assignment_diagonal_dominant():
@@ -188,6 +192,10 @@ def test_assignment_nonfinite_rejected():
     cost[0, 1] = np.nan
     with pytest.raises(ValueError):
         assignment(cost)
+    with pytest.raises(ValueError, match=r"cost must be 2-d, got shape \(3,\)"):
+        assignment(np.ones(3))
+    with pytest.raises(ValueError, match="assignment needs rows <= cols, got 3 x 2"):
+        assignment(np.ones((3, 2)))
 
 
 def test_l2_norm():

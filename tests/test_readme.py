@@ -34,7 +34,7 @@ def test_readme_cli_section_names_exactly_the_parser_long_options():
                       if isinstance(a, argparse._SubParsersAction))
     options = {opt for sub in subparsers.choices.values() for action in sub._actions
                for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
-    assert len(options) == 15
+    assert len(options) == 14
     text = README.read_text()
     section = text[text.index("## CLI"):text.index("## Config reference")]
     assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section)) == options

@@ -70,6 +70,7 @@ def test_validate_fills_defaults():
     (lambda c: c.update(trials=1 << 20), "config.trials: must be <= 1048575"),
     (lambda c: c["federation"].update(users=1 << 20), "federation.users: must be <= 1048575"),
     (lambda c: c.update(name=""), "name"),
+    (lambda c: c.update(name="a/b"), "config.name: must not hold a path separator or NUL"),
     (lambda c: c["model"]["head"].update(kind="huge"), "model.head.kind"),
     (lambda c: c["model"]["head"].update(gain=1e39), "model.head.gain: must be finite"),
     (lambda c: c["model"].update(head={"kind": "random", "scale": 1e39}),
@@ -203,8 +204,9 @@ def _values(leaf):
         values = st.sampled_from(t)
     elif t is bool:
         values = st.booleans()
-    elif t is str:
-        values = st.text(min_size=1, max_size=6)
+    elif t is str:  # a name may hold no path separator or NUL
+        seps = "".join(filter(None, (os.sep, os.altsep, "\0")))
+        values = st.text(st.characters(exclude_characters=seps), min_size=1, max_size=6)
     else:
         kw = {"min_value": -1e6}
         for term in filter(None, leaf.bounds.split(", ")):
@@ -406,12 +408,12 @@ def test_reports_byte_identical_across_runs():
 
 
 def test_seed_and_dtype_overrides_are_echoed():
-    res = run_scenario(_small_cfg(), seed=7, use_float64=True)
+    res = run_scenario(_small_cfg(dtype="float64"), seed=7)
     assert res.report["config"]["seed"] == 7
     assert res.report["config"]["dtype"] == "float64"
     assert res.artifacts["model"].params["imprint.weight"].dtype == np.float64
     # a different seed draws a different batch
-    other = run_scenario(_small_cfg(), seed=8, use_float64=True)
+    other = run_scenario(_small_cfg(dtype="float64"), seed=8)
     assert not np.array_equal(res.artifacts["batch"].x, other.artifacts["batch"].x)
 
 
