@@ -353,7 +353,7 @@ def _load_batch(cfg, dtype, data_stream):
     return batch
 
 
-def _build_attack(cfg, m_feat, n, dtype):
+def _build_attack(cfg, m_feat, n, dtype, public):
     """Measurement, assumed distribution, imprint module and model."""
     seed = cfg["seed"]
     model_cfg = cfg["model"]
@@ -364,8 +364,7 @@ def _build_attack(cfg, m_feat, n, dtype):
     assumed = model_cfg["assumed"]
     surrogate = None
     if assumed["kind"] == "empirical":
-        surrogate = RngStream(seed, STREAM_SURROGATE).normal(
-            (assumed["surrogate_n"], m_feat))
+        surrogate = public(STREAM_SURROGATE, assumed["surrogate_n"])
     imp_cfg = model_cfg["imprint"]
     with np.errstate(over="ignore", invalid="ignore"):  # past the dtype's range: named below
         try:  # closed-form layouts are validated; an empirical one is measured through c0
@@ -501,7 +500,7 @@ def _columns(k, bins, **columns) -> dict:
     return out
 
 
-def _round(cfg, imp, model, batch, defense_base: RngStream) -> _Round:
+def _round(cfg, imp, model, batch, defense_base: RngStream, public) -> _Round:
     feats = model.forward_features(batch.x)
     agg, losses, drifted, examples, bins = _federate(cfg, model, imp, batch, defense_base)
     live = recover_bins(agg, imp)
@@ -514,7 +513,7 @@ def _round(cfg, imp, model, batch, defense_base: RngStream) -> _Round:
     del live
     pool = tf = scale = None
     if not cfg["trials"]:  # a trial's record holds neither IIP nor PSNR
-        pool = partial(_draw_pool, cfg, model, batch)  # score draws it once truth is freed
+        pool = partial(public, STREAM_POOL, cfg["metrics"]["pool"])  # drawn once truth is freed
         lo, hi = float(feats.min()), float(feats.max())
         tf = (lambda v: (v - lo) / (hi - lo)) if hi > lo else None
         scale = {"lo": lo, "hi": hi}
@@ -588,33 +587,32 @@ def _round_report(cfg, batch, rnd: _Round) -> dict:
     return blocks
 
 
-def _draw_pool(cfg, model, batch):
-    """The `metrics.pool` rows IIP is scored against, as float64 rows through
-    the front stages; None at 0. The rows are built a `row_blocks` block of
-    input rows at a time from the pool stream's one generator: each block is
-    drawn, cast to the run dtype, run through the front stages and written
-    into the float64 result, so its values are one whole draw's and no whole
-    pool exists in the run dtype."""
-    p = cfg["metrics"]["pool"]
-    if p == 0:
+def _draw_pool(cfg, m, table, stream_id, rows):
+    """The one draw of public data, for the IIP pool and the empirical law's
+    surrogate: `rows` rows from stream `stream_id`, through the front stages,
+    as float64; None at 0. Rows are drawn as the batch is: N(0, 1) rows at
+    input width m (a CSV file's width too), or token ids embedded through the
+    batch's run-dtype `table`. Each `row_blocks` block comes from the stream's
+    one generator in the run dtype, so the rows hold one whole draw's values
+    and no whole draw exists in the run dtype."""
+    if rows == 0:
         return None
-    stream = RngStream(cfg["seed"], STREAM_POOL)
+    stream = RngStream(cfg["seed"], stream_id)
     gen = stream.generator()
     dtype = np.dtype(cfg["dtype"])
     data = cfg["data"]
-    tokens = data["kind"] == "token_sequences"
-    table = np.asarray(batch.meta["table"], dtype=dtype) if tokens else None
     out = None
-    for blk in row_blocks(p, batch.m):
-        rows = blk.stop - blk.start
-        if tokens:
-            ids = stream.integers((rows, data["seq_len"]), low=0, high=data["vocab"], gen=gen)
-            raw = table[ids].reshape(rows, -1)
+    for blk in row_blocks(rows, m):
+        count = blk.stop - blk.start
+        if table is not None:
+            ids = stream.integers((count, data["seq_len"]), low=0, high=data["vocab"], gen=gen)
+            block = table[ids].reshape(count, -1)
         else:
-            raw = stream.normal((rows, batch.m), dtype=dtype, gen=gen)
-        block = model.forward_features(raw)
+            block = stream.normal((count, m), dtype=dtype, gen=gen)
+        for st in cfg["model"]["front"]:
+            block = FrontStage(st["kind"], st["factor"]).apply(block)
         if out is None:
-            out = np.empty((p, block.shape[1]))
+            out = np.empty((rows, block.shape[1]))
         out[blk] = block
     return out
 
@@ -681,17 +679,18 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None) -> ScenarioResult:
     trials = cfg["trials"]
     if trials is None:
         batch = _load_batch(cfg, dtype, RngStream(seed, STREAM_DATA))
-        n, m = batch.n, batch.m
-    else:
-        n, m = cfg["data"]["n"], cfg["data"]["m"]
+        n, m, token_table = batch.n, batch.m, batch.meta.get("table")
+    else:  # synthetic only: no batch exists until a trial draws one
+        n, m, token_table = cfg["data"]["n"], cfg["data"]["m"], None
     m_feat = _feature_width(cfg, n, m)
-    imp, model = _build_attack(cfg, m_feat, n, dtype)
+    public = partial(_draw_pool, cfg, m, token_table)
+    imp, model = _build_attack(cfg, m_feat, n, dtype, public)
     theory_block = _theory_block(imp, model, n, m_feat)
     report = {"config": cfg, "n": n, "m_features": m_feat}
     artifacts = {"model": model, "imprint": imp}
 
     if trials is None:
-        rnd = _round(cfg, imp, model, batch, RngStream(seed, STREAM_DEFENSE))
+        rnd = _round(cfg, imp, model, batch, RngStream(seed, STREAM_DEFENSE), public)
         report.update(_round_report(cfg, batch, rnd))
         artifacts.update(batch=batch, feats=rnd.feats, candidates=rnd.readout,
                          occupancy_counts=rnd.table["count"])
@@ -701,7 +700,7 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None) -> ScenarioResult:
         records = []
         for t in range(trials):  # keeping only the table frees each round before the next draw
             table = _round(cfg, imp, model, _load_batch(cfg, dtype, trial_base.derive(t)),
-                           defense_base.derive(t)).table
+                           defense_base.derive(t), public).table
             records.append(_trial_record(t, table))
         report["trials"] = _trials_block(records, imp, theory_block["one_shot_success"])
         artifacts["trial_records"] = records

@@ -14,9 +14,9 @@ from scipy.special import ndtr
 
 from imprintlab.distributions import Empirical, Laplace, Normal
 from imprintlab.federation import to_gradient_form
+from imprintlab.model import FrontStage
 from imprintlab.numerics import RngStream, row_blocks
 from imprintlab.recovery import NoActiveRow, Readout
-from imprintlab.scenarios import STREAM_POOL
 
 
 def naive_matmul(a, b):
@@ -456,17 +456,18 @@ def whole_draw_noise(payload, config, stream):
     return out
 
 
-def whole_pool(cfg, model, batch):
-    """The IIP pool as one whole draw: all `metrics.pool` rows from the pool
-    stream in the run dtype (for token data, all id sequences gathered from the
-    table in the run dtype), through the front stages at once, then cast to
-    float64."""
-    p, data = cfg["metrics"]["pool"], cfg["data"]
-    stream = RngStream(cfg["seed"], STREAM_POOL)
+def whole_pool(cfg, m, table, stream_id, rows):
+    """A draw of public data as one whole draw: all `rows` rows from stream
+    `stream_id` in the run dtype (for token data, all id sequences gathered
+    from the table in the run dtype), through the front stages at once, then
+    cast to float64."""
+    data, stream = cfg["data"], RngStream(cfg["seed"], stream_id)
     dtype = np.dtype(cfg["dtype"])
-    if data["kind"] == "token_sequences":
-        ids = stream.integers((p, data["seq_len"]), low=0, high=data["vocab"])
-        raw = np.asarray(batch.meta["table"], dtype=dtype)[ids].reshape(p, -1)
+    if table is not None:
+        ids = stream.integers((rows, data["seq_len"]), low=0, high=data["vocab"])
+        raw = np.asarray(table, dtype=dtype)[ids].reshape(rows, -1)
     else:
-        raw = stream.normal((p, batch.m), dtype=dtype)
-    return np.asarray(model.forward_features(raw), np.float64)
+        raw = stream.normal((rows, m), dtype=dtype)
+    for st in cfg["model"]["front"]:
+        raw = FrontStage(st["kind"], st["factor"]).apply(raw)
+    return np.asarray(raw, np.float64)

@@ -1,4 +1,4 @@
-"""Print one SHA-256 per report of the 58-config set, and per CLI output, for
+"""Print one SHA-256 per report of the 66-config set, and per CLI output, for
 byte-identity checks.
 
 The set is the four bundled scenarios x seeds 0 and 1 x float32 and float64,
@@ -8,11 +8,14 @@ seeds 0 and 1, and runs that reach what those do not: `fullbatch64` with
 5000-row pool (more than one pool block, not a whole number of them) at
 seeds 0 and 1, float32 `fedavg8x8` at head gain 1000 at seeds 0 and 2
 (`drifted` 2 and 4), `fedavg8x8` with 4 users x 4 steps, `fedavg8x8` at
-n=96 with 3 users (the set's one user count whose 1/users rounds), six variants
-(`VARIANTS`: front stages, a DCT measurement with decoys and a permutation,
-a permuted Laplace layout, an empirical layout with a linear bridge, a random
-head under clip and noise, fed-AVG over ReLU rows with a DCT measurement,
-decoys and a permutation) x seeds 0 and 1 x float32 and float64, one CSV
+n=96 with 3 users (the set's one user count whose 1/users rounds), eight
+variants (`VARIANTS`: front stages, a DCT measurement with decoys and a
+permutation, a permuted Laplace layout, an empirical layout with a linear
+bridge, a random head under clip and noise, fed-AVG over ReLU rows with a DCT
+measurement, decoys and a permutation, an empirical layout behind an
+`[avg_pool 2, avg_pool 2]` front, and one on `text128`'s token data, whose
+surrogates are drawn through the front and from the token table) x seeds 0
+and 1 x float32 and float64, one CSV
 run per normalization, and `oneshot` with `metrics.select: 1` and at the
 default `metrics.pool`. Each digest is taken over the report's canonical JSON
 with the nondeterministic `timing` block (and a CSV run's temporary
@@ -32,6 +35,21 @@ only by named keys can show that nothing else moved:
 
     PYTHONPATH=src python tests/report_digests.py --against ../parent/src \
         --strip recovery.spurious
+
+`--env KEY=VALUE`, repeatable, sets an environment variable for the
+`--against` subprocess alone, so one tree can be digested against itself
+under another BLAS kernel. Across OpenBLAS kernels only four report fields
+move, each a float that measures product rounding; this shows that nothing
+else does:
+
+    PYTHONPATH=src python tests/report_digests.py --against src \
+        --env OPENBLAS_CORETYPE=Haswell --strip recovery.mean_psnr \
+        --strip recovery.mean_psnr_exact --strip federation.mean_loss \
+        --strip trials.max_success_rel_err
+
+`--strip` does not reach the CLI outputs that print those fields, the sweep
+CSVs' `mean_psnr` column and `check` stdout (its `mean_psnr_exact=` and
+`max_rel_err=` details), so their labels print too.
 
 pytest does not collect this file (its name does not start with `test_`). It
 runs with one BLAS thread, as the benchmark does.
@@ -82,6 +100,10 @@ VARIANTS = [
     ("relu dct freq=3 decoys=5 permute", "fedavg8x8",
      {"model": {"measurement": {"kind": "dct", "freq": 3},
                 "imprint": {"variant": "relu", "k": 128, "decoys": 5, "permute": True}}}),
+    ("empirical front=avg_pool2,avg_pool2", "fullbatch64",
+     {"model": {"assumed": {"kind": "empirical"},
+                "front": [{"kind": "avg_pool", "factor": 2}, {"kind": "avg_pool", "factor": 2}]}}),
+    ("empirical", "text128", {"model": {"assumed": {"kind": "empirical"}}}),
 ]
 
 
@@ -195,6 +217,13 @@ def cli_outputs(tmp: str):
         yield " ".join([*args, "stdout"]), _stdout(args)
 
 
+def _env_item(text: str):
+    key, sep, value = text.partition("=")
+    if not (key and sep):
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    return key, value
+
+
 def digest(report: dict, strip=()) -> str:
     """The SHA-256 of the report's canonical JSON without `timing`, a CSV run's
     temporary `config.data.path` and each dotted key in strip (an absent key
@@ -228,13 +257,17 @@ if __name__ == "__main__":
                         help="another tree's src/: print the labels whose digests differ")
     parser.add_argument("--strip", action="append", default=[], metavar="A.B.C",
                         help="drop this dotted report key before hashing (repeatable)")
+    parser.add_argument("--env", action="append", default=[], type=_env_item,
+                        metavar="KEY=VALUE",
+                        help="set this variable for the --against subprocess (repeatable)")
     args = parser.parse_args()
     if args.against is None:
         for label, hexdigest in digests(args.strip):
             print(f"{hexdigest}  {label}", flush=True)
         sys.exit(0)
     with subprocess.Popen([sys.executable, __file__, *(f"--strip={key}" for key in args.strip)],
-                          env={**os.environ, "PYTHONPATH": os.path.abspath(args.against)},
+                          env={**os.environ, **dict(args.env),
+                               "PYTHONPATH": os.path.abspath(args.against)},
                           stdout=subprocess.PIPE, text=True) as other:
         ours = list(digests(args.strip))
         out, _ = other.communicate()

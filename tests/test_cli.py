@@ -362,6 +362,11 @@ def test_non_finite_csv_cell_is_a_config_error(tmp_path, capsys):
      "standardize underflows float32: a varying column's scale is 0"),
     ("float64", "standardize", [1e-170] + [1.0] * 7,
      "standardize underflows float64: a varying column's scale is 0"),
+    # a column's squared deviations are subnormal: its scale would be inexact
+    ("float32", "standardize", [3e-23] + [1.0] * 7,
+     "standardize underflows float32: a varying column's scale is 3.74339e-23, below 1.08e-19"),
+    ("float64", "standardize", [1e-160] + [1.0] * 7,
+     "standardize underflows float64: a varying column's scale is 1.05153e-160, below 1.49e-154"),
     # a cell rounds past the dtype's range
     ("float32", "unit_interval", 1e38,
      "x.csv:15: column 'f0': value '-3.607233984918752e+38' overflows float32"),

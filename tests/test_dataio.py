@@ -173,6 +173,27 @@ def test_normalize_refuses_a_spread_past_the_dtype_range(kind, spread, message):
     assert normalize(np.array([[1e-25, 1.0], [1e-25, 2.0]], dtype=np.float32), kind)[0, 0] == 0
 
 
+@pytest.mark.parametrize("dtype, floor", [(np.float32, 1.0842021724855044e-19),
+                                          (np.float64, 1.4916681462400413e-154)])
+def test_standardize_refuses_a_scale_whose_squares_are_subnormal(dtype, floor):
+    """Below sqrt(tiny) a column's squared deviations are subnormal, so its
+    scale is inexact (in float32 a spread of 3e-23 came out with sd 0.843);
+    ten times above it the column standardizes to sd 1. unit_interval squares
+    nothing and takes the same column."""
+    base = RngStream(3, 0).normal((64, 8))
+    x = base.copy()
+    for spread in (floor / 4, floor / 4e3):
+        x[:, 0] = base[:, 0] * spread
+        with pytest.raises(ValueError, match=rf"standardize underflows {np.dtype(dtype)}: a "
+                           rf"varying column's scale is \S+, below {floor:.3g}, where"):
+            normalize(x.astype(dtype), "standardize")
+        out = normalize(x.astype(dtype), "unit_interval")
+        assert out[:, 0].min() == 0 and abs(out[:, 0].max() - 1) <= np.finfo(dtype).eps
+    x[:, 0] = base[:, 0] * floor * 10
+    out = normalize(x.astype(dtype), "standardize").astype(np.float64)
+    assert abs(out[:, 0].std() - 1) < 1e-6
+
+
 def test_canonical_json_is_stable_and_sorted():
     a = canonical_json({"b": 1, "a": [np.float64(0.1), np.int32(2), np.bool_(True)]})
     b = canonical_json({"a": [0.1, 2, True], "b": 1})

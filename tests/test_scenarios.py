@@ -4,6 +4,7 @@ import os
 import re
 import warnings
 import weakref
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -574,6 +575,66 @@ def test_empirical_assumed_bins_the_surrogate_measurements():
     expect = np.quantile(h.measure(surrogate), probs)
     assert np.allclose(res.artifacts["imprint"].boundaries, expect, rtol=0, atol=1e-12)
     assert res.report["recovery"]["singleton_match"]
+
+
+def test_empirical_surrogate_passes_the_front_like_the_batch():
+    """`fullbatch64` in float64 at pool 0, seeds 0-39, under the empirical
+    law: an `[avg_pool 2, avg_pool 2]` front keeps the mean exact count
+    within 3 se of the no-front mean, since the surrogate is drawn at the
+    input width and pooled as the batch is (a surrogate drawn at the feature
+    width read 30.80 +- 0.75 there, against 38.08 +- 0.86), and each run's
+    exact set is its singleton bins."""
+    exact = []
+    for front in ([], [{"kind": "avg_pool", "factor": 2}] * 2):
+        cfg = bundled_config("fullbatch64")
+        cfg.update(dtype="float64", metrics=dict(cfg["metrics"], pool=0))
+        cfg["model"].update(front=front, assumed={"kind": "empirical"})
+        recs = [run_scenario(cfg, seed=seed).report["recovery"] for seed in range(40)]
+        assert all(rec["singleton_match"] for rec in recs), front
+        exact.append(np.array([rec["exact_count"] for rec in recs], dtype=np.float64))
+    se = exact[0].std(ddof=1) / math.sqrt(len(exact[0]))
+    assert abs(exact[1].mean() - exact[0].mean()) <= 3 * se, (exact[0].mean(), exact[1].mean())
+
+
+def _token_surrogate(front, dtype):
+    """`text128` under a 300-row empirical law, its batch, and the surrogate
+    the rows of the batch's table at ids from the surrogate stream's
+    generator give, through the front, as float64."""
+    cfg = bundled_config("text128")
+    cfg.update(dtype=dtype, metrics=dict(cfg["metrics"], pool=0))
+    cfg["model"].update(front=front, assumed={"kind": "empirical", "surrogate_n": 300})
+    batch = scenarios._load_batch(cfg, np.dtype(dtype), RngStream(0, scenarios.STREAM_DATA))
+    ids = RngStream(0, scenarios.STREAM_SURROGATE).generator().integers(0, 1000, (300, 8))
+    rows = batch.meta["table"][ids].reshape(300, -1)
+    for st in front:
+        rows = rows.reshape(300, -1, st["factor"]).mean(axis=2)
+    return cfg, batch, np.asarray(rows, dtype=np.float64)
+
+
+def _spy_law():
+    return mock.patch.object(scenarios, "assumed_distribution",
+                             wraps=scenarios.assumed_distribution)
+
+
+def test_token_surrogate_is_table_rows_from_its_stream():
+    """A run on token data measures, as its empirical law, the batch's table
+    at ids drawn from the surrogate stream's generator."""
+    cfg, _, expect = _token_surrogate([], "float32")
+    with _spy_law() as law:
+        run_scenario(cfg)
+    assert law.call_args.kwargs["surrogate"].tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_token_surrogate_runs_through_the_front(dtype):
+    """The token surrogate passes the front stages as the batch does. A token
+    run cannot yet decode pooled features, so the attack is built alone."""
+    front = [{"kind": "avg_pool", "factor": 2}]
+    cfg, batch, expect = _token_surrogate(front, dtype)
+    public = partial(scenarios._draw_pool, cfg, batch.m, batch.meta["table"])
+    with _spy_law() as law:
+        scenarios._build_attack(cfg, 128, batch.n, np.dtype(dtype), public)
+    assert law.call_args.kwargs["surrogate"].tobytes() == expect.tobytes()
 
 
 def test_bundled_configs_are_isolated_copies():

@@ -10,6 +10,7 @@ gradients; a one-shot trial loop holds one trial's round at a time."""
 
 import dataclasses
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from imprintlab import scenarios
 from imprintlab.cli import main
-from imprintlab.dataio import Batch, canonical_json
+from imprintlab.dataio import canonical_json
 from imprintlab.defense import DefenseConfig, apply_defense
 from imprintlab.distributions import Normal
 from imprintlab.errors import ConfigError
@@ -26,7 +27,7 @@ from imprintlab.federation import UpdatePayload, fed_avg
 from imprintlab.imprint import ImprintModule, build_hard_threshold, build_relu, make_layout
 from imprintlab.measurement import build_measurement
 from imprintlab.metrics import _pairwise_sq, score
-from imprintlab.model import PIN_OFFSET, FrontStage, ModelGraph, _softmax_ce, make_imprint_model
+from imprintlab.model import PIN_OFFSET, _softmax_ce, make_imprint_model
 from imprintlab.numerics import BLOCK_CELLS, RngStream, row_blocks
 from imprintlab.recovery import recover_bins
 from oracles import (loop_readout, unblocked_exact_psnr, unblocked_imprint_pass,
@@ -234,20 +235,19 @@ def test_block_streamed_noise_is_one_whole_draw(m, rows, noise, sigma, dtype):
 
 
 def _pool_inputs(kind, front, dtype, blocks, extra):
-    """_draw_pool's config, model and batch for a pool of `blocks` whole blocks
-    plus `extra` rows: synthetic rows of width 4096 (64 per block), or 7-token
-    sequences over a width-448 float64 table (width 3136, 83 per block, so an
-    odd count of ids in every block)."""
+    """_draw_pool's config, input width, token table and row count for a draw
+    of `blocks` whole blocks plus `extra` rows: synthetic rows of width 4096
+    (64 per block), or 7-token sequences over a width-448 table in the run
+    dtype (width 3136, 83 per block, so an odd count of ids in every block)."""
     if kind == "synthetic_gaussian":
         data, m, table = {"kind": kind}, 4096, None
     else:
         data, m = {"kind": kind, "seq_len": 7, "vocab": 300}, 7 * 448
-        table = np.random.default_rng(0).standard_normal((300, 448))
-    p = blocks * (BLOCK_CELLS // m) + extra
-    cfg = {"metrics": {"pool": p}, "dtype": np.dtype(dtype).name, "data": data}
-    model = ModelGraph(n_classes=2, params={}, dtype=dtype,
-                       stages=tuple(FrontStage(kind, factor) for kind, factor in front))
-    return cfg, model, Batch(x=np.empty((1, m), dtype), labels=None, meta={"table": table})
+        table = np.random.default_rng(0).standard_normal((300, 448)).astype(dtype)
+    rows = blocks * (BLOCK_CELLS // m) + extra
+    cfg = {"dtype": np.dtype(dtype).name, "data": data,
+           "model": {"front": [{"kind": stage, "factor": factor} for stage, factor in front]}}
+    return cfg, m, table, rows
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
@@ -256,15 +256,17 @@ def _pool_inputs(kind, front, dtype, blocks, extra):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kind", ["synthetic_gaussian", "token_sequences"])
 def test_block_built_pool_is_one_whole_draw(kind, dtype, front, blocks, extra, seed):
-    cfg, model, batch = _pool_inputs(kind, front, dtype, blocks, extra)
+    """Both draws of public data, the IIP pool's and the surrogate's."""
+    cfg, m, table, rows = _pool_inputs(kind, front, dtype, blocks, extra)
     cfg["seed"] = seed
-    pool = scenarios._draw_pool(cfg, model, batch)
-    if blocks == extra == 0:
-        assert pool is None
-        return
-    ref = whole_pool(cfg, model, batch)
-    assert pool.dtype == ref.dtype == np.float64
-    assert pool.shape == ref.shape and pool.tobytes() == ref.tobytes()
+    for stream_id in (scenarios.STREAM_POOL, scenarios.STREAM_SURROGATE):
+        pool = scenarios._draw_pool(cfg, m, table, stream_id, rows)
+        if rows == 0:
+            assert pool is None
+            continue
+        ref = whole_pool(cfg, m, table, stream_id, rows)
+        assert pool.dtype == ref.dtype == np.float64
+        assert pool.shape == ref.shape and pool.tobytes() == ref.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -424,7 +426,8 @@ def _fed_avg_round(users, shard, m=4096, k=64, variant="hard_threshold"):
     dtype = np.dtype(cfg["dtype"])
     batch = scenarios._load_batch(cfg, dtype, RngStream(cfg["seed"], scenarios.STREAM_DATA))
     imp, model = scenarios._build_attack(
-        cfg, scenarios._feature_width(cfg, batch.n, batch.m), batch.n, dtype)
+        cfg, scenarios._feature_width(cfg, batch.n, batch.m), batch.n, dtype,
+        partial(scenarios._draw_pool, cfg, batch.m, batch.meta.get("table")))
     return cfg, model, imp, batch, RngStream(cfg["seed"], scenarios.STREAM_DEFENSE)
 
 
