@@ -214,12 +214,17 @@ def _walk(raw, node: dict, where: str) -> dict:
     return out
 
 
+def _stages(cfg):
+    """The configured front chain as FrontStage objects."""
+    return tuple(FrontStage(st["kind"], st["factor"]) for st in cfg["model"]["front"])
+
+
 def _feature_width(cfg, n, m):
     """The feature width after the front chain from the raw input width m, after
     the checks that need it and the batch size n."""
-    for i, st in enumerate(cfg["model"]["front"]):
+    for i, stage in enumerate(_stages(cfg)):
         try:
-            m = FrontStage(st["kind"], st["factor"]).out_dim(m)
+            m = stage.out_dim(m)
         except ValueError as exc:
             _fail(f"model.front[{i}].factor", str(exc))
     meas = cfg["model"]["measurement"]
@@ -394,7 +399,6 @@ def _build_attack(cfg, m_feat, n, dtype, public):
             _fail(f"model.{leaf}", f"{value} puts imprint weights or biases past the "
                   f"{dtype} range")
 
-    stages = tuple(FrontStage(st["kind"], st["factor"]) for st in model_cfg["front"])
     head = model_cfg["head"]
     try:
         with np.errstate(over="raise"):  # a random head's draws past the dtype's range
@@ -402,7 +406,7 @@ def _build_attack(cfg, m_feat, n, dtype, public):
                 imp, label_classes=cfg["data"]["label_classes"], bridge=model_cfg["bridge"],
                 bridge_dim=model_cfg.get("bridge_dim"), head=head["kind"],
                 gain=head.get("gain"), head_stream=RngStream(seed, STREAM_HEAD),
-                head_scale=head.get("scale"), stages=stages, dtype=dtype)
+                head_scale=head.get("scale"), stages=_stages(cfg), dtype=dtype)
     except FloatingPointError:
         _fail("model.head.scale", f"{head['scale']:g} draws head weights past the {dtype} range")
     return imp, model
@@ -500,7 +504,7 @@ def _columns(k, bins, **columns) -> dict:
     return out
 
 
-def _round(cfg, imp, model, batch, defense_base: RngStream, public) -> _Round:
+def _round(cfg, imp, model, batch, defense_base: RngStream) -> _Round:
     feats = model.forward_features(batch.x)
     agg, losses, drifted, examples, bins = _federate(cfg, model, imp, batch, defense_base)
     live = recover_bins(agg, imp)
@@ -513,7 +517,8 @@ def _round(cfg, imp, model, batch, defense_base: RngStream, public) -> _Round:
     del live
     pool = tf = scale = None
     if not cfg["trials"]:  # a trial's record holds neither IIP nor PSNR
-        pool = partial(public, STREAM_POOL, cfg["metrics"]["pool"])  # drawn once truth is freed
+        pool = partial(_draw_pool, cfg, batch.m, batch.meta.get("table"), STREAM_POOL,
+                       cfg["metrics"]["pool"])  # score draws it once truth is freed
         lo, hi = float(feats.min()), float(feats.max())
         tf = (lambda v: (v - lo) / (hi - lo)) if hi > lo else None
         scale = {"lo": lo, "hi": hi}
@@ -600,7 +605,7 @@ def _draw_pool(cfg, m, table, stream_id, rows):
     stream = RngStream(cfg["seed"], stream_id)
     gen = stream.generator()
     dtype = np.dtype(cfg["dtype"])
-    data = cfg["data"]
+    data, stages = cfg["data"], _stages(cfg)
     out = None
     for blk in row_blocks(rows, m):
         count = blk.stop - blk.start
@@ -609,8 +614,8 @@ def _draw_pool(cfg, m, table, stream_id, rows):
             block = table[ids].reshape(count, -1)
         else:
             block = stream.normal((count, m), dtype=dtype, gen=gen)
-        for st in cfg["model"]["front"]:
-            block = FrontStage(st["kind"], st["factor"]).apply(block)
+        for stage in stages:
+            block = stage.apply(block)
         if out is None:
             out = np.empty((rows, block.shape[1]))
         out[blk] = block
@@ -683,14 +688,13 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None) -> ScenarioResult:
     else:  # synthetic only: no batch exists until a trial draws one
         n, m, token_table = cfg["data"]["n"], cfg["data"]["m"], None
     m_feat = _feature_width(cfg, n, m)
-    public = partial(_draw_pool, cfg, m, token_table)
-    imp, model = _build_attack(cfg, m_feat, n, dtype, public)
+    imp, model = _build_attack(cfg, m_feat, n, dtype, partial(_draw_pool, cfg, m, token_table))
     theory_block = _theory_block(imp, model, n, m_feat)
     report = {"config": cfg, "n": n, "m_features": m_feat}
     artifacts = {"model": model, "imprint": imp}
 
     if trials is None:
-        rnd = _round(cfg, imp, model, batch, RngStream(seed, STREAM_DEFENSE), public)
+        rnd = _round(cfg, imp, model, batch, RngStream(seed, STREAM_DEFENSE))
         report.update(_round_report(cfg, batch, rnd))
         artifacts.update(batch=batch, feats=rnd.feats, candidates=rnd.readout,
                          occupancy_counts=rnd.table["count"])
@@ -700,7 +704,7 @@ def run_scenario(raw_cfg: dict, *, seed: int | None = None) -> ScenarioResult:
         records = []
         for t in range(trials):  # keeping only the table frees each round before the next draw
             table = _round(cfg, imp, model, _load_batch(cfg, dtype, trial_base.derive(t)),
-                           defense_base.derive(t), public).table
+                           defense_base.derive(t)).table
             records.append(_trial_record(t, table))
         report["trials"] = _trials_block(records, imp, theory_block["one_shot_success"])
         artifacts["trial_records"] = records

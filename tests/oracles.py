@@ -14,9 +14,9 @@ from scipy.special import ndtr
 
 from imprintlab.distributions import Empirical, Laplace, Normal
 from imprintlab.federation import to_gradient_form
-from imprintlab.model import FrontStage
 from imprintlab.numerics import RngStream, row_blocks
 from imprintlab.recovery import NoActiveRow, Readout
+from imprintlab.scenarios import _stages
 
 
 def naive_matmul(a, b):
@@ -468,6 +468,6 @@ def whole_pool(cfg, m, table, stream_id, rows):
         raw = np.asarray(table, dtype=dtype)[ids].reshape(rows, -1)
     else:
         raw = stream.normal((rows, m), dtype=dtype)
-    for st in cfg["model"]["front"]:
-        raw = FrontStage(st["kind"], st["factor"]).apply(raw)
+    for stage in _stages(cfg):
+        raw = stage.apply(raw)
     return np.asarray(raw, np.float64)

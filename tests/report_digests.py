@@ -36,20 +36,21 @@ only by named keys can show that nothing else moved:
     PYTHONPATH=src python tests/report_digests.py --against ../parent/src \
         --strip recovery.spurious
 
-`--env KEY=VALUE`, repeatable, sets an environment variable for the
-`--against` subprocess alone, so one tree can be digested against itself
-under another BLAS kernel. Across OpenBLAS kernels only four report fields
-move, each a float that measures product rounding; this shows that nothing
-else does:
+Across OpenBLAS kernels only four report fields move, each a float that
+measures product rounding. Two runs of one tree, one under another kernel,
+compared with `diff`, show that nothing else does
+(`tests/test_blas_kernels.py` checks the same on the bundles):
 
-    PYTHONPATH=src python tests/report_digests.py --against src \
-        --env OPENBLAS_CORETYPE=Haswell --strip recovery.mean_psnr \
-        --strip recovery.mean_psnr_exact --strip federation.mean_loss \
-        --strip trials.max_success_rel_err
+    STRIP="--strip recovery.mean_psnr --strip recovery.mean_psnr_exact \
+        --strip federation.mean_loss --strip trials.max_success_rel_err"
+    PYTHONPATH=src python tests/report_digests.py $STRIP > plain.txt
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src \
+        python tests/report_digests.py $STRIP > haswell.txt
+    diff plain.txt haswell.txt
 
 `--strip` does not reach the CLI outputs that print those fields, the sweep
 CSVs' `mean_psnr` column and `check` stdout (its `mean_psnr_exact=` and
-`max_rel_err=` details), so their labels print too.
+`max_rel_err=` details), so their lines differ too.
 
 pytest does not collect this file (its name does not start with `test_`). It
 runs with one BLAS thread, as the benchmark does.
@@ -217,13 +218,6 @@ def cli_outputs(tmp: str):
         yield " ".join([*args, "stdout"]), _stdout(args)
 
 
-def _env_item(text: str):
-    key, sep, value = text.partition("=")
-    if not (key and sep):
-        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
-    return key, value
-
-
 def digest(report: dict, strip=()) -> str:
     """The SHA-256 of the report's canonical JSON without `timing`, a CSV run's
     temporary `config.data.path` and each dotted key in strip (an absent key
@@ -257,17 +251,13 @@ if __name__ == "__main__":
                         help="another tree's src/: print the labels whose digests differ")
     parser.add_argument("--strip", action="append", default=[], metavar="A.B.C",
                         help="drop this dotted report key before hashing (repeatable)")
-    parser.add_argument("--env", action="append", default=[], type=_env_item,
-                        metavar="KEY=VALUE",
-                        help="set this variable for the --against subprocess (repeatable)")
     args = parser.parse_args()
     if args.against is None:
         for label, hexdigest in digests(args.strip):
             print(f"{hexdigest}  {label}", flush=True)
         sys.exit(0)
     with subprocess.Popen([sys.executable, __file__, *(f"--strip={key}" for key in args.strip)],
-                          env={**os.environ, **dict(args.env),
-                               "PYTHONPATH": os.path.abspath(args.against)},
+                          env={**os.environ, "PYTHONPATH": os.path.abspath(args.against)},
                           stdout=subprocess.PIPE, text=True) as other:
         ours = list(digests(args.strip))
         out, _ = other.communicate()

@@ -24,7 +24,7 @@ RUN = """\
 import json, sys
 from imprintlab.dataio import canonical_json
 from imprintlab.scenarios import run_scenario
-sys.stdout.write(canonical_json([run_scenario(cfg).report for cfg in json.load(sys.stdin)]))
+sys.stdout.write(canonical_json([run_scenario(cfg).report for cfg in json.loads(sys.argv[1])]))
 """
 
 
@@ -44,23 +44,27 @@ def test_only_the_rounding_fields_move_across_blas_kernels():
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
                OPENBLAS_VERBOSE="2", OPENBLAS_NUM_THREADS="1")
     procs = {}
-    for kernel in KERNELS:
-        procs[kernel] = subprocess.Popen([sys.executable, "-c", RUN], env=dict(
-            env, OPENBLAS_CORETYPE=kernel), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True)
-        procs[kernel].stdin.write(json.dumps(configs))
-        procs[kernel].stdin.close()
-    ours = [_comparable(run_scenario(cfg).report) for cfg in configs]
     unreported = []
-    for kernel, proc in procs.items():
-        out = proc.stdout.read()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=300) == 0, err
-        if f"Core: {kernel}" not in err:  # another BLAS, or a CPU without the kernel
-            unreported.append(kernel)
-            continue
-        theirs = [_comparable(report) for report in json.loads(out)]
-        for cfg, a, b in zip(configs, ours, theirs, strict=True):
-            assert a == b, (kernel, cfg["name"], cfg["dtype"])
+    try:
+        for kernel in KERNELS:
+            procs[kernel] = subprocess.Popen(
+                [sys.executable, "-c", RUN, json.dumps(configs)],
+                env=dict(env, OPENBLAS_CORETYPE=kernel), stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True)
+        ours = [_comparable(run_scenario(cfg).report) for cfg in configs]
+        for kernel, proc in procs.items():
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            if f"Core: {kernel}" not in err:  # another BLAS, or a CPU without the kernel
+                unreported.append(kernel)
+                continue
+            theirs = [_comparable(report) for report in json.loads(out)]
+            for cfg, a, b in zip(configs, ours, theirs, strict=True):
+                assert a == b, (kernel, cfg["name"], cfg["dtype"])
+    finally:  # a failed kernel leaves no other child running
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
     if unreported:
         pytest.skip(f"OPENBLAS_VERBOSE=2 did not report Core: {', '.join(unreported)}")
